@@ -1,17 +1,16 @@
 """Two-branch few-shot classification head over precomputed embeddings:
 a learnable visual cache fused with an instance-adaptive textual cache."""
 
-from .caches import (TextualCache, VisualCache, adapt_textual_cache,
-                     build_textual_cache, build_visual_cache,
-                     effective_visual_cache)
+from .caches import (TextualCache, VisualCache, build_textual_cache,
+                     build_visual_cache)
 from .conditionnet import (ConditionNetParams, condition_backward,
                            condition_forward, init_condition_net)
 from .dataio import (EmbeddingSet, EpisodeSpec, SynthConfig, read_embeddings,
                      sample_episode, synth_dataset, write_embeddings)
-from .model import (AtcModel, Prediction, branch_textual, branch_visual, fuse,
-                    loss_and_grads, predict, predict_batch, zero_shot_logits)
-from .numerics import (GradReport, Rng, cross_entropy, grad_check,
-                       l2_normalize_rows, matmul, one_hot, seed_child, softmax)
+from .model import (AtcModel, branches, fuse, loss_and_grads, predict_batch,
+                    zero_shot_logits)
+from .numerics import (GradReport, Rng, grad_check, l2_normalize_rows, one_hot,
+                       seed_child)
 from .trainer import (Checkpoint, TrainConfig, adam_step, load_checkpoint,
                       save_checkpoint, train)
 

@@ -3,19 +3,19 @@ support-image rows with learnable offsets (or a free linear layer).
 
 Renormalization after bias addition defaults ON for both caches. Without it
 the textual branch is degenerate: adding the same bias vector to every text
-row shifts every class logit by one identical scalar, so the softmax, the
-argmax, and the gradient into the bias are all unchanged.
+row shifts every class logit by one identical scalar, so the probabilities,
+the argmax, and the gradient into the bias are all unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import EmbeddingSet
-from .errors import ContractError, ShapeError, ValidationError
-from .numerics import l2_normalize_rows, one_hot
+from .errors import ValidationError
+from .numerics import one_hot
 
 VISUAL_MODES = ("fixed", "linear", "biases")
 
@@ -40,20 +40,6 @@ def build_textual_cache(text_set: EmbeddingSet,
         raise ValidationError(f"expected a text set, got role {text_set.role!r}")
     text_set.validate()
     return TextualCache(np.array(text_set.features), renormalize)
-
-
-def adapt_textual_cache(cache: TextualCache, s: np.ndarray) -> np.ndarray:
-    """Add the same bias vector s to every text row; renormalize if enabled."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (cache.dim,):
-        raise ShapeError(f"bias length {s.shape} != (dim,) = ({cache.dim},)")
-    if not s.any():
-        # exact identity at zero bias (rows are already unit)
-        return cache.class_texts.copy()
-    adapted = cache.class_texts + s[None, :]
-    if cache.renormalize:
-        adapted, _ = l2_normalize_rows(adapted)
-    return adapted
 
 
 @dataclass
@@ -95,16 +81,3 @@ def build_visual_cache(support_set: EmbeddingSet, num_classes: int,
         cache.linear = np.array(support)
     return cache
 
-
-def effective_visual_cache(cache: VisualCache) -> tuple[np.ndarray, int]:
-    """support + biases (renormalized if enabled) and the advisory count of
-    rows that collapsed to zero norm. Linear mode bypasses this op."""
-    if cache.mode == "linear":
-        raise ContractError("effective_visual_cache does not apply in linear mode")
-    if cache.mode == "fixed" or not cache.biases.any():
-        return cache.support.copy(), 0
-    rows = cache.support + cache.biases
-    zero_rows = 0
-    if cache.renormalize:
-        rows, zero_rows = l2_normalize_rows(rows)
-    return rows, zero_rows

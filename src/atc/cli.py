@@ -42,7 +42,10 @@ def _parse_activation(value: str) -> tuple[str, float]:
     if value.startswith("tip"):
         gamma = 1.0
         if ":" in value:
-            gamma = float(value.split(":", 1)[1])
+            try:
+                gamma = float(value.split(":", 1)[1])
+            except ValueError:
+                raise UsageError(f"bad tip gamma in {value!r}") from None
         return "tip", gamma
     raise UsageError(f"unknown activation {value!r}")
 
@@ -69,10 +72,11 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
             if key in cfg:
                 raw = cfg[key]
                 caster = type(default) if default is not None else str
-                if caster is bool:
-                    setattr(args, key, _parse_bool(raw))
-                else:
+                try:
                     setattr(args, key, caster(raw))
+                except ValueError:
+                    raise UsageError(f"config {key} = {raw!r}: expected "
+                                     f"{caster.__name__}") from None
             else:
                 setattr(args, key, default)
     return args
@@ -93,22 +97,34 @@ def _eval_threads() -> int:
         return 1
 
 
-def evaluate_queries(m: AtcModel, queries: np.ndarray,
-                     labels: np.ndarray) -> dict:
-    """Accuracy over a query set; chunked across ATC_THREADS workers (the
-    model is read-only during evaluation)."""
+def _score(m: AtcModel, queries: np.ndarray):
+    """Both branch scores (f1, f2) for a query set; chunked across
+    ATC_THREADS workers (the model is read-only while scoring)."""
     threads = _eval_threads()
     if threads == 1 or queries.shape[0] < 2 * threads:
-        preds = model_mod.predict_batch(m, queries)
-    else:
-        chunks = np.array_split(np.arange(queries.shape[0]), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda sel: model_mod.predict_batch(m, queries[sel]), chunks))
-        preds = np.concatenate(parts)
-    correct = int(np.sum(preds == labels))
+        return model_mod.branches(m, queries)[:2]
+    chunks = np.array_split(np.arange(queries.shape[0]), threads)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(
+            lambda sel: model_mod.branches(m, queries[sel])[:2], chunks))
+    f1s, f2s = zip(*parts)
+    return np.concatenate(f1s), np.concatenate(f2s)
+
+
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict:
     total = int(labels.size)
+    if total == 0:
+        raise ValidationError("query set has no rows")
+    correct = int(np.sum(np.argmax(logits, axis=1) == labels))
     return {"accuracy": correct / total, "correct": correct, "total": total}
+
+
+def evaluate_queries(m: AtcModel, queries: np.ndarray,
+                     labels: np.ndarray) -> dict:
+    """Accuracy of the fused head over a query set."""
+    f1, f2 = _score(m, queries)
+    return _accuracy(model_mod.fuse(f1, f2, m.alpha, m.beta, m.logit_scale),
+                     labels)
 
 
 def _subset(es: dataio.EmbeddingSet, idx: np.ndarray) -> dataio.EmbeddingSet:
@@ -243,11 +259,8 @@ def cmd_zeroshot(args) -> int:
     if text.dim != query.dim:
         raise ValidationError(f"dim mismatch: text {text.dim} vs query {query.dim}")
     logits = model_mod.zero_shot_logits(text.features, query.features)
-    preds = np.argmax(logits, axis=1)
-    correct = int(np.sum(preds == query.labels))
-    total = int(query.labels.size)
     _emit({"command": "zeroshot", "text": args.text, "query": args.query,
-           "accuracy": correct / total, "correct": correct, "total": total,
+           **_accuracy(logits, query.labels),
            "wall_clock": time.time() - start}, args.report)
     return 0
 
@@ -288,20 +301,22 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep needs at least one value")
     ckpt = trainer.load_checkpoint(args.ckpt)
     query = dataio.read_embeddings(args.query)
+    m = _rebuild_from_checkpoint(ckpt, args.text, args.support)
+    # alpha and beta only scale the branch scores, so one scoring pass
+    # serves every value
+    f1, f2 = _score(m, query.features)
     results = []
     for value in args.values:
         alpha = value if args.param == "alpha" else 1.0
         beta = value if args.param == "beta" else 1.0
-        m = _rebuild_from_checkpoint(ckpt, args.text, args.support,
-                                     alpha=alpha, beta=beta)
-        results.append((value, evaluate_queries(m, query.features,
-                                                query.labels)))
-    best = max(results, key=lambda r: r[1]["accuracy"])[0]
-    for value, result in results:
+        logits = model_mod.fuse(f1, f2, alpha, beta, m.logit_scale)
+        results.append((value, alpha, beta,
+                        _accuracy(logits, query.labels)))
+    best = max(results, key=lambda r: r[3]["accuracy"])[0]
+    for value, alpha, beta, result in results:
         _emit({"command": "sweep", "param": args.param, "value": value,
-               "alpha": value if args.param == "alpha" else 1.0,
-               "beta": value if args.param == "beta" else 1.0,
-               "best": value == best, **result}, args.report)
+               "alpha": alpha, "beta": beta, "best": value == best,
+               **result}, args.report)
     return 0
 
 

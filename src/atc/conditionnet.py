@@ -5,7 +5,7 @@ single LSTM cell, then a zero-initialized linear head maps the final hidden
 state to a dim-length bias. Zero head => zero bias at initialization, so the
 adapted textual cache starts exactly at the frozen one.
 
-Forward/backward accept a batch (B, dim) or a single vector (dim,).
+Forward/backward take a batch: one row of (B, dim) per query.
 """
 
 from __future__ import annotations
@@ -84,14 +84,12 @@ class NetTape:
 
 
 def condition_forward(params: ConditionNetParams, f_test: np.ndarray):
-    """Run the recurrence; returns (s, tape). s is (dim,) for a vector input,
-    (B, dim) for a batch."""
+    """Run the recurrence over queries (B, dim); returns (s, tape) with s
+    (B, dim)."""
     F = np.asarray(f_test, dtype=np.float64)
-    single = F.ndim == 1
-    if single:
-        F = F[None, :]
-    if F.shape[1] != params.dim:
-        raise ShapeError(f"feature length {F.shape[1]} != dim {params.dim}")
+    if F.ndim != 2 or F.shape[1] != params.dim:
+        raise ShapeError(f"queries shape {F.shape} incompatible with dim "
+                         f"{params.dim}")
     B = F.shape[0]
     h = params.hidden_size
     cs = params.chunk_size
@@ -116,7 +114,7 @@ def condition_forward(params: ConditionNetParams, f_test: np.ndarray):
         tape.C.append(cs_state)
         tape.H.append(hs)
     s = hs @ params.W_out.T + params.b_out
-    return (s[0] if single else s), tape
+    return s, tape
 
 
 def condition_backward(params: ConditionNetParams, tape: NetTape,
@@ -131,9 +129,6 @@ def condition_backward(params: ConditionNetParams, tape: NetTape,
     tape.consumed = True
 
     dS = np.asarray(d_s, dtype=np.float64)
-    single = dS.ndim == 1
-    if single:
-        dS = dS[None, :]
     B = dS.shape[0]
     T = params.chunk_count
     h = params.hidden_size
@@ -172,4 +167,4 @@ def condition_backward(params: ConditionNetParams, tape: NetTape,
             dx += dz[name] @ params.W[name]
         dF_chunks.append(dx)
     dF = np.concatenate(dF_chunks[::-1], axis=1)
-    return grads, (dF[0] if single else dF)
+    return grads, dF

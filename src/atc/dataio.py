@@ -116,7 +116,7 @@ def read_embeddings(path) -> EmbeddingSet:
     features = feats32.astype(np.float64).reshape(rows, dim)
     norms = np.linalg.norm(features, axis=1)
     warnings = int(np.count_nonzero(np.abs(norms - 1.0) > 1e-3))
-    features, _ = l2_normalize_rows(features)
+    features = l2_normalize_rows(features)[0]
     es = EmbeddingSet(features, labels, names, ROLE_NAMES[role_code],
                       norm_warnings=warnings)
     es.validate()
@@ -151,7 +151,7 @@ def _noisy_rows(protos: np.ndarray, per_class: int, scale: float, rng: Rng):
     rows = np.repeat(protos, per_class, axis=0)
     if scale > 0:
         rows = rows + scale * rng.normal((n * per_class, dim))
-    rows, _ = l2_normalize_rows(rows)
+    rows = l2_normalize_rows(rows)[0]
     labels = np.repeat(np.arange(n), per_class)
     return rows, labels
 
@@ -161,7 +161,7 @@ def synth_dataset(cfg: SynthConfig) -> dict[str, EmbeddingSet]:
     cfg.validate()
     rng = Rng(cfg.seed)
     protos = rng.child(0).normal((cfg.num_classes, cfg.dim))
-    protos, _ = l2_normalize_rows(protos)
+    protos = l2_normalize_rows(protos)[0]
     names = [f"class_{i:03d}" for i in range(cfg.num_classes)]
 
     text, text_labels = _noisy_rows(protos, 1, cfg.text_noise, rng.child(1))

@@ -9,13 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caches import TextualCache, VisualCache, adapt_textual_cache
+from .caches import TextualCache, VisualCache
 from .conditionnet import ConditionNetParams, condition_backward, condition_forward
 from .errors import ShapeError
-from .numerics import one_hot, softmax
-
-ACTIVATIONS = ("linear", "tip")
-_NORM_EPS = 1e-12
+from .numerics import l2_normalize_rows, one_hot
 
 
 @dataclass
@@ -39,16 +36,6 @@ class AtcModel:
         return self.textual.dim
 
 
-@dataclass
-class Prediction:
-    logits: np.ndarray
-    probabilities: np.ndarray
-    predicted_class: int
-    f_visual: np.ndarray
-    f_textual: np.ndarray
-    bias: np.ndarray
-
-
 def trainables(model: AtcModel) -> dict[str, np.ndarray]:
     """Live references to every trainable tensor, keyed by group name."""
     out: dict[str, np.ndarray] = {}
@@ -68,15 +55,6 @@ def set_trainables(model: AtcModel, values: dict[str, np.ndarray]) -> None:
         np.copyto(live[k], v)
 
 
-def _normalize_rows_fwd(raw: np.ndarray):
-    """Row renorm keeping what backward needs: norms and the zero-row mask
-    (zero rows pass through unchanged)."""
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    zero = norms <= _NORM_EPS
-    safe = np.where(zero, 1.0, norms)
-    return raw / safe, safe, zero
-
-
 def _normalize_rows_bwd(d_unit, unit, safe, zero):
     inner = np.sum(unit * d_unit, axis=-1, keepdims=True)
     d_raw = (d_unit - inner * unit) / safe
@@ -88,7 +66,7 @@ def _visual_rows(cache: VisualCache):
         return cache.linear, None
     raw = cache.support if cache.mode == "fixed" else cache.support + cache.biases
     if cache.renormalize:
-        unit, safe, zero = _normalize_rows_fwd(raw)
+        unit, safe, zero = l2_normalize_rows(raw)
         return unit, (safe, zero)
     return raw, None
 
@@ -99,8 +77,13 @@ def _activate(a_raw: np.ndarray, activation: str, gamma: float) -> np.ndarray:
     return a_raw
 
 
-def _forward(model: AtcModel, F: np.ndarray, self_indices=None):
-    """Batched forward over queries F (B, dim). Returns (logits, ctx)."""
+def branches(model: AtcModel, F: np.ndarray, self_indices=None):
+    """Both branch scores for queries F (B, dim), before fusion.
+
+    Returns (f1, f2, ctx): the visual and textual scores, each (B, c), and
+    the intermediates the backward pass needs. With self_indices, query i's
+    affinity to support row self_indices[i] is masked out.
+    """
     if F.ndim != 2 or F.shape[1] != model.dim:
         raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
     B = F.shape[0]
@@ -121,16 +104,30 @@ def _forward(model: AtcModel, F: np.ndarray, self_indices=None):
         S, tape = np.zeros((B, model.dim)), None
     V = model.textual.class_texts[None, :, :] + S[:, None, :]
     if model.textual.renormalize:
-        U, tsafe, tzero = _normalize_rows_fwd(V)
+        U, tsafe, tzero = l2_normalize_rows(V)
     else:
         U, tsafe, tzero = V, None, None
     f2 = np.einsum("bd,bcd->bc", F, U)
 
-    logits = model.logit_scale * (model.alpha * f1 + model.beta * f2)
-    ctx = dict(F=F, rows=rows, vnorm=vnorm, a_raw=a_raw, a_act=a_act,
-               self_indices=self_indices, f1=f1, f2=f2, S=S, tape=tape,
+    ctx = dict(F=F, rows=rows, vnorm=vnorm, a_act=a_act,
+               self_indices=self_indices, S=S, tape=tape,
                U=U, tsafe=tsafe, tzero=tzero)
-    return logits, ctx
+    return f1, f2, ctx
+
+
+def fuse(f1: np.ndarray, f2: np.ndarray, alpha: float, beta: float,
+         logit_scale: float) -> np.ndarray:
+    """Fused logits: logit_scale * (alpha * f1 + beta * f2)."""
+    f1 = np.asarray(f1, dtype=np.float64)
+    f2 = np.asarray(f2, dtype=np.float64)
+    if f1.shape != f2.shape:
+        raise ShapeError(f"branch shapes differ: {f1.shape} vs {f2.shape}")
+    return logit_scale * (alpha * f1 + beta * f2)
+
+
+def _logits(model: AtcModel, F: np.ndarray, self_indices=None):
+    f1, f2, ctx = branches(model, F, self_indices)
+    return fuse(f1, f2, model.alpha, model.beta, model.logit_scale), ctx
 
 
 def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarray]:
@@ -184,8 +181,8 @@ def batch_loss(model: AtcModel, queries: np.ndarray, targets,
                self_indices=None) -> float:
     """Mean cross-entropy of the fused logits over a query batch."""
     targets = np.asarray(targets, dtype=np.int64)
-    logits, _ = _forward(model, np.asarray(queries, dtype=np.float64),
-                         self_indices)
+    logits, _ = _logits(model, np.asarray(queries, dtype=np.float64),
+                        self_indices)
     loss, _ = _loss_from_logits(logits, targets)
     return loss
 
@@ -196,61 +193,15 @@ def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
     averaged over the batch."""
     F = np.asarray(queries, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    logits, ctx = _forward(model, F, self_indices)
+    logits, ctx = _logits(model, F, self_indices)
     loss, probs = _loss_from_logits(logits, targets)
     d_logits = (probs - one_hot(targets, logits.shape[1])) / F.shape[0]
     return loss, _backward(model, ctx, d_logits)
 
 
-def branch_visual(f_test: np.ndarray, cache: VisualCache,
-                  activation: str = "linear", gamma: float = 1.0) -> np.ndarray:
-    """Per-class sum of (activated) query/support affinities."""
-    f_test = np.asarray(f_test, dtype=np.float64)
-    single = f_test.ndim == 1
-    F = np.atleast_2d(f_test)
-    if F.shape[1] != cache.dim:
-        raise ShapeError(f"query length {F.shape[1]} != cache dim {cache.dim}")
-    rows, _ = _visual_rows(cache)
-    a = _activate(F @ rows.T, activation, gamma)
-    f1 = a @ cache.labels_onehot
-    return f1[0] if single else f1
-
-
-def branch_textual(f_test: np.ndarray, cache: TextualCache,
-                   net: ConditionNetParams):
-    """Cosine scores against the instance-adapted textual cache."""
-    f_test = np.asarray(f_test, dtype=np.float64)
-    s, tape = condition_forward(net, f_test)
-    adapted = adapt_textual_cache(cache, s)
-    return adapted @ f_test, tape
-
-
-def fuse(f1: np.ndarray, f2: np.ndarray, alpha: float, beta: float,
-         logit_scale: float) -> np.ndarray:
-    f1 = np.asarray(f1, dtype=np.float64)
-    f2 = np.asarray(f2, dtype=np.float64)
-    if f1.shape != f2.shape:
-        raise ShapeError(f"branch shapes differ: {f1.shape} vs {f2.shape}")
-    return logit_scale * (alpha * f1 + beta * f2)
-
-
-def predict(model: AtcModel, f_test: np.ndarray) -> Prediction:
-    f_test = np.asarray(f_test, dtype=np.float64)
-    logits, ctx = _forward(model, f_test[None, :])
-    probs = softmax(logits[0])
-    return Prediction(
-        logits=logits[0],
-        probabilities=probs,
-        predicted_class=int(np.argmax(logits[0])),
-        f_visual=ctx["f1"][0],
-        f_textual=ctx["f2"][0],
-        bias=ctx["S"][0],
-    )
-
-
 def predict_batch(model: AtcModel, queries: np.ndarray) -> np.ndarray:
     """Predicted class per query row."""
-    logits, _ = _forward(model, np.asarray(queries, dtype=np.float64))
+    logits, _ = _logits(model, np.asarray(queries, dtype=np.float64))
     return np.argmax(logits, axis=1)
 
 

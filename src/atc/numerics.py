@@ -1,5 +1,5 @@
-"""Dense 64-bit linear algebra, stable probabilistic primitives, seeded RNG,
-and a finite-difference gradient checker.
+"""Row normalization, one-hot encoding, seeded RNG, and a finite-difference
+gradient checker.
 
 Matrices are plain 2-D float64 numpy arrays. All public operations keep
 entries finite; 32-bit floats appear only inside the file codecs.
@@ -59,50 +59,18 @@ class Rng:
         return self._gen.choice(n, size=k, replace=False)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def l2_normalize_rows(m: np.ndarray, eps: float = 1e-12) -> tuple[np.ndarray, int]:
+def l2_normalize_rows(m: np.ndarray, eps: float = 1e-12):
     """Divide each row by its Euclidean norm.
 
-    Rows with norm <= eps pass through unchanged; their count is returned
-    as an advisory alongside the normalized matrix.
+    Returns (unit, safe_norms, zero_mask): rows with norm <= eps pass through
+    unchanged (their safe norm is 1 and the mask marks them), and the norms
+    and mask keep a trailing axis of length 1 for the backward pass.
     """
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=-1, keepdims=True)
-    zero = norms[..., 0] <= eps
-    safe = np.where(zero[..., None], 1.0, norms)
-    return m / safe, int(np.count_nonzero(zero))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted stable softmax along the last axis."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Multiclass softmax cross-entropy and its gradient w.r.t. the logits.
-
-    loss = -log softmax(logits)[target]; grad = softmax(logits) - one_hot.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= target < logits.shape[-1]:
-        raise IndexError(f"target {target} out of range for {logits.shape[-1]} logits")
-    shifted = logits - logits.max()
-    logz = np.log(np.sum(np.exp(shifted)))
-    loss = float(logz - shifted[target])
-    grad = np.exp(shifted - logz)
-    grad[target] -= 1.0
-    return loss, grad
+    zero = norms <= eps
+    safe = np.where(zero, 1.0, norms)
+    return m / safe, safe, zero
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .dataio import _Cursor
 from .errors import CodecError, ContractError, ValidationError
 from .model import AtcModel, loss_and_grads, predict_batch, trainables
 from .numerics import Rng
@@ -209,35 +210,26 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         data = f.read()
-    pos = 0
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(data):
-            raise CodecError(f"truncated checkpoint while reading {what}", pos)
-        out = data[pos:pos + n]
-        pos += n
-        return out
-
-    if take(4, "magic") != CKPT_MAGIC:
+    cur = _Cursor(data)
+    if cur.take(4, "magic") != CKPT_MAGIC:
         raise CodecError("bad magic, expected 'ATCK'", 0)
-    version, count = struct.unpack("<II", take(8, "header"))
+    version, count = cur.unpack("<II", "header")
     if version != CKPT_VERSION:
         raise CodecError(f"unsupported checkpoint version {version}", 4)
     tensors = {}
     for _ in range(count):
-        (nlen,) = struct.unpack("<H", take(2, "tensor name length"))
-        name = take(nlen, "tensor name").decode("utf-8")
-        dtype, rank = struct.unpack("<BB", take(2, "tensor header"))
+        (nlen,) = cur.unpack("<H", "tensor name length")
+        name = cur.take(nlen, "tensor name").decode("utf-8")
+        dtype, rank = cur.unpack("<BB", "tensor header")
         if dtype != _DTYPE_F64:
-            raise CodecError(f"unknown dtype byte {dtype}", pos - 2)
-        dims = struct.unpack(f"<{rank}Q", take(8 * rank, "tensor dims"))
+            raise CodecError(f"unknown dtype byte {dtype}", cur.pos - 2)
+        dims = cur.unpack(f"<{rank}Q", "tensor dims")
         size = int(np.prod(dims)) if rank else 1
-        raw = take(8 * size, f"tensor data for {name}")
+        raw = cur.take(8 * size, f"tensor data for {name}")
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
-    (tlen,) = struct.unpack("<I", take(4, "trailer length"))
-    trailer = json.loads(take(tlen, "trailer").decode("utf-8"))
-    if pos != len(data):
-        raise CodecError("trailing bytes after trailer", pos)
+    (tlen,) = cur.unpack("<I", "trailer length")
+    trailer = json.loads(cur.take(tlen, "trailer").decode("utf-8"))
+    if cur.pos != len(data):
+        raise CodecError("trailing bytes after trailer", cur.pos)
     return Checkpoint(tensors, trailer["hyper"], trailer["config"],
                       trailer["metrics"])

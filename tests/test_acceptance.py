@@ -3,13 +3,13 @@
 import numpy as np
 
 from atc import dataio, trainer
-from atc.caches import (TextualCache, adapt_textual_cache, build_textual_cache,
-                        build_visual_cache)
+from atc.caches import build_textual_cache, build_visual_cache
 from atc.cli import main, run_full_gradcheck
 from atc.conditionnet import init_condition_net
-from atc.model import (AtcModel, branch_visual, loss_and_grads, predict_batch,
+from atc.model import (AtcModel, branches, loss_and_grads, predict_batch,
                        zero_shot_logits)
 from atc.numerics import Rng
+from oracles import shift_model, shifted_text_scores, visual_scores
 
 # Pinned from the first verified run of the default generator
 # (n=10, dim=64, k=16, queries=50, sigma=0.35, text_noise=0.15, seed=7)
@@ -81,17 +81,13 @@ def test_a3_branch_oracle():
             sigma=0.4, seed=trial))
         cache = build_visual_cache(sets["support"], n)
         np.copyto(cache.biases, 0.2 * rng.normal(cache.biases.shape))
+        m = AtcModel(build_textual_cache(sets["text"]), cache,
+                     init_condition_net(dim, 1, 2, Rng(trial)))
         f = rng.normal(dim)
         f /= np.linalg.norm(f)
-        f1 = branch_visual(f, cache)
-        rows = cache.support + cache.biases
-        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        labels = np.argmax(cache.labels_onehot, axis=1)
-        expected = np.zeros(n)
-        for c in range(n):
-            for j in range(rows.shape[0]):
-                if labels[j] == c:
-                    expected[c] += float(f @ rows[j])
+        f1 = branches(m, f[None, :])[0][0]
+        expected = visual_scores(f, cache.support + cache.biases,
+                                 sets["support"].labels, n)
         worst = max(worst, float(np.max(np.abs(f1 - expected))))
     _report("A3", worst < 1e-12,
             f"max |matrix - double loop| = {worst:.3e} over 100 instances")
@@ -102,12 +98,12 @@ def test_a4_degeneracy_law():
     sets = dataio.synth_dataset(dataio.SynthConfig(
         num_classes=4, dim=16, shots=2, queries_per_class=4, seed=5))
     textual = build_textual_cache(sets["text"], renormalize=False)
-    f = sets["query"].features[0]
+    F = sets["query"].features
     s = Rng(6).normal(16)
-    base = textual.class_texts @ f
-    shifted = adapt_textual_cache(textual, s) @ f
-    deltas = shifted - base
-    spread = float(np.max(deltas) - np.min(deltas))
+    shifted = branches(shift_model(textual.class_texts, s, renormalize=False),
+                       F)[1]
+    deltas = shifted - F @ textual.class_texts.T
+    spread = float(np.max(np.max(deltas, axis=1) - np.min(deltas, axis=1)))
 
     visual = build_visual_cache(sets["support"], 4, renormalize=False)
     net = init_condition_net(16, 4, 8, Rng(5).child(9))
@@ -119,11 +115,14 @@ def test_a4_degeneracy_law():
                    if k.startswith("net."))
 
     # renorm ON: a constructed bias flips the argmax
-    on = TextualCache(np.eye(2), renormalize=True)
-    q = np.array([0.6, 0.8])
-    base_arg = int(np.argmax(adapt_textual_cache(on, np.zeros(2)) @ q))
-    new_arg = int(np.argmax(adapt_textual_cache(on, np.array([-0.4, 0.8])) @ q))
-    flipped = base_arg == 1 and new_arg == 0
+    q = np.array([[0.6, 0.8]])
+    s_flip = np.array([-0.4, 0.8])
+    base_arg = int(np.argmax(branches(shift_model(np.eye(2), np.zeros(2)),
+                                      q)[1]))
+    new_f2 = branches(shift_model(np.eye(2), s_flip), q)[1][0]
+    new_arg = int(np.argmax(new_f2))
+    flipped = (base_arg == 1 and new_arg == 0 and np.max(np.abs(
+        new_f2 - shifted_text_scores(q[0], np.eye(2), s_flip))) < 1e-12)
 
     ok = spread < 1e-10 and net_grad <= 1e-10 and flipped
     _report("A4", ok, f"delta spread {spread:.2e}, net grad {net_grad:.2e}, "

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from atc.caches import (TextualCache, VisualCache, adapt_textual_cache,
-                        build_textual_cache, build_visual_cache,
-                        effective_visual_cache)
-from atc.dataio import EmbeddingSet, SynthConfig, synth_dataset
-from atc.errors import ContractError, ShapeError, ValidationError
+from atc.caches import build_textual_cache, build_visual_cache
+from atc.conditionnet import condition_forward, init_condition_net
+from atc.dataio import SynthConfig, synth_dataset
+from atc.errors import ShapeError, ValidationError
+from atc.model import AtcModel, branches, zero_shot_logits
 from atc.numerics import Rng, l2_normalize_rows
+from oracles import shift_model, shifted_text_scores, visual_scores
 
 
 def _sets(n=3, dim=8, k=2, seed=1):
@@ -26,45 +27,65 @@ def test_build_textual_cache_shape():
     assert cache.class_texts.shape == (10, 64)
 
 
+def _f2(m, F):
+    return branches(m, np.atleast_2d(F))[1]
+
+
 def test_adapt_zero_bias_is_identity():
-    cache = build_textual_cache(_sets()["text"])
-    adapted = adapt_textual_cache(cache, np.zeros(8))
-    assert np.array_equal(adapted, cache.class_texts)
+    texts = build_textual_cache(_sets(n=5, dim=8)["text"]).class_texts
+    F = _sets(n=5, dim=8, seed=2)["query"].features
+    f2 = _f2(shift_model(texts, np.zeros(8)), F)
+    zs = zero_shot_logits(texts, F)
+    assert np.max(np.abs(f2 - zs)) < 1e-15
+    assert np.array_equal(np.argmax(f2, axis=1), np.argmax(zs, axis=1))
 
 
 def test_adapt_shape_error():
-    cache = build_textual_cache(_sets()["text"])
+    m = shift_model(build_textual_cache(_sets()["text"]).class_texts,
+                    np.zeros(8))
     with pytest.raises(ShapeError):
-        adapt_textual_cache(cache, np.zeros(5))
+        branches(m, np.zeros((1, 5)))
+    with pytest.raises(ShapeError):
+        condition_forward(m.net, np.zeros(8))
 
 
 def test_uniform_bias_shifts_all_logits_equally_without_renorm():
-    cache = build_textual_cache(_sets(n=4, dim=8)["text"])
-    cache.renormalize = False
+    texts = build_textual_cache(_sets(n=4, dim=8)["text"]).class_texts
     f = Rng(2).normal(8)
     f /= np.linalg.norm(f)
     s = Rng(3).normal(8)
-    base = cache.class_texts @ f
-    adapted = adapt_textual_cache(cache, s) @ f
-    deltas = adapted - base
+    deltas = _f2(shift_model(texts, s, renormalize=False), f)[0] - texts @ f
     assert np.max(np.abs(deltas - float(f @ s))) < 1e-12
     assert np.max(deltas) - np.min(deltas) < 1e-12
 
 
 def test_renorm_hand_computed_instance():
-    cache = TextualCache(np.eye(2), renormalize=True)
-    adapted = adapt_textual_cache(cache, np.array([0.0, 0.5]))
+    s = np.array([0.0, 0.5])
+    f = np.array([1.0, 0.0])
+    f2 = _f2(shift_model(np.eye(2), s), f)[0]
     # rows [1, .5] and [0, 1.5] with norms sqrt(1.25) and 1.5
-    assert abs(adapted[0] @ np.array([1.0, 0.0]) - 1 / np.sqrt(1.25)) < 1e-12
-    assert abs(adapted[1] @ np.array([1.0, 0.0]) - 0.0) < 1e-12
+    assert abs(f2[0] - 1 / np.sqrt(1.25)) < 1e-12
+    assert abs(f2[1] - 0.0) < 1e-12
+    assert np.max(np.abs(f2 - shifted_text_scores(f, np.eye(2), s))) < 1e-12
 
 
 def test_renorm_can_flip_argmax():
-    cache = TextualCache(np.eye(2), renormalize=True)
     f = np.array([0.6, 0.8])
-    base = np.argmax(adapt_textual_cache(cache, np.zeros(2)) @ f)
-    flipped = np.argmax(adapt_textual_cache(cache, np.array([-0.4, 0.8])) @ f)
+    base = np.argmax(_f2(shift_model(np.eye(2), np.zeros(2)), f)[0])
+    flipped = np.argmax(_f2(shift_model(np.eye(2), np.array([-0.4, 0.8])),
+                            f)[0])
     assert base == 1 and flipped == 0
+
+
+@pytest.mark.parametrize("renorm", [True, False])
+def test_shifted_text_scores_match_per_query_oracle(renorm):
+    texts = build_textual_cache(_sets(n=5, dim=8)["text"]).class_texts
+    F = _sets(n=5, dim=8, seed=4)["query"].features
+    s = 0.7 * Rng(5).normal(8)
+    f2 = _f2(shift_model(texts, s, renormalize=renorm), F)
+    for i, f in enumerate(F):
+        expected = shifted_text_scores(f, texts, s, renormalize=renorm)
+        assert np.max(np.abs(f2[i] - expected)) < 1e-12
 
 
 def test_build_visual_cache_counts():
@@ -82,25 +103,48 @@ def test_build_visual_cache_missing_class():
         build_visual_cache(sets["support"], 4)
 
 
+def _visual_f1(cache, F):
+    texts = build_textual_cache(_sets()["text"])
+    net = init_condition_net(cache.dim, 2, 3, Rng(0))
+    return branches(AtcModel(texts, cache, net), F)[0]
+
+
 def test_effective_cache_zero_biases_bitwise():
-    cache = build_visual_cache(_sets()["support"], 3)
-    rows, zeros = effective_visual_cache(cache)
-    assert np.array_equal(rows, cache.support)
-    assert zeros == 0
+    sets = _sets()
+    F = sets["query"].features
+    biased = _visual_f1(build_visual_cache(sets["support"], 3), F)
+    fixed = _visual_f1(build_visual_cache(sets["support"], 3, mode="fixed"),
+                       F)
+    assert np.array_equal(biased, fixed)
+    labels = sets["support"].labels
+    for i, f in enumerate(F):
+        expected = visual_scores(f, sets["support"].features, labels, 3)
+        assert np.max(np.abs(biased[i] - expected)) < 1e-12
 
 
 def test_effective_cache_cancellation_counts_zero_rows():
-    cache = build_visual_cache(_sets()["support"], 3)
+    sets = _sets()
+    cache = build_visual_cache(sets["support"], 3)
     cache.biases = -cache.support
-    rows, zeros = effective_visual_cache(cache)
+    rows, _, zero = l2_normalize_rows(cache.support + cache.biases)
     assert np.all(rows == 0.0)
-    assert zeros == cache.rows
+    assert int(np.count_nonzero(zero)) == cache.rows
+    assert np.all(_visual_f1(cache, sets["query"].features) == 0.0)
 
 
-def test_effective_cache_linear_mode_rejected():
-    cache = build_visual_cache(_sets()["support"], 3, mode="linear")
-    with pytest.raises(ContractError):
-        effective_visual_cache(cache)
+def test_linear_mode_rows_skip_renormalization():
+    sets = _sets()
+    cache = build_visual_cache(sets["support"], 3, mode="linear")
+    cache.linear *= 3.0
+    F = sets["query"].features
+    f1 = _visual_f1(cache, F)
+    labels = sets["support"].labels
+    for i, f in enumerate(F):
+        expected = visual_scores(f, cache.linear, labels, 3,
+                                 renormalize=False)
+        assert np.max(np.abs(f1[i] - expected)) < 1e-12
+    assert np.max(np.abs(f1 - 3.0 * _visual_f1(
+        build_visual_cache(sets["support"], 3, mode="fixed"), F))) < 1e-12
 
 
 def test_fixed_mode_has_no_trainable_tensors():

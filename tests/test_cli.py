@@ -236,3 +236,69 @@ def test_config_file_fills_flags_and_flags_win(data_dir, tmp_path):
 def test_missing_subcommand_exit_2(capsys):
     assert run() == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("param", ["alpha", "beta"])
+def test_sweep_matches_eval_at_every_value(data_dir, trained, tmp_path, param):
+    ckpt, _ = trained
+    pair = ("--text", str(data_dir / "text.ate"),
+            "--support", str(data_dir / "support.ate"),
+            "--query", str(data_dir / "query.ate"))
+    values = ["0", "0.05", "0.2", "0.5", "1", "2", "8"]
+    sweep_report = tmp_path / "s.jsonl"
+    assert run("sweep", "--ckpt", str(ckpt), *pair, "--param", param,
+               "--values", ",".join(values),
+               "--report", str(sweep_report)) == 0
+    recs = read_records(sweep_report)
+    assert [r["value"] for r in recs] == [float(v) for v in values]
+    for value, rec in zip(values, recs):
+        eval_report = tmp_path / f"e{value}.jsonl"
+        assert run("eval", "--ckpt", str(ckpt), *pair, f"--{param}", value,
+                   "--report", str(eval_report)) == 0
+        ev = read_records(eval_report)[0]
+        assert (rec["correct"], rec["accuracy"]) == \
+            (ev["correct"], ev["accuracy"]), value
+    assert len({r["correct"] for r in recs}) > 1
+
+
+def test_bad_activation_number_exit_2(data_dir, tmp_path, capsys):
+    assert run("gradcheck", "--activation", "tip:abc") == 2
+    assert run("train", "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--ckpt", str(tmp_path / "m.atck"), "--shots", "4",
+               "--epochs", "1", "--activation", "tip:abc") == 2
+    assert "tip:abc" in capsys.readouterr().err
+
+
+def test_config_file_bad_number_exit_2(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("shots = 4\nepochs = abc\n")
+    assert run("train", "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--ckpt", str(tmp_path / "m.atck"), "--config", str(cfg)) == 2
+    assert "epochs" in capsys.readouterr().err
+
+
+@pytest.fixture
+def empty_query(data_dir, tmp_path):
+    from atc.dataio import EmbeddingSet, read_embeddings, write_embeddings
+    q = read_embeddings(data_dir / "query.ate")
+    path = tmp_path / "empty.ate"
+    write_embeddings(EmbeddingSet(q.features[:0], q.labels[:0],
+                                  q.class_names, "query"), path)
+    return path
+
+
+def test_zeroshot_empty_query_exit_3(data_dir, empty_query, capsys):
+    assert run("zeroshot", "--text", str(data_dir / "text.ate"),
+               "--query", str(empty_query)) == 3
+    assert "no rows" in capsys.readouterr().err
+
+
+def test_eval_empty_query_exit_3(data_dir, trained, empty_query, capsys):
+    ckpt, _ = trained
+    assert run("eval", "--ckpt", str(ckpt),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(empty_query)) == 3
+    assert "no rows" in capsys.readouterr().err

@@ -19,8 +19,8 @@ def _net(dim=16, T=4, h=6, seed=0, nonzero_head=False):
 
 def test_fresh_net_outputs_zero():
     net = _net()
-    s, _ = condition_forward(net, Rng(5).normal(16))
-    assert np.array_equal(s, np.zeros(16))
+    s, _ = condition_forward(net, Rng(5).normal((3, 16)))
+    assert np.array_equal(s, np.zeros((3, 16)))
 
 
 def test_param_count_formula():
@@ -56,7 +56,7 @@ def test_forward_matches_scalar_oracle():
     # independent, non-vectorized recurrence over pure-python floats
     net = _net(dim=8, T=2, h=3, seed=2, nonzero_head=True)
     x = Rng(7).normal(8)
-    s, _ = condition_forward(net, x)
+    s, _ = condition_forward(net, x[None, :])
 
     cs = 4
     h_prev = [0.0] * 3
@@ -83,21 +83,21 @@ def test_forward_matches_scalar_oracle():
         h_prev, c_prev = h_new, c_new
     expected = [float(net.b_out[d]) + sum(float(net.W_out[d, j]) * h_prev[j]
                                           for j in range(3)) for d in range(8)]
-    assert np.max(np.abs(s - np.array(expected))) < 1e-12
+    assert np.max(np.abs(s[0] - np.array(expected))) < 1e-12
 
 
 def test_single_chunk_degenerates_to_one_cell():
     net = _net(dim=6, T=1, h=4, seed=3, nonzero_head=True)
-    s, tape = condition_forward(net, Rng(1).normal(6))
+    s, tape = condition_forward(net, Rng(1).normal((2, 6)))
     assert len(tape.X) == 1
-    assert s.shape == (6,)
+    assert s.shape == (2, 6)
 
 
 def test_backward_matches_finite_differences():
     for seed in range(3):
         net = _net(dim=8, T=2, h=4, seed=seed, nonzero_head=True)
-        x = Rng(100 + seed).normal(8)
-        w = Rng(200 + seed).normal(8)   # fixed projection to a scalar
+        x = Rng(100 + seed).normal((2, 8))
+        w = Rng(200 + seed).normal((2, 8))   # fixed projection to a scalar
 
         params = {k: v.copy() for k, v in net.tensors().items()}
         s, tape = condition_forward(net, x)
@@ -111,7 +111,7 @@ def test_backward_matches_finite_differences():
             np.copyto(net.W_out, p["W_out"])
             np.copyto(net.b_out, p["b_out"])
             out, _ = condition_forward(net, x)
-            return float(out @ w)
+            return float(np.sum(out * w))
 
         report = grad_check(fn, params, analytic, eps=1e-4, tol=1e-4)
         assert report.passed, report.summary()
@@ -119,34 +119,34 @@ def test_backward_matches_finite_differences():
 
 def test_input_gradient_matches_finite_differences():
     net = _net(dim=8, T=4, h=5, seed=4, nonzero_head=True)
-    x = Rng(8).normal(8)
-    w = Rng(9).normal(8)
+    x = Rng(8).normal((2, 8))
+    w = Rng(9).normal((2, 8))
     s, tape = condition_forward(net, x)
     _, dx = condition_backward(net, tape, w)
     eps = 1e-5
-    for i in range(8):
+    for idx in np.ndindex(x.shape):
         xb = x.copy()
-        xb[i] += eps
+        xb[idx] += eps
         up, _ = condition_forward(net, xb)
-        xb[i] -= 2 * eps
+        xb[idx] -= 2 * eps
         down, _ = condition_forward(net, xb)
-        numeric = float((up - down) @ w) / (2 * eps)
-        assert abs(numeric - dx[i]) < 1e-7
+        numeric = float(np.sum((up - down) * w)) / (2 * eps)
+        assert abs(numeric - dx[idx]) < 1e-7
 
 
 def test_zero_upstream_gives_zero_grads():
     net = _net(nonzero_head=True)
-    _, tape = condition_forward(net, Rng(1).normal(16))
-    grads, dx = condition_backward(net, tape, np.zeros(16))
+    _, tape = condition_forward(net, Rng(1).normal((2, 16)))
+    grads, dx = condition_backward(net, tape, np.zeros((2, 16)))
     assert all(np.all(g == 0.0) for g in grads.values())
     assert np.all(dx == 0.0)
 
 
 def test_zero_head_blocks_gate_grads_but_not_head_grad():
     net = _net(seed=5)  # W_out = 0
-    x = Rng(2).normal(16)
+    x = Rng(2).normal((2, 16))
     _, tape = condition_forward(net, x)
-    grads, _ = condition_backward(net, tape, np.ones(16))
+    grads, _ = condition_backward(net, tape, np.ones((2, 16)))
     for g in ("i", "f", "o", "g"):
         assert np.all(grads[f"W_{g}"] == 0.0)
     assert np.any(grads["W_out"] != 0.0)
@@ -154,10 +154,10 @@ def test_zero_head_blocks_gate_grads_but_not_head_grad():
 
 def test_tape_reuse_rejected():
     net = _net()
-    _, tape = condition_forward(net, Rng(1).normal(16))
-    condition_backward(net, tape, np.zeros(16))
+    _, tape = condition_forward(net, Rng(1).normal((1, 16)))
+    condition_backward(net, tape, np.zeros((1, 16)))
     with pytest.raises(ContractError):
-        condition_backward(net, tape, np.zeros(16))
+        condition_backward(net, tape, np.zeros((1, 16)))
 
 
 def test_batch_forward_matches_per_query():
@@ -165,5 +165,5 @@ def test_batch_forward_matches_per_query():
     F = Rng(3).normal((5, 8))
     S, _ = condition_forward(net, F)
     for i in range(5):
-        s, _ = condition_forward(net, F[i])
-        assert np.max(np.abs(S[i] - s)) < 1e-12
+        s, _ = condition_forward(net, F[i:i + 1])
+        assert np.max(np.abs(S[i] - s[0])) < 1e-12

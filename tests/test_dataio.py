@@ -9,7 +9,7 @@ from atc.numerics import Rng, l2_normalize_rows
 
 
 def _small_set(role="support", rows=3, dim=4, c=2, seed=1):
-    feats, _ = l2_normalize_rows(Rng(seed).normal((rows, dim)))
+    feats = l2_normalize_rows(Rng(seed).normal((rows, dim)))[0]
     labels = np.arange(rows) % c
     if role == "text":
         rows, labels = c, np.arange(c)

@@ -6,10 +6,11 @@ from atc.caches import (TextualCache, VisualCache, build_textual_cache,
 from atc.conditionnet import init_condition_net
 from atc.dataio import SynthConfig, synth_dataset
 from atc.errors import ShapeError
-from atc.model import (AtcModel, batch_loss, branch_textual, branch_visual,
-                       fuse, loss_and_grads, predict, predict_batch,
-                       set_trainables, trainables, zero_shot_logits)
+from atc.model import (AtcModel, _loss_from_logits, batch_loss, branches,
+                       fuse, loss_and_grads, predict_batch, set_trainables,
+                       trainables, zero_shot_logits)
 from atc.numerics import Rng, grad_check, one_hot
+from oracles import visual_scores
 
 
 def _make_model(n=3, dim=8, k=2, seed=1, renorm=True, mode="biases",
@@ -34,18 +35,30 @@ def _make_model(n=3, dim=8, k=2, seed=1, renorm=True, mode="biases",
     return m, sets
 
 
-def test_branch_visual_identity_case():
+def _eye_model(activation="linear", gamma=1.0):
     cache = VisualCache(np.eye(2), one_hot([0, 1], 2))
     cache.biases = np.zeros((2, 2))
-    f1 = branch_visual(np.array([1.0, 0.0]), cache)
-    assert np.allclose(f1, [1.0, 0.0])
+    net = init_condition_net(2, 1, 2, Rng(0))
+    return AtcModel(TextualCache(np.eye(2)), cache, net,
+                    activation=activation, tip_gamma=gamma)
+
+
+def _f1(m, F):
+    return branches(m, np.atleast_2d(F))[0]
+
+
+def _f2(m, F):
+    return branches(m, np.atleast_2d(F))[1]
+
+
+def test_branch_visual_identity_case():
+    f1 = _f1(_eye_model(), [1.0, 0.0])
+    assert np.allclose(f1, [[1.0, 0.0]])
 
 
 def test_branch_visual_orthogonal_row_contribution():
-    cache = VisualCache(np.eye(2), one_hot([0, 1], 2))
-    cache.biases = np.zeros((2, 2))
-    linear = branch_visual(np.array([1.0, 0.0]), cache, "linear")
-    tip = branch_visual(np.array([1.0, 0.0]), cache, "tip", 1.0)
+    linear = _f1(_eye_model("linear"), [1.0, 0.0])[0]
+    tip = _f1(_eye_model("tip", 1.0), [1.0, 0.0])[0]
     assert linear[1] == 0.0
     assert abs(tip[1] - np.exp(-1.0)) < 1e-12
     assert abs(tip[0] - 1.0) < 1e-12
@@ -53,49 +66,41 @@ def test_branch_visual_orthogonal_row_contribution():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_branch_visual_matches_double_loop_oracle(seed):
-    rng = Rng(seed)
     n, k, dim = 4, 3, 8
     m, sets = _make_model(n=n, dim=dim, k=k, seed=seed, randomize=True)
-    f = rng.normal(dim)
-    f /= np.linalg.norm(f)
+    F = Rng(seed).normal((5, dim))
+    F /= np.linalg.norm(F, axis=1, keepdims=True)
+    rows = m.visual.support + m.visual.biases
+    labels = np.argmax(m.visual.labels_onehot, axis=1)
     for act, gamma in (("linear", 1.0), ("tip", 2.0)):
-        f1 = branch_visual(f, m.visual, act, gamma)
-        rows = m.visual.support + m.visual.biases
-        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        labels = np.argmax(m.visual.labels_onehot, axis=1)
-        expected = np.zeros(n)
-        for c in range(n):
-            for j in range(rows.shape[0]):
-                if labels[j] == c:
-                    a = float(f @ rows[j])
-                    if act == "tip":
-                        a = np.exp(-gamma * (1.0 - a))
-                    expected[c] += a
-        assert np.max(np.abs(f1 - expected)) < 1e-12
+        m.activation, m.tip_gamma = act, gamma
+        f1 = _f1(m, F)
+        for i, f in enumerate(F):
+            expected = visual_scores(f, rows, labels, n, act, gamma)
+            assert np.max(np.abs(f1[i] - expected)) < 1e-12
 
 
 def test_branch_textual_reduces_to_zero_shot_with_fresh_net():
     m, sets = _make_model()
-    f = sets["query"].features[0]
-    f2, _ = branch_textual(f, m.textual, m.net)
+    F = sets["query"].features
+    f2 = _f2(m, F)
     assert np.max(np.abs(f2 - zero_shot_logits(m.textual.class_texts,
-                                               f[None])[0])) < 1e-15
+                                               F))) < 1e-15
 
 
 def test_branch_textual_text_row_query():
     m, _ = _make_model()
-    t0 = m.textual.class_texts[0]
-    f2, _ = branch_textual(t0, m.textual, m.net)
-    assert abs(f2[0] - 1.0) < 1e-12
+    f2 = _f2(m, m.textual.class_texts[0])
+    assert abs(f2[0, 0] - 1.0) < 1e-12
 
 
 def test_branch_textual_constant_shift_without_renorm():
     m, sets = _make_model(renorm=False, randomize=True)
-    f = sets["query"].features[1]
-    f2, _ = branch_textual(f, m.textual, m.net)
-    base = zero_shot_logits(m.textual.class_texts, f[None])[0]
-    deltas = f2 - base
-    assert np.max(deltas) - np.min(deltas) < 1e-12
+    F = sets["query"].features
+    deltas = _f2(m, F) - zero_shot_logits(m.textual.class_texts, F)
+    spread = np.max(deltas, axis=1) - np.min(deltas, axis=1)
+    assert np.max(spread) < 1e-12
+    assert np.max(np.abs(deltas)) > 1e-3
 
 
 def test_fuse_arithmetic():
@@ -150,13 +155,17 @@ def test_predict_noiseless_is_perfect():
 
 def test_predict_deterministic_and_exposes_intermediates():
     m, sets = _make_model(randomize=True)
-    f = sets["query"].features[0]
-    a = predict(m, f)
-    b = predict(m, f)
-    assert np.array_equal(a.logits, b.logits)
-    assert abs(a.probabilities.sum() - 1.0) < 1e-12
-    assert a.f_visual.shape == a.f_textual.shape == (3,)
-    assert a.bias.shape == (8,)
+    F = sets["query"].features[:1]
+    f1a, f2a, ctx = branches(m, F)
+    f1b, f2b, _ = branches(m, F)
+    assert np.array_equal(f1a, f1b) and np.array_equal(f2a, f2b)
+    logits = fuse(f1a, f2a, m.alpha, m.beta, m.logit_scale)
+    _, probs = _loss_from_logits(logits, np.zeros(1, dtype=np.int64))
+    assert abs(probs.sum() - 1.0) < 1e-12
+    assert f1a.shape == f2a.shape == (1, 3)
+    assert ctx["S"].shape == (1, 8)
+    assert np.any(ctx["S"] != 0.0)
+    assert predict_batch(m, F)[0] == np.argmax(logits[0])
 
 
 @pytest.mark.parametrize("renorm", [True, False])
@@ -213,18 +222,20 @@ def test_alpha_zero_gives_exactly_zero_visual_gradient():
 def test_linear_mode_initial_f1_matches_fixed_mode():
     mf, sets = _make_model(mode="fixed", seed=3)
     ml, _ = _make_model(mode="linear", seed=3)
-    f = sets["query"].features[0]
-    assert np.max(np.abs(branch_visual(f, mf.visual) -
-                         branch_visual(f, ml.visual))) < 1e-12
+    F = sets["query"].features
+    assert np.max(np.abs(_f1(mf, F) - _f1(ml, F))) < 1e-12
 
 
 def test_leave_self_out_removes_self_affinity():
     m, sets = _make_model(randomize=False)
     sup = m.visual.support
     labels = np.argmax(m.visual.labels_onehot, axis=1)
-    from atc.model import _forward
-    logits_in, _ = _forward(m, sup)
-    logits_out, _ = _forward(m, sup, np.arange(sup.shape[0]))
+    def logits(self_indices):
+        f1, f2, _ = branches(m, sup, self_indices)
+        return fuse(f1, f2, m.alpha, m.beta, m.logit_scale)
+
+    logits_in = logits(None)
+    logits_out = logits(np.arange(sup.shape[0]))
     # removing the self row lowers the own-class visual score by exactly
     # scale * alpha * activated self affinity (= 1 for unit rows, linear)
     idx = np.arange(sup.shape[0])

@@ -4,57 +4,44 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from atc.errors import ShapeError
-from atc.numerics import (Rng, cross_entropy, grad_check, l2_normalize_rows,
-                          matmul, one_hot, relative_error, seed_child, softmax)
-
-
-def test_matmul_identity():
-    eye = np.eye(2)
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(matmul(eye, b), b)
-
-
-def test_matmul_dot():
-    out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 11.0
-
-
-def test_matmul_against_triple_loop_oracle():
-    rng = Rng(42)
-    a = rng.normal((7, 5))
-    b = rng.normal((5, 3))
-    expected = np.zeros((7, 3))
-    for i in range(7):
-        for j in range(3):
-            for k in range(5):
-                expected[i, j] += a[i, k] * b[k, j]
-    assert np.max(np.abs(matmul(a, b) - expected)) < 1e-12
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
+from atc.model import _loss_from_logits
+from atc.numerics import (Rng, grad_check, l2_normalize_rows, one_hot,
+                          relative_error, seed_child)
 
 
 def test_l2_normalize_345():
-    out, zeros = l2_normalize_rows(np.array([[3.0, 4.0]]))
+    out, safe, zero = l2_normalize_rows(np.array([[3.0, 4.0]]))
     assert np.allclose(out, [[0.6, 0.8]])
-    assert zeros == 0
+    assert np.array_equal(safe, [[5.0]])
+    assert not zero.any()
 
 
 def test_l2_normalize_zero_row_passthrough():
-    out, zeros = l2_normalize_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    out, safe, zero = l2_normalize_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
     assert np.array_equal(out[0], [0.0, 0.0])
-    assert zeros == 1
+    assert np.array_equal(zero, [[True], [False]])
+    assert np.array_equal(safe, [[1.0], [1.0]])
 
 
 def test_l2_normalize_idempotent_on_unit_rows():
     rng = Rng(3)
-    m, _ = l2_normalize_rows(rng.normal((4, 6)))
-    again, _ = l2_normalize_rows(m)
+    m = l2_normalize_rows(rng.normal((4, 6)))[0]
+    again = l2_normalize_rows(m)[0]
     assert np.max(np.abs(again - m)) < 1e-15
+
+
+def softmax(logits):
+    """Probabilities from the model's loss, for one row of logits."""
+    logits = np.asarray(logits, dtype=np.float64)[None, :]
+    return _loss_from_logits(logits, np.zeros(1, dtype=np.int64))[1][0]
+
+
+def cross_entropy(logits, target):
+    """The model's loss and its gradient w.r.t. one row of logits, as
+    loss_and_grads forms it: softmax - one_hot."""
+    logits = np.asarray(logits, dtype=np.float64)[None, :]
+    loss, probs = _loss_from_logits(logits, np.array([target]))
+    return loss, (probs - one_hot([target], logits.shape[1]))[0]
 
 
 def test_softmax_symmetry():
