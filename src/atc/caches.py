@@ -67,9 +67,12 @@ def build_visual_cache(support_set: EmbeddingSet, num_classes: int,
         raise ValidationError(f"unknown visual cache mode {mode!r}")
     support_set.validate()
     present = np.unique(support_set.labels)
-    if present.size != num_classes:
+    if not np.array_equal(present, np.arange(num_classes)):
         missing = sorted(set(range(num_classes)) - set(present.tolist()))
-        raise ValidationError(f"support set missing classes {missing}")
+        raise ValidationError(
+            f"support set missing classes {missing}" if missing else
+            f"support set has {present.size} classes, text set has "
+            f"{num_classes}")
     support = np.array(support_set.features)
     cache = VisualCache(support, one_hot(support_set.labels, num_classes),
                         mode, renormalize)

@@ -3,13 +3,14 @@ gradcheck.
 
 Reports are append-only line-delimited JSON. Exit codes: 0 success, 2 usage,
 3 validation/codec, 4 numeric failure, 5 I/O. A key=value config file can
-supply any flag's value; explicit flags win.
+set any optional flag of the subcommand; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -19,10 +20,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import dataio, model as model_mod, trainer
-from .caches import build_textual_cache, build_visual_cache
+from .caches import VISUAL_MODES, build_textual_cache, build_visual_cache
 from .conditionnet import init_condition_net
-from .errors import (AtcError, CodecError, ConfigError, ContractError,
-                     EvaluationError, ShapeError, UsageError, ValidationError)
+from .errors import AtcError, EvaluationError, UsageError, ValidationError
 from .model import AtcModel, loss_and_grads, batch_loss, trainables
 from .numerics import Rng, grad_check
 
@@ -64,21 +64,19 @@ def _read_config_file(path) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill unset options from the config file, then from defaults."""
-    cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, default in defaults.items():
-        if getattr(args, key, None) is None:
-            if key in cfg:
-                raw = cfg[key]
-                caster = type(default) if default is not None else str
-                try:
-                    setattr(args, key, caster(raw))
-                except ValueError:
-                    raise UsageError(f"config {key} = {raw!r}: expected "
-                                     f"{caster.__name__}") from None
-            else:
-                setattr(args, key, default)
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv. A --config file's pairs become defaults of the invoked
+    subcommand's optional flags, then argv is parsed again, so argparse
+    converts them with each flag's type and explicit flags still win."""
+    args = parser.parse_args(argv)
+    if args.config:
+        cfg = _read_config_file(args.config)
+        (commands,) = [a for a in parser._actions if a.dest == "command"]
+        sub = commands.choices[args.command]
+        sub.set_defaults(**{a.dest: cfg[a.dest] for a in sub._actions
+                            if a.option_strings and not a.required
+                            and a.dest in cfg})
+        args = parser.parse_args(argv)
     return args
 
 
@@ -91,10 +89,13 @@ def _emit(record: dict, report_path) -> None:
 
 
 def _eval_threads() -> int:
+    raw = os.environ.get("ATC_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("ATC_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        return 1
+        raise UsageError(
+            f"ATC_THREADS must be an integer, got {raw!r}") from None
+    return min(max(1, threads), os.cpu_count() or 1)
 
 
 def _score(m: AtcModel, queries: np.ndarray):
@@ -127,11 +128,6 @@ def evaluate_queries(m: AtcModel, queries: np.ndarray,
                      labels)
 
 
-def _subset(es: dataio.EmbeddingSet, idx: np.ndarray) -> dataio.EmbeddingSet:
-    return dataio.EmbeddingSet(es.features[idx], es.labels[idx],
-                               es.class_names, es.role)
-
-
 def _load_pair(text_path, support_path):
     text = dataio.read_embeddings(text_path)
     support = dataio.read_embeddings(support_path)
@@ -141,98 +137,89 @@ def _load_pair(text_path, support_path):
     return text, support
 
 
-def _build_model(text, episode, *, visual_mode, renorm, activation, gamma,
-                 alpha, beta, scale, adaptive_text, chunk_count, hidden_size,
-                 seed):
-    textual = build_textual_cache(text, renormalize=renorm)
-    visual = build_visual_cache(episode, text.num_classes, mode=visual_mode,
-                                renormalize=renorm)
-    net = init_condition_net(text.dim, chunk_count, hidden_size,
-                             Rng(seed).child(1000))
-    return AtcModel(textual, visual, net, alpha=alpha, beta=beta,
-                    logit_scale=scale, activation=activation, tip_gamma=gamma,
-                    adaptive_text=adaptive_text)
+def _episode(support: dataio.EmbeddingSet, shots: int,
+             seed: int) -> dataio.EmbeddingSet:
+    idx = dataio.sample_episode(support.labels,
+                                dataio.EpisodeSpec(shots, seed))
+    return dataio.EmbeddingSet(support.features[idx], support.labels[idx],
+                               support.class_names, support.role)
 
 
-_TRAIN_DEFAULTS = dict(
-    shots=16, views=1, seed=0, epochs=20, lr=1e-3, batch_size=0,
-    weight_decay=0.0, alpha=1.0, beta=1.0, scale=100.0, renorm="on",
-    activation="linear", visual_mode="biases", shuffle="on",
-    leave_self_out="off", chunk_count=8, hidden_size=64,
-)
+def _build_model(hyper: dict, text, episode, seed: int) -> AtcModel:
+    """The head that `hyper` (keyed like trainer.model_hyper) describes,
+    around the text set and the support episode."""
+    for key in ("alpha", "beta", "logit_scale", "tip_gamma"):
+        if not math.isfinite(hyper[key]):
+            raise ValidationError(f"{key} must be finite, got {hyper[key]}")
+    if text.dim != hyper["dim"]:
+        raise ValidationError(
+            f"checkpoint dim {hyper['dim']} != embedding dim {text.dim}")
+    textual = build_textual_cache(text, renormalize=hyper["renorm_text"])
+    visual = build_visual_cache(episode, text.num_classes,
+                                mode=hyper["visual_mode"],
+                                renormalize=hyper["renorm_visual"])
+    net = init_condition_net(text.dim, hyper["chunk_count"],
+                             hyper["hidden_size"], Rng(seed).child(1000))
+    return AtcModel(textual, visual, net, **{k: hyper[k] for k in (
+        "alpha", "beta", "logit_scale", "activation", "tip_gamma",
+        "adaptive_text")})
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shots", type=int)
-    p.add_argument("--views", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--scale", type=float)
-    p.add_argument("--renorm", choices=["on", "off"])
-    p.add_argument("--activation")
-    p.add_argument("--visual-mode", dest="visual_mode",
-                   choices=["fixed", "linear", "biases"])
-    p.add_argument("--shuffle", choices=["on", "off"])
-    p.add_argument("--leave-self-out", dest="leave_self_out",
-                   choices=["on", "off"])
-    p.add_argument("--chunk-count", dest="chunk_count", type=int)
-    p.add_argument("--hidden-size", dest="hidden_size", type=int)
+    p.add_argument("--shots", type=int, default=16)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=int, default=0)
+    p.add_argument("--weight-decay", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--scale", type=float, default=100.0)
+    p.add_argument("--renorm", choices=["on", "off"], default="on")
+    p.add_argument("--activation", default="linear")
+    p.add_argument("--visual-mode", choices=VISUAL_MODES, default="biases")
+    p.add_argument("--shuffle", choices=["on", "off"], default="on")
+    p.add_argument("--leave-self-out", choices=["on", "off"], default="off")
+    p.add_argument("--chunk-count", type=int, default=8)
+    p.add_argument("--hidden-size", type=int, default=64)
 
 
 def _train_once(args, adaptive_text: bool):
     text, support = _load_pair(args.text, args.support)
-    spec = dataio.EpisodeSpec(args.shots, args.seed, args.views)
-    idx = dataio.sample_episode(support.labels, spec)
-    episode = _subset(support, idx)
+    episode = _episode(support, args.shots, args.seed)
     activation, gamma = _parse_activation(args.activation)
     renorm = _parse_bool(args.renorm)
-    m = _build_model(
-        text, episode, visual_mode=args.visual_mode, renorm=renorm,
-        activation=activation, gamma=gamma, alpha=args.alpha, beta=args.beta,
-        scale=args.scale, adaptive_text=adaptive_text,
-        chunk_count=args.chunk_count, hidden_size=args.hidden_size,
-        seed=args.seed)
+    hyper = {"alpha": args.alpha, "beta": args.beta, "logit_scale": args.scale,
+             "activation": activation, "tip_gamma": gamma,
+             "adaptive_text": adaptive_text, "renorm_text": renorm,
+             "renorm_visual": renorm, "visual_mode": args.visual_mode,
+             "dim": text.dim, "chunk_count": args.chunk_count,
+             "hidden_size": args.hidden_size}
+    m = _build_model(hyper, text, episode, args.seed)
     cfg = trainer.TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.lr, weight_decay=args.weight_decay,
         seed=args.seed, shuffle=_parse_bool(args.shuffle),
         leave_self_out=_parse_bool(args.leave_self_out))
     ckpt = trainer.train(m, episode.features, episode.labels, cfg)
-    ckpt.config.update({
-        "episode_shots": args.shots,
-        "episode_seed": args.seed,
-        "episode_views": args.views,
-    })
-    return m, ckpt, text
+    ckpt.config.update(episode_shots=args.shots, episode_seed=args.seed,
+                       episode_views=1)
+    if args.ckpt:
+        trainer.save_checkpoint(ckpt, args.ckpt)
+    return m, ckpt
 
 
 def _rebuild_from_checkpoint(ckpt: trainer.Checkpoint, text_path, support_path,
                              alpha=None, beta=None) -> AtcModel:
     text, support = _load_pair(text_path, support_path)
-    hyper = ckpt.hyper
-    spec = dataio.EpisodeSpec(int(ckpt.config["episode_shots"]),
-                              int(ckpt.config["episode_seed"]),
-                              int(ckpt.config.get("episode_views", 1)))
-    idx = dataio.sample_episode(support.labels, spec)
-    episode = _subset(support, idx)
-    if text.dim != hyper["dim"]:
-        raise ValidationError(
-            f"checkpoint dim {hyper['dim']} != embedding dim {text.dim}")
-    m = _build_model(
-        text, episode, visual_mode=hyper["visual_mode"],
-        renorm=hyper["renorm_text"], activation=hyper["activation"],
-        gamma=hyper["tip_gamma"],
-        alpha=hyper["alpha"] if alpha is None else alpha,
-        beta=hyper["beta"] if beta is None else beta,
-        scale=hyper["logit_scale"], adaptive_text=hyper["adaptive_text"],
-        chunk_count=hyper["chunk_count"], hidden_size=hyper["hidden_size"],
-        seed=int(ckpt.config["episode_seed"]))
-    m.visual.renormalize = hyper["renorm_visual"]
+    seed = int(ckpt.config["episode_seed"])
+    # older checkpoints may record episode_views > 1 (rows per class = product)
+    shots = (int(ckpt.config["episode_shots"])
+             * int(ckpt.config.get("episode_views", 1)))
+    hyper = {**ckpt.hyper,
+             "alpha": ckpt.hyper["alpha"] if alpha is None else alpha,
+             "beta": ckpt.hyper["beta"] if beta is None else beta}
+    m = _build_model(hyper, text, _episode(support, shots, seed), seed)
     trainer.apply_checkpoint(m, ckpt)
     return m
 
@@ -267,8 +254,7 @@ def cmd_zeroshot(args) -> int:
 
 def cmd_train(args) -> int:
     start = time.time()
-    m, ckpt, _ = _train_once(args, adaptive_text=True)
-    trainer.save_checkpoint(ckpt, args.ckpt)
+    m, ckpt = _train_once(args, adaptive_text=True)
     record = {"command": "train", "ckpt": args.ckpt, "seed": args.seed,
               "config": ckpt.config, "epochs": ckpt.metrics,
               "wall_clock": time.time() - start}
@@ -286,9 +272,6 @@ def cmd_eval(args) -> int:
                                  alpha=args.alpha, beta=args.beta)
     for qpath in args.query:
         query = dataio.read_embeddings(qpath)
-        if query.dim != m.dim:
-            raise ValidationError(
-                f"dim mismatch: query {query.dim} vs model {m.dim}")
         result = evaluate_queries(m, query.features, query.labels)
         _emit({"command": "eval", "ckpt": args.ckpt, "query": qpath,
                "alpha": m.alpha, "beta": m.beta, **result,
@@ -320,31 +303,25 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-_ABLATE_MODES = ("fixed-text", "adaptive-text", "fixed-visual",
-                 "linear-visual", "bias-visual")
+# the setting each ablation mode overrides; later modes win
+_ABLATE_MODES = {"fixed-text": ("adaptive_text", False),
+                 "adaptive-text": ("adaptive_text", True),
+                 "fixed-visual": ("visual_mode", "fixed"),
+                 "linear-visual": ("visual_mode", "linear"),
+                 "bias-visual": ("visual_mode", "biases")}
 
 
 def cmd_ablate(args) -> int:
     start = time.time()
-    adaptive_text = True
+    args.adaptive_text = True
     for mode in args.mode:
         if mode not in _ABLATE_MODES:
             raise UsageError(f"unknown ablation mode {mode!r}")
-        if mode == "fixed-text":
-            adaptive_text = False
-        elif mode == "adaptive-text":
-            adaptive_text = True
-        elif mode == "fixed-visual":
-            args.visual_mode = "fixed"
-        elif mode == "linear-visual":
-            args.visual_mode = "linear"
-        elif mode == "bias-visual":
-            args.visual_mode = "biases"
-    m, ckpt, _ = _train_once(args, adaptive_text=adaptive_text)
-    if args.ckpt:
-        trainer.save_checkpoint(ckpt, args.ckpt)
+        setattr(args, *_ABLATE_MODES[mode])
+    m, ckpt = _train_once(args, adaptive_text=args.adaptive_text)
     record = {"command": "ablate", "modes": args.mode, "seed": args.seed,
-              "adaptive_text": adaptive_text, "visual_mode": args.visual_mode,
+              "adaptive_text": args.adaptive_text,
+              "visual_mode": args.visual_mode,
               "epochs": ckpt.metrics, "wall_clock": time.time() - start}
     if args.query:
         query = dataio.read_embeddings(args.query)
@@ -379,13 +356,13 @@ def run_full_gradcheck(seed: int, renorm: bool, activation: str = "linear",
     _, analytic = loss_and_grads(m, queries, targets)
 
     def fn(p):
-        model_mod.set_trainables(m, p)
+        model_mod.set_tensors(m, p)
         return batch_loss(m, queries, targets)
 
     try:
         report = grad_check(fn, params, analytic, eps=eps, tol=tol)
     finally:
-        model_mod.set_trainables(m, params)
+        model_mod.set_tensors(m, params)
     return report
 
 
@@ -413,23 +390,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic embedding files")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--queries", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--text-noise", dest="text_noise", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--classes", type=int, default=10)
+    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--shots", type=int, default=16)
+    p.add_argument("--queries", type=int, default=50)
+    p.add_argument("--sigma", type=float, default=0.35)
+    p.add_argument("--text-noise", type=float, default=0.15)
+    p.add_argument("--seed", type=int, default=7)
     common(p)
-    p.set_defaults(func=cmd_synth, defaults=dict(
-        classes=10, dim=64, shots=16, queries=50, sigma=0.35,
-        text_noise=0.15, seed=7))
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("zeroshot", help="cosine argmax baseline")
     p.add_argument("--text", required=True)
     p.add_argument("--query", required=True)
     common(p)
-    p.set_defaults(func=cmd_zeroshot, defaults={})
+    p.set_defaults(func=cmd_zeroshot)
 
     p = sub.add_parser("train", help="train the two-branch head")
     p.add_argument("--text", required=True)
@@ -438,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query")
     _add_train_flags(p)
     common(p)
-    p.set_defaults(func=cmd_train, defaults=dict(_TRAIN_DEFAULTS))
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--ckpt", required=True)
@@ -448,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     common(p)
-    p.set_defaults(func=cmd_eval, defaults=dict(alpha=None, beta=None))
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="sweep alpha or beta, other pinned at 1")
     p.add_argument("--ckpt", required=True)
@@ -459,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", type=lambda s: [float(v) for v in s.split(",")],
                    required=True)
     common(p)
-    p.set_defaults(func=cmd_sweep, defaults={})
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ablate", help="train and evaluate a cache variant")
     p.add_argument("--text", required=True)
@@ -469,35 +444,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", action="append", required=True)
     _add_train_flags(p)
     common(p)
-    p.set_defaults(func=cmd_ablate, defaults=dict(_TRAIN_DEFAULTS))
+    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--renorm", choices=["on", "off"])
-    p.add_argument("--activation")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--renorm", choices=["on", "off"], default="on")
+    p.add_argument("--activation", default="linear")
     common(p)
-    p.set_defaults(func=cmd_gradcheck, defaults=dict(
-        seed=0, renorm="on", activation="linear"))
+    p.set_defaults(func=cmd_gradcheck)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(build_parser(), argv)
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    try:
-        args = _resolve(args, args.defaults)
-        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (CodecError, ValidationError, ConfigError, ShapeError,
-            ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except EvaluationError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4

@@ -179,21 +179,18 @@ def synth_dataset(cfg: SynthConfig) -> dict[str, EmbeddingSet]:
 class EpisodeSpec:
     shots_per_class: int
     seed: int
-    views_per_shot: int = 1
 
     def validate(self) -> None:
         if self.shots_per_class < 1:
             raise ConfigError("shots_per_class must be >= 1")
-        if self.views_per_shot < 1:
-            raise ConfigError("views_per_shot must be >= 1")
 
 
 def sample_episode(labels, spec: EpisodeSpec) -> np.ndarray:
-    """Pick support row indices: shots x views per class, without replacement,
+    """Pick support row indices: shots per class, without replacement,
     deterministic in the seed, ordered class-major then sample-index."""
     spec.validate()
     labels = np.asarray(labels, dtype=np.int64)
-    need = spec.shots_per_class * spec.views_per_shot
+    need = spec.shots_per_class
     rng = Rng(spec.seed)
     picked = []
     for cls in np.unique(labels):

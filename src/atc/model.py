@@ -11,7 +11,7 @@ import numpy as np
 
 from .caches import TextualCache, VisualCache
 from .conditionnet import ConditionNetParams, condition_backward, condition_forward
-from .errors import ShapeError
+from .errors import ShapeError, ValidationError
 from .numerics import l2_normalize_rows, one_hot
 
 
@@ -36,12 +36,10 @@ class AtcModel:
         return self.textual.dim
 
 
-def trainables(model: AtcModel) -> dict[str, np.ndarray]:
-    """Live references to every trainable tensor, keyed by group name."""
-    out: dict[str, np.ndarray] = {}
-    if model.adaptive_text:
-        for k, v in model.net.tensors().items():
-            out[f"net.{k}"] = v
+def tensors(model: AtcModel) -> dict[str, np.ndarray]:
+    """Live references to every tensor a checkpoint stores: the bias network
+    (even when frozen) and the visual cache's learnable rows, if any."""
+    out = {f"net.{k}": v for k, v in model.net.tensors().items()}
     if model.visual.mode == "biases":
         out["visual.biases"] = model.visual.biases
     elif model.visual.mode == "linear":
@@ -49,8 +47,22 @@ def trainables(model: AtcModel) -> dict[str, np.ndarray]:
     return out
 
 
-def set_trainables(model: AtcModel, values: dict[str, np.ndarray]) -> None:
-    live = trainables(model)
+def trainables(model: AtcModel) -> dict[str, np.ndarray]:
+    """Live references to every trainable tensor, keyed by group name."""
+    return {k: v for k, v in tensors(model).items()
+            if model.adaptive_text or not k.startswith("net.")}
+
+
+def set_tensors(model: AtcModel, values: dict[str, np.ndarray]) -> None:
+    """Copy values into the named model tensors. Every name must be one of
+    tensors(model), with its shape; nothing is copied otherwise."""
+    live = tensors(model)
+    for k, v in values.items():
+        if k not in live:
+            raise ValidationError(f"unknown tensor {k!r}")
+        if np.shape(v) != live[k].shape:
+            raise ValidationError(f"tensor {k} has shape {np.shape(v)}, "
+                                  f"model expects {live[k].shape}")
     for k, v in values.items():
         np.copyto(live[k], v)
 

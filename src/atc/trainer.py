@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -19,7 +20,8 @@ import numpy as np
 
 from .dataio import _Cursor
 from .errors import CodecError, ContractError, ValidationError
-from .model import AtcModel, loss_and_grads, predict_batch, trainables
+from .model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
+                    tensors, trainables)
 from .numerics import Rng
 
 CKPT_MAGIC = b"ATCK"
@@ -45,6 +47,9 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 1")
         if self.batch_size < 0:
             raise ValidationError("batch_size must be >= 0")
+        for key in ("learning_rate", "weight_decay"):
+            if not math.isfinite(value := getattr(self, key)):
+                raise ValidationError(f"{key} must be finite, got {value}")
 
 
 @dataclass
@@ -119,14 +124,9 @@ def model_hyper(model: AtcModel) -> dict:
 
 
 def checkpoint_tensors(model: AtcModel) -> dict[str, np.ndarray]:
-    """Everything eval needs beyond the embedding files: the bias network
-    (even when frozen) and the visual trainables."""
-    out = {f"net.{k}": v.copy() for k, v in model.net.tensors().items()}
-    if model.visual.mode == "biases":
-        out["visual.biases"] = model.visual.biases.copy()
-    elif model.visual.mode == "linear":
-        out["visual.linear"] = model.visual.linear.copy()
-    return out
+    """Copies of everything eval needs beyond the embedding files
+    (model.tensors)."""
+    return {k: v.copy() for k, v in tensors(model).items()}
 
 
 def train(model: AtcModel, queries: np.ndarray, labels,
@@ -175,16 +175,12 @@ def train(model: AtcModel, queries: np.ndarray, labels,
 
 
 def apply_checkpoint(model: AtcModel, ckpt: Checkpoint) -> None:
-    net = model.net.tensors()
-    for name, tensor in ckpt.tensors.items():
-        if name.startswith("net."):
-            np.copyto(net[name[4:]], tensor)
-        elif name == "visual.biases":
-            np.copyto(model.visual.biases, tensor)
-        elif name == "visual.linear":
-            np.copyto(model.visual.linear, tensor)
-        else:
-            raise ValidationError(f"unknown checkpoint tensor {name!r}")
+    """Load the checkpoint's tensors into the model. The names must be
+    exactly tensors(model) and every shape must match."""
+    missing = sorted(set(tensors(model)) - set(ckpt.tensors))
+    if missing:
+        raise ValidationError(f"checkpoint lacks tensors {missing}")
+    set_tensors(model, ckpt.tensors)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -216,7 +212,7 @@ def load_checkpoint(path) -> Checkpoint:
     version, count = cur.unpack("<II", "header")
     if version != CKPT_VERSION:
         raise CodecError(f"unsupported checkpoint version {version}", 4)
-    tensors = {}
+    arrays = {}
     for _ in range(count):
         (nlen,) = cur.unpack("<H", "tensor name length")
         name = cur.take(nlen, "tensor name").decode("utf-8")
@@ -226,10 +222,16 @@ def load_checkpoint(path) -> Checkpoint:
         dims = cur.unpack(f"<{rank}Q", "tensor dims")
         size = int(np.prod(dims)) if rank else 1
         raw = cur.take(8 * size, f"tensor data for {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
     (tlen,) = cur.unpack("<I", "trailer length")
-    trailer = json.loads(cur.take(tlen, "trailer").decode("utf-8"))
+    at = cur.pos
+    raw = cur.take(tlen, "trailer")
     if cur.pos != len(data):
         raise CodecError("trailing bytes after trailer", cur.pos)
-    return Checkpoint(tensors, trailer["hyper"], trailer["config"],
-                      trailer["metrics"])
+    try:
+        trailer = json.loads(raw.decode("utf-8"))
+        return Checkpoint(arrays, trailer["hyper"], trailer["config"],
+                          trailer["metrics"])
+    except (ValueError, KeyError, TypeError):
+        raise CodecError("trailer is not UTF-8 JSON with hyper, config and "
+                         "metrics", at) from None

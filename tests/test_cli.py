@@ -302,3 +302,233 @@ def test_eval_empty_query_exit_3(data_dir, trained, empty_query, capsys):
                "--support", str(data_dir / "support.ate"),
                "--query", str(empty_query)) == 3
     assert "no rows" in capsys.readouterr().err
+
+
+def _write_config(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+_REQUIRED = {
+    "synth": ["--out", "o"],
+    "train": ["--text", "t.ate", "--support", "s.ate", "--ckpt", "m.atck"],
+    "eval": ["--ckpt", "m.atck", "--text", "t.ate", "--support", "s.ate",
+             "--query", "q.ate"],
+    "gradcheck": [],
+}
+
+# (command, config key, config value, parsed value): every optional flag
+_CONFIG_CASES = [
+    ("synth", "classes", "3", 3), ("synth", "dim", "8", 8),
+    ("synth", "shots", "2", 2), ("synth", "queries", "4", 4),
+    ("synth", "sigma", "0.25", 0.25), ("synth", "text-noise", "0.05", 0.05),
+    ("synth", "seed", "5", 5), ("synth", "report", "r.jsonl", "r.jsonl"),
+    ("train", "shots", "3", 3), ("train", "seed", "4", 4),
+    ("train", "epochs", "2", 2), ("train", "lr", "5e-2", 0.05),
+    ("train", "batch-size", "7", 7), ("train", "weight-decay", "0.25", 0.25),
+    ("train", "alpha", "0.5", 0.5), ("train", "beta", "2.5", 2.5),
+    ("train", "scale", "30", 30.0), ("train", "renorm", "off", "off"),
+    ("train", "activation", "tip:2", "tip:2"),
+    ("train", "visual-mode", "linear", "linear"),
+    ("train", "shuffle", "off", "off"),
+    ("train", "leave-self-out", "on", "on"),
+    ("train", "chunk-count", "4", 4), ("train", "hidden-size", "6", 6),
+    ("train", "query", "q.ate", "q.ate"),
+    ("train", "report", "r.jsonl", "r.jsonl"),
+    ("eval", "alpha", "0.5", 0.5), ("eval", "beta", "2", 2.0),
+    ("eval", "report", "r.jsonl", "r.jsonl"),
+    ("gradcheck", "seed", "3", 3), ("gradcheck", "renorm", "off", "off"),
+    ("gradcheck", "activation", "tip:2.0", "tip:2.0"),
+    ("gradcheck", "report", "r.jsonl", "r.jsonl"),
+]
+
+
+@pytest.mark.parametrize("command,key,raw,expected", _CONFIG_CASES)
+def test_config_sets_optional_flag_with_its_type(tmp_path, command, key, raw,
+                                                 expected):
+    from atc.cli import _parse, build_parser
+    cfg = _write_config(tmp_path, f"{key} = {raw}\n")
+    args = _parse(build_parser(),
+                  [command, *_REQUIRED[command], "--config", cfg])
+    value = getattr(args, key.replace("-", "_"))
+    assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
+def test_config_cases_cover_every_optional_flag(command):
+    from atc.cli import build_parser
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    sub = commands.choices[command]
+    optional = {a.dest for a in sub._actions
+                if a.option_strings and not a.required} - {"help", "config"}
+    covered = {k.replace("-", "_") for c, k, _, _ in _CONFIG_CASES
+               if c == command}
+    assert optional == covered
+
+
+def test_config_ignores_keys_that_name_no_optional_flag(tmp_path):
+    from atc.cli import _parse, build_parser, cmd_train
+    cfg = _write_config(tmp_path, "ckpt = other.atck\nfunc = x\nbogus = 1\n")
+    args = _parse(build_parser(),
+                  ["train", *_REQUIRED["train"], "--config", cfg])
+    assert args.ckpt == "m.atck" and args.func is cmd_train
+    assert not hasattr(args, "bogus")
+
+
+def test_eval_config_alpha_is_a_float(data_dir, trained, tmp_path):
+    ckpt, _ = trained
+    report = tmp_path / "r.jsonl"
+    cfg = _write_config(tmp_path, "alpha = 0.5\n")
+    assert run("eval", "--ckpt", str(ckpt),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate"),
+               "--config", cfg, "--report", str(report)) == 0
+    assert read_records(report)[0]["alpha"] == 0.5
+
+
+@pytest.mark.parametrize("visual_mode", ["fixed", "linear", "biases"])
+@pytest.mark.parametrize("renorm_text", [True, False])
+@pytest.mark.parametrize("renorm_visual", [True, False])
+@pytest.mark.parametrize("activation,gamma", [("linear", 1.0), ("tip", 2.5)])
+def test_build_model_round_trips_hyper(visual_mode, renorm_text,
+                                       renorm_visual, activation, gamma):
+    from atc.cli import _build_model
+    from atc.dataio import SynthConfig, synth_dataset
+    from atc.trainer import model_hyper
+    sets = synth_dataset(SynthConfig(num_classes=3, dim=8, shots=2,
+                                     queries_per_class=1))
+    hyper = {"alpha": 0.5, "beta": 1.5, "logit_scale": 20.0,
+             "activation": activation, "tip_gamma": gamma,
+             "adaptive_text": renorm_text != renorm_visual,
+             "renorm_text": renorm_text, "renorm_visual": renorm_visual,
+             "visual_mode": visual_mode, "dim": 8, "chunk_count": 2,
+             "hidden_size": 3}
+    m = _build_model(hyper, sets["text"], sets["support"], seed=1)
+    assert model_hyper(m) == hyper
+
+
+@pytest.fixture(scope="module")
+def six_class_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("six")
+    assert run("synth", "--out", str(d), "--classes", "6", "--dim", "16",
+               "--shots", "4", "--queries", "2", "--seed", "12") == 0
+    return d
+
+
+def test_eval_checkpoint_on_other_class_count_exit_3(trained, six_class_dir,
+                                                     capsys):
+    ckpt, _ = trained
+    assert run("eval", "--ckpt", str(ckpt),
+               "--text", str(six_class_dir / "text.ate"),
+               "--support", str(six_class_dir / "support.ate"),
+               "--query", str(six_class_dir / "query.ate")) == 3
+    assert "visual.biases" in capsys.readouterr().err
+
+
+def test_train_support_with_extra_classes_exit_3(data_dir, six_class_dir,
+                                                 tmp_path, capsys):
+    assert run("train", "--text", str(data_dir / "text.ate"),
+               "--support", str(six_class_dir / "support.ate"),
+               "--ckpt", str(tmp_path / "m.atck"), "--shots", "4",
+               "--epochs", "1") == 3
+    err = capsys.readouterr().err
+    assert "6 classes" in err and "5" in err and "[]" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lr", "nan"], ["--weight-decay", "inf"], ["--alpha", "nan"],
+    ["--beta=-inf"], ["--scale", "nan"], ["--activation", "tip:nan"]])
+def test_train_non_finite_hyper_exit_3(data_dir, tmp_path, flags, capsys):
+    ckpt = tmp_path / "m.atck"
+    assert run("train", "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--ckpt", str(ckpt), "--shots", "4", "--epochs", "1",
+               *flags) == 3
+    assert "finite" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--alpha", "nan"], ""), (["--beta", "inf"], ""), ([], "beta = nan\n")])
+def test_eval_non_finite_hyper_exit_3(data_dir, trained, tmp_path, flags,
+                                      config, capsys):
+    ckpt, _ = trained
+    cfg = _write_config(tmp_path, config)
+    assert run("eval", "--ckpt", str(ckpt),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate"),
+               "--config", cfg, *flags) == 3
+    assert "finite" in capsys.readouterr().err
+
+
+def test_eval_corrupt_trailer_exit_3(data_dir, trained, tmp_path, capsys):
+    ckpt, _ = trained
+    blob = bytearray(ckpt.read_bytes())
+    blob[blob.index(b'{"config"')] = 0xFF
+    bad = tmp_path / "bad.atck"
+    bad.write_bytes(bytes(blob))
+    assert run("eval", "--ckpt", str(bad),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate")) == 3
+    assert "trailer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw,cpus,expected", [
+    (None, 4, 1), ("3", 4, 3), ("16", 4, 4), ("0", 4, 1), ("-2", 4, 1),
+    ("2", None, 1)])
+def test_eval_threads_clamped_to_cpu_count(monkeypatch, raw, cpus, expected):
+    from atc import cli
+    if raw is None:
+        monkeypatch.delenv("ATC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ATC_THREADS", raw)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._eval_threads() == expected
+
+
+def test_eval_threads_not_integer_exit_2(data_dir, trained, monkeypatch,
+                                         capsys):
+    ckpt, _ = trained
+    monkeypatch.setenv("ATC_THREADS", "two")
+    assert run("eval", "--ckpt", str(ckpt),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate")) == 2
+    assert "ATC_THREADS" in capsys.readouterr().err
+
+
+def test_eval_reads_episode_views_of_older_checkpoints(data_dir, trained,
+                                                       tmp_path):
+    from atc.trainer import load_checkpoint, save_checkpoint
+    ckpt, _ = trained
+    old = load_checkpoint(ckpt)
+    assert (old.config["episode_shots"], old.config["episode_views"]) == (4, 1)
+    old.config.update(episode_shots=2, episode_views=2)
+    save_checkpoint(old, tmp_path / "old.atck")
+    records = []
+    for path in (ckpt, tmp_path / "old.atck"):
+        report = tmp_path / f"{path.stem}.jsonl"
+        assert run("eval", "--ckpt", str(path),
+                   "--text", str(data_dir / "text.ate"),
+                   "--support", str(data_dir / "support.ate"),
+                   "--query", str(data_dir / "query.ate"),
+                   "--report", str(report)) == 0
+        records.append(read_records(report)[0])
+    assert records[0]["correct"] == records[1]["correct"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_eval_query_dim_mismatch_exit_3(data_dir, trained, tmp_path,
+                                        monkeypatch, threads):
+    ckpt, _ = trained
+    monkeypatch.setenv("ATC_THREADS", threads)
+    assert run("synth", "--out", str(tmp_path), "--dim", "8",
+               "--classes", "5", "--shots", "2", "--queries", "2") == 0
+    assert run("eval", "--ckpt", str(ckpt),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(tmp_path / "query.ate")) == 3

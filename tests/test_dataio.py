@@ -137,9 +137,3 @@ def test_sample_episode_insufficient_rows():
     labels = np.array([0, 0, 1])
     with pytest.raises(InsufficientDataError, match="class 1"):
         sample_episode(labels, EpisodeSpec(2, seed=1))
-
-
-def test_sample_episode_views_multiply_rows():
-    labels = np.repeat(np.arange(2), 10)
-    idx = sample_episode(labels, EpisodeSpec(2, seed=4, views_per_shot=3))
-    assert np.array_equal(labels[idx], [0] * 6 + [1] * 6)

@@ -7,7 +7,7 @@ from atc.conditionnet import init_condition_net
 from atc.dataio import SynthConfig, synth_dataset
 from atc.errors import ShapeError
 from atc.model import (AtcModel, _loss_from_logits, batch_loss, branches,
-                       fuse, loss_and_grads, predict_batch, set_trainables,
+                       fuse, loss_and_grads, predict_batch, set_tensors,
                        trainables, zero_shot_logits)
 from atc.numerics import Rng, grad_check, one_hot
 from oracles import visual_scores
@@ -179,11 +179,11 @@ def test_full_gradients_match_finite_differences(renorm, activation, gamma):
     _, analytic = loss_and_grads(m, q, labels)
 
     def fn(p):
-        set_trainables(m, p)
+        set_tensors(m, p)
         return batch_loss(m, q, labels)
 
     report = grad_check(fn, params, analytic, eps=1e-4, tol=1e-4)
-    set_trainables(m, params)
+    set_tensors(m, params)
     assert report.passed, report.summary()
 
 
@@ -195,11 +195,11 @@ def test_linear_mode_gradients_match_finite_differences():
     _, analytic = loss_and_grads(m, q, labels)
 
     def fn(p):
-        set_trainables(m, p)
+        set_tensors(m, p)
         return batch_loss(m, q, labels)
 
     report = grad_check(fn, params, analytic, eps=1e-4, tol=1e-4)
-    set_trainables(m, params)
+    set_tensors(m, params)
     assert report.passed, report.summary()
 
 

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from atc.caches import build_textual_cache, build_visual_cache
 from atc.conditionnet import init_condition_net
 from atc.dataio import SynthConfig, synth_dataset
 from atc.errors import CodecError, ValidationError
-from atc.model import AtcModel, trainables
+from atc.model import AtcModel, set_tensors, tensors, trainables
 from atc.numerics import Rng
 from atc.trainer import (AdamState, Checkpoint, TrainConfig, adam_step,
                          apply_checkpoint, init_adam, load_checkpoint,
@@ -156,3 +159,71 @@ def test_apply_checkpoint_restores_trainables():
     apply_checkpoint(m2, ckpt)
     for k, v in trainables(m2).items():
         assert np.array_equal(v, trained[k]), k
+
+
+def test_apply_checkpoint_rejects_other_tensor_names():
+    m, sets = _model()
+    ckpt = train(m, sets["support"].features, sets["support"].labels,
+                 TrainConfig(epochs=1, seed=9))
+    m2, _ = _model()
+    m2.visual.mode, m2.visual.linear = "linear", m2.visual.support.copy()
+    before = {k: v.copy() for k, v in tensors(m2).items()}
+    with pytest.raises(ValidationError, match="visual.linear"):
+        apply_checkpoint(m2, ckpt)
+    for k, v in tensors(m2).items():
+        assert np.array_equal(v, before[k]), k
+
+
+def test_set_tensors_rejects_unknown_name_and_wrong_shape():
+    m, _ = _model()
+    before = {k: v.copy() for k, v in tensors(m).items()}
+    with pytest.raises(ValidationError, match="unknown tensor"):
+        set_tensors(m, {"net.W_out": np.ones_like(before["net.W_out"]),
+                        "visual.linear": before["visual.biases"]})
+    with pytest.raises(ValidationError, match="shape"):
+        set_tensors(m, {"net.W_out": np.ones_like(before["net.W_out"]),
+                        "visual.biases": before["visual.biases"][1:]})
+    for k, v in tensors(m).items():
+        assert np.array_equal(v, before[k]), k
+
+
+def _saved_checkpoint(tmp_path):
+    """Path and bytes of a saved checkpoint, and its trailer's offset (the
+    sorted-key JSON trailer starts with its "config" key)."""
+    m, sets = _model()
+    ckpt = train(m, sets["support"].features, sets["support"].labels,
+                 TrainConfig(epochs=1, seed=9))
+    path = tmp_path / "m.atck"
+    save_checkpoint(ckpt, path)
+    blob = path.read_bytes()
+    return path, blob, blob.index(b'{"config"')
+
+
+def test_checkpoint_trailer_bad_byte_rejected_at_offset(tmp_path):
+    path, blob, at = _saved_checkpoint(tmp_path)
+    bad = bytearray(blob)
+    bad[at] = 0xFF
+    path.write_bytes(bytes(bad))
+    with pytest.raises(CodecError, match="trailer") as err:
+        load_checkpoint(path)
+    assert err.value.offset == at
+
+
+@pytest.mark.parametrize("key", ["hyper", "config", "metrics"])
+def test_checkpoint_trailer_missing_key_rejected_at_offset(tmp_path, key):
+    path, blob, at = _saved_checkpoint(tmp_path)
+    trailer = json.loads(blob[at:])
+    del trailer[key]
+    raw = json.dumps(trailer).encode()
+    path.write_bytes(blob[:at - 4] + struct.pack("<I", len(raw)) + raw)
+    with pytest.raises(CodecError, match="trailer") as err:
+        load_checkpoint(path)
+    assert err.value.offset == at
+
+
+def test_train_config_rejects_non_finite_rates():
+    m, sets = _model()
+    for cfg in (TrainConfig(learning_rate=float("nan")),
+                TrainConfig(weight_decay=float("inf"))):
+        with pytest.raises(ValidationError, match="finite"):
+            train(m, sets["support"].features, sets["support"].labels, cfg)
