@@ -15,7 +15,6 @@ import numpy as np
 
 from .dataio import EmbeddingSet
 from .errors import ValidationError
-from .numerics import one_hot
 
 VISUAL_MODES = ("fixed", "linear", "biases")
 
@@ -45,7 +44,7 @@ def build_textual_cache(text_set: EmbeddingSet,
 @dataclass
 class VisualCache:
     support: np.ndarray              # (n*k, dim) unit-norm rows, frozen
-    labels_onehot: np.ndarray        # (n*k, c), frozen
+    labels: np.ndarray               # (n*k,) int class of each row, frozen
     mode: str = "biases"             # fixed | linear | biases
     renormalize: bool = True
     biases: np.ndarray | None = None       # (n*k, dim), zero at init (mode=biases)
@@ -74,7 +73,7 @@ def build_visual_cache(support_set: EmbeddingSet, num_classes: int,
             f"support set has {present.size} classes, text set has "
             f"{num_classes}")
     support = np.array(support_set.features)
-    cache = VisualCache(support, one_hot(support_set.labels, num_classes),
+    cache = VisualCache(support, np.array(support_set.labels, dtype=np.int64),
                         mode, renormalize)
     if mode == "biases":
         cache.biases = np.zeros_like(support)

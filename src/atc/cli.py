@@ -73,10 +73,18 @@ def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         cfg = _read_config_file(args.config)
         (commands,) = [a for a in parser._actions if a.dest == "command"]
         sub = commands.choices[args.command]
-        sub.set_defaults(**{a.dest: cfg[a.dest] for a in sub._actions
-                            if a.option_strings and not a.required
-                            and a.dest in cfg})
+        flags = [a for a in sub._actions
+                 if a.option_strings and not a.required and a.dest in cfg]
+        sub.set_defaults(**{a.dest: cfg[a.dest] for a in flags})
         args = parser.parse_args(argv)
+        # argparse checks choices on the command line only, not on defaults
+        for a in flags:
+            value = getattr(args, a.dest)
+            if a.choices is not None and value not in a.choices:
+                raise UsageError(
+                    f"argument {'/'.join(a.option_strings)}: invalid choice: "
+                    f"{value!r} (choose from "
+                    f"{', '.join(map(repr, a.choices))})")
     return args
 
 
@@ -100,14 +108,17 @@ def _eval_threads() -> int:
 
 def _score(m: AtcModel, queries: np.ndarray):
     """Both branch scores (f1, f2) for a query set; chunked across
-    ATC_THREADS workers (the model is read-only while scoring)."""
+    ATC_THREADS workers (the model is read-only while scoring), which share
+    one copy of the effective visual rows."""
     threads = _eval_threads()
     if threads == 1 or queries.shape[0] < 2 * threads:
         return model_mod.branches(m, queries)[:2]
+    rows = model_mod.visual_rows(m.visual)
     chunks = np.array_split(np.arange(queries.shape[0]), threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(
-            lambda sel: model_mod.branches(m, queries[sel])[:2], chunks))
+            lambda sel: model_mod.branches(m, queries[sel], rows=rows)[:2],
+            chunks))
     f1s, f2s = zip(*parts)
     return np.concatenate(f1s), np.concatenate(f2s)
 
@@ -145,6 +156,20 @@ def _episode(support: dataio.EmbeddingSet, shots: int,
                                support.class_names, support.role)
 
 
+# the trainer.model_hyper keys: AtcModel fields, then what builds its parts
+_MODEL_KEYS = ("alpha", "beta", "logit_scale", "activation", "tip_gamma",
+               "adaptive_text")
+_PART_KEYS = ("dim", "renorm_text", "renorm_visual", "visual_mode",
+              "chunk_count", "hidden_size")
+
+
+def _require(section: dict, keys, name: str) -> None:
+    missing = [k for k in keys if k not in section]
+    if missing:
+        raise ValidationError(f"checkpoint {name} lacks "
+                              f"{', '.join(map(repr, missing))}")
+
+
 def _build_model(hyper: dict, text, episode, seed: int) -> AtcModel:
     """The head that `hyper` (keyed like trainer.model_hyper) describes,
     around the text set and the support episode."""
@@ -160,9 +185,8 @@ def _build_model(hyper: dict, text, episode, seed: int) -> AtcModel:
                                 renormalize=hyper["renorm_visual"])
     net = init_condition_net(text.dim, hyper["chunk_count"],
                              hyper["hidden_size"], Rng(seed).child(1000))
-    return AtcModel(textual, visual, net, **{k: hyper[k] for k in (
-        "alpha", "beta", "logit_scale", "activation", "tip_gamma",
-        "adaptive_text")})
+    return AtcModel(textual, visual, net,
+                    **{k: hyper[k] for k in _MODEL_KEYS})
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -211,6 +235,8 @@ def _train_once(args, adaptive_text: bool):
 
 def _rebuild_from_checkpoint(ckpt: trainer.Checkpoint, text_path, support_path,
                              alpha=None, beta=None) -> AtcModel:
+    _require(ckpt.hyper, _MODEL_KEYS + _PART_KEYS, "hyper")
+    _require(ckpt.config, ("episode_seed", "episode_shots"), "config")
     text, support = _load_pair(text_path, support_path)
     seed = int(ckpt.config["episode_seed"])
     # older checkpoints may record episode_views > 1 (rows per class = product)

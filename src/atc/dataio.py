@@ -90,6 +90,13 @@ class _Cursor:
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def text(self, n: int, what: str) -> str:
+        at = self.pos
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CodecError(f"{what} is not UTF-8", at) from None
+
 
 def read_embeddings(path) -> EmbeddingSet:
     with open(path, "rb") as f:
@@ -109,7 +116,7 @@ def read_embeddings(path) -> EmbeddingSet:
     names = []
     for _ in range(num_classes):
         (nlen,) = cur.unpack("<H", "class name length")
-        names.append(cur.take(nlen, "class name").decode("utf-8"))
+        names.append(cur.text(nlen, "class name"))
     if cur.pos != len(data):
         raise CodecError("trailing bytes after class names", cur.pos)
 

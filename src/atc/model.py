@@ -73,7 +73,10 @@ def _normalize_rows_bwd(d_unit, unit, safe, zero):
     return np.where(zero, d_unit, d_raw)
 
 
-def _visual_rows(cache: VisualCache):
+def visual_rows(cache: VisualCache):
+    """The effective cache rows the visual branch scores against, plus what
+    the backward pass needs to undo their renormalization (or None). They
+    depend only on the cache, so one result can serve many query batches."""
     if cache.mode == "linear":
         return cache.linear, None
     raw = cache.support if cache.mode == "fixed" else cache.support + cache.biases
@@ -89,41 +92,118 @@ def _activate(a_raw: np.ndarray, activation: str, gamma: float) -> np.ndarray:
     return a_raw
 
 
-def branches(model: AtcModel, F: np.ndarray, self_indices=None):
+def _class_sums(a: np.ndarray, labels: np.ndarray,
+                num_classes: int) -> np.ndarray:
+    """Sum the columns of a (B, rows) that share a label: (B, num_classes).
+    Columns are summed in class-major order, gathered through a stable
+    argsort when the labels are not already sorted."""
+    if labels.size > 1 and np.any(labels[1:] < labels[:-1]):
+        order = np.argsort(labels, kind="stable")
+        a, labels = a[:, order], labels[order]
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    present = labels[starts]
+    if present.size == num_classes:
+        return np.add.reduceat(a, starts, axis=1)
+    out = np.zeros((a.shape[0], num_classes))
+    if present.size:
+        out[:, present] = np.add.reduceat(a, starts, axis=1)
+    return out
+
+
+# A pair whose squared shifted norm is at most this fraction of
+# |t_c|^2 + |S_b|^2 has lost most of its digits to cancellation in the
+# expanded form; its row t_c + S_b is formed and scored directly.
+_CANCEL = 1e-2
+_ZERO_NORM = 1e-12      # l2_normalize_rows' pass-through threshold
+
+
+def _text_scores(F, T, S, renormalize: bool):
+    """Textual scores f2[b, c] = F_b . (t_c + S_b), divided by
+    |t_c + S_b| when renormalizing, without forming the (B, c, dim) shifted
+    rows: |t_c + S_b|^2 = |t_c|^2 + 2 S_b . t_c + |S_b|^2. A row whose norm
+    is at most 1e-12 passes through unnormalized.
+
+    Returns f2 and what _text_shift_grad needs: None without renorm, else
+    (safe norms, zero mask, the cancellation-prone pairs (b, c) and rows)."""
+    shifted = bool(np.any(S))      # S == 0 (a frozen or fresh net) is common
+    f2 = F @ T.T
+    if shifted:
+        f2 += np.einsum("bd,bd->b", F, S)[:, None]
+    if not renormalize:
+        return f2, None
+    tt = np.einsum("cd,cd->c", T, T)
+    close = None
+    if shifted:
+        ss = np.einsum("bd,bd->b", S, S)[:, None]
+        n2 = tt + 2.0 * (S @ T.T) + ss
+        norm = np.sqrt(np.maximum(n2, 0.0))
+        b, c = np.nonzero(n2 <= _CANCEL * (tt + ss))
+        if b.size:
+            V = T[c] + S[b]
+            norm[b, c] = np.linalg.norm(V, axis=1)
+            f2[b, c] = np.einsum("kd,kd->k", F[b], V)
+            close = (b, c, V)
+    else:
+        norm = np.broadcast_to(np.sqrt(tt), f2.shape)
+    zero = norm <= _ZERO_NORM
+    safe = np.where(zero, 1.0, norm)
+    f2 /= safe
+    return f2, (safe, zero, close)
+
+
+def _text_shift_grad(F, T, S, df2, f2, saved):
+    """Gradient of sum(df2 * f2) with respect to the shift S (B, dim):
+    dS = F * sum_c(a) - w @ T - S * sum_c(w), a = df2 / n, w = df2 f2 / n^2,
+    with a = df2 and w = 0 where the row passed through (or no renorm).
+    Cancellation-prone pairs take their w term against their own row."""
+    if saved is None:
+        return F * df2.sum(axis=1, keepdims=True)
+    safe, zero, close = saved
+    a = df2 / safe
+    w = np.where(zero, 0.0, a * f2 / safe)
+    if close is not None:
+        b, c, V = close
+        w_close = w[b, c]
+        w[b, c] = 0.0
+    dS = (F * a.sum(axis=1, keepdims=True) - w @ T
+          - S * w.sum(axis=1, keepdims=True))
+    if close is not None:
+        np.add.at(dS, b, -w_close[:, None] * V)
+    return dS
+
+
+def branches(model: AtcModel, F: np.ndarray, self_indices=None, rows=None):
     """Both branch scores for queries F (B, dim), before fusion.
 
     Returns (f1, f2, ctx): the visual and textual scores, each (B, c), and
     the intermediates the backward pass needs. With self_indices, query i's
-    affinity to support row self_indices[i] is masked out.
+    affinity to support row self_indices[i] is masked out. `rows` is a
+    visual_rows(model.visual) result to reuse instead of recomputing it.
     """
     if F.ndim != 2 or F.shape[1] != model.dim:
         raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
     B = F.shape[0]
 
     # visual branch
-    rows, vnorm = _visual_rows(model.visual)
+    rows, vnorm = visual_rows(model.visual) if rows is None else rows
     a_raw = F @ rows.T
     a_act = _activate(a_raw, model.activation, model.tip_gamma)
     if self_indices is not None:
         a_act = a_act.copy()
         a_act[np.arange(B), self_indices] = 0.0
-    f1 = a_act @ model.visual.labels_onehot
+    f1 = _class_sums(a_act, model.visual.labels, model.num_classes)
 
     # textual branch
     if model.adaptive_text:
         S, tape = condition_forward(model.net, F)
     else:
         S, tape = np.zeros((B, model.dim)), None
-    V = model.textual.class_texts[None, :, :] + S[:, None, :]
-    if model.textual.renormalize:
-        U, tsafe, tzero = l2_normalize_rows(V)
-    else:
-        U, tsafe, tzero = V, None, None
-    f2 = np.einsum("bd,bcd->bc", F, U)
+    f2, tsaved = _text_scores(F, model.textual.class_texts, S,
+                              model.textual.renormalize)
 
     ctx = dict(F=F, rows=rows, vnorm=vnorm, a_act=a_act,
                self_indices=self_indices, S=S, tape=tape,
-               U=U, tsafe=tsafe, tzero=tzero)
+               f2=f2, tsaved=tsaved)
     return f1, f2, ctx
 
 
@@ -150,9 +230,8 @@ def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarra
     df2 = model.logit_scale * model.beta * d_logits
 
     if model.visual.mode in ("biases", "linear"):
-        da_act = df1 @ model.visual.labels_onehot.T
+        da_act = df1[:, model.visual.labels]
         if ctx["self_indices"] is not None:
-            da_act = da_act.copy()
             da_act[np.arange(B), ctx["self_indices"]] = 0.0
         if model.activation == "tip":
             da_raw = da_act * model.tip_gamma * ctx["a_act"]
@@ -168,12 +247,8 @@ def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarra
             grads["visual.biases"] = d_rows
 
     if model.adaptive_text:
-        dU = df2[:, :, None] * F[:, None, :]
-        if model.textual.renormalize:
-            dV = _normalize_rows_bwd(dU, ctx["U"], ctx["tsafe"], ctx["tzero"])
-        else:
-            dV = dU
-        dS = dV.sum(axis=1)
+        dS = _text_shift_grad(F, model.textual.class_texts, ctx["S"], df2,
+                              ctx["f2"], ctx["tsaved"])
         net_grads, _ = condition_backward(model.net, ctx["tape"], dS)
         for k, v in net_grads.items():
             grads[f"net.{k}"] = v

@@ -101,7 +101,7 @@ def _frozen_digest(model: AtcModel) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(model.textual.class_texts).tobytes())
     h.update(np.ascontiguousarray(model.visual.support).tobytes())
-    h.update(np.ascontiguousarray(model.visual.labels_onehot).tobytes())
+    h.update(np.ascontiguousarray(model.visual.labels, dtype="<i8").tobytes())
     h.update(struct.pack("<ddd", model.alpha, model.beta, model.logit_scale))
     return h.hexdigest()
 
@@ -215,7 +215,7 @@ def load_checkpoint(path) -> Checkpoint:
     arrays = {}
     for _ in range(count):
         (nlen,) = cur.unpack("<H", "tensor name length")
-        name = cur.take(nlen, "tensor name").decode("utf-8")
+        name = cur.text(nlen, "tensor name")
         dtype, rank = cur.unpack("<BB", "tensor header")
         if dtype != _DTYPE_F64:
             raise CodecError(f"unknown dtype byte {dtype}", cur.pos - 2)

@@ -92,8 +92,8 @@ def test_build_visual_cache_counts():
     sets = _sets(n=3, dim=8, k=2)
     cache = build_visual_cache(sets["support"], 3)
     assert cache.support.shape == (6, 8)
-    assert cache.labels_onehot.shape == (6, 3)
-    assert np.array_equal(cache.labels_onehot.sum(axis=0), [2.0, 2.0, 2.0])
+    assert cache.labels.shape == (6,)
+    assert np.array_equal(np.bincount(cache.labels, minlength=3), [2, 2, 2])
     assert np.all(cache.biases == 0.0)
 
 

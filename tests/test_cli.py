@@ -532,3 +532,75 @@ def test_eval_query_dim_mismatch_exit_3(data_dir, trained, tmp_path,
                "--text", str(data_dir / "text.ate"),
                "--support", str(data_dir / "support.ate"),
                "--query", str(tmp_path / "query.ate")) == 3
+
+
+@pytest.mark.parametrize("section,key", [("hyper", "alpha"),
+                                         ("config", "episode_seed")])
+def test_eval_checkpoint_missing_key_exit_3(data_dir, trained, tmp_path,
+                                            section, key, capsys):
+    from atc.trainer import load_checkpoint, save_checkpoint
+    ckpt, _ = trained
+    old = load_checkpoint(ckpt)
+    del getattr(old, section)[key]
+    save_checkpoint(old, tmp_path / "old.atck")
+    assert run("eval", "--ckpt", str(tmp_path / "old.atck"),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate")) == 3
+    assert f"checkpoint {section} lacks '{key}'" in capsys.readouterr().err
+
+
+def test_eval_tensor_name_not_utf8_exit_3(data_dir, trained, tmp_path,
+                                          capsys):
+    ckpt, _ = trained
+    blob = bytearray(ckpt.read_bytes())
+    at = blob.index(b"net.")
+    blob[at] = 0xFF
+    bad = tmp_path / "bad.atck"
+    bad.write_bytes(bytes(blob))
+    assert run("eval", "--ckpt", str(bad),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate")) == 3
+    assert (f"tensor name is not UTF-8 (at byte offset {at})"
+            in capsys.readouterr().err)
+
+
+def test_zeroshot_class_name_not_utf8_exit_3(data_dir, tmp_path, capsys):
+    blob = bytearray((data_dir / "text.ate").read_bytes())
+    at = blob.index(b"class_000")
+    blob[at] = 0xFF
+    bad = tmp_path / "text.ate"
+    bad.write_bytes(bytes(blob))
+    assert run("zeroshot", "--text", str(bad),
+               "--query", str(data_dir / "query.ate")) == 3
+    assert (f"class name is not UTF-8 (at byte offset {at})"
+            in capsys.readouterr().err)
+
+
+_CHOICE_REQUIRED = {
+    "train": _REQUIRED["train"],
+    "ablate": ["--text", "t.ate", "--support", "s.ate", "--mode",
+               "fixed-text"],
+}
+_CHOICE_FLAGS = ["renorm", "visual-mode", "shuffle", "leave-self-out"]
+
+
+@pytest.mark.parametrize("command", sorted(_CHOICE_REQUIRED))
+@pytest.mark.parametrize("key", _CHOICE_FLAGS)
+def test_config_value_outside_choices_exit_2(tmp_path, command, key, capsys):
+    cfg = _write_config(tmp_path, f"{key} = bogus\n")
+    assert run(command, *_CHOICE_REQUIRED[command], "--config", cfg) == 2
+    assert (f"argument --{key}: invalid choice: 'bogus'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", sorted(_CHOICE_REQUIRED))
+def test_choice_cases_cover_every_choice_flag(command):
+    from atc.cli import build_parser
+    (commands,) = [a for a in build_parser()._actions
+                   if a.dest == "command"]
+    flags = sorted(a.option_strings[0][2:]
+                   for a in commands.choices[command]._actions
+                   if a.choices is not None and not a.required)
+    assert flags == sorted(_CHOICE_FLAGS)

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from atc import model as model_mod
 from atc.caches import (TextualCache, VisualCache, build_textual_cache,
                         build_visual_cache)
 from atc.conditionnet import init_condition_net
@@ -9,8 +13,9 @@ from atc.errors import ShapeError
 from atc.model import (AtcModel, _loss_from_logits, batch_loss, branches,
                        fuse, loss_and_grads, predict_batch, set_tensors,
                        trainables, zero_shot_logits)
-from atc.numerics import Rng, grad_check, one_hot
-from oracles import visual_scores
+from atc.numerics import Rng, grad_check
+from oracles import (dense_text_scores, dense_text_shift_grad, shift_model,
+                     visual_scores)
 
 
 def _make_model(n=3, dim=8, k=2, seed=1, renorm=True, mode="biases",
@@ -36,7 +41,7 @@ def _make_model(n=3, dim=8, k=2, seed=1, renorm=True, mode="biases",
 
 
 def _eye_model(activation="linear", gamma=1.0):
-    cache = VisualCache(np.eye(2), one_hot([0, 1], 2))
+    cache = VisualCache(np.eye(2), np.array([0, 1]))
     cache.biases = np.zeros((2, 2))
     net = init_condition_net(2, 1, 2, Rng(0))
     return AtcModel(TextualCache(np.eye(2)), cache, net,
@@ -71,7 +76,7 @@ def test_branch_visual_matches_double_loop_oracle(seed):
     F = Rng(seed).normal((5, dim))
     F /= np.linalg.norm(F, axis=1, keepdims=True)
     rows = m.visual.support + m.visual.biases
-    labels = np.argmax(m.visual.labels_onehot, axis=1)
+    labels = m.visual.labels
     for act, gamma in (("linear", 1.0), ("tip", 2.0)):
         m.activation, m.tip_gamma = act, gamma
         f1 = _f1(m, F)
@@ -229,7 +234,7 @@ def test_linear_mode_initial_f1_matches_fixed_mode():
 def test_leave_self_out_removes_self_affinity():
     m, sets = _make_model(randomize=False)
     sup = m.visual.support
-    labels = np.argmax(m.visual.labels_onehot, axis=1)
+    labels = m.visual.labels
     def logits(self_indices):
         f1, f2, _ = branches(m, sup, self_indices)
         return fuse(f1, f2, m.alpha, m.beta, m.logit_scale)
@@ -241,3 +246,114 @@ def test_leave_self_out_removes_self_affinity():
     idx = np.arange(sup.shape[0])
     diff = logits_in[idx, labels] - logits_out[idx, labels]
     assert np.max(np.abs(diff - m.logit_scale * m.alpha * 1.0)) < 1e-9
+
+
+def _spy_shift_grad(m, F, labels):
+    """The dS that loss_and_grads hands the condition network."""
+    seen = []
+    real = model_mod.condition_backward
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "condition_backward",
+                   lambda net, tape, dS: (seen.append(dS),
+                                          real(net, tape, dS))[1])
+        loss_and_grads(m, F, labels)
+    (dS,) = seen
+    return dS
+
+
+def _oracle_df2(m, f1, f2, labels):
+    logits = fuse(f1, f2, m.alpha, m.beta, m.logit_scale)
+    _, probs = _loss_from_logits(logits, labels)
+    probs[np.arange(labels.size), labels] -= 1.0
+    return m.logit_scale * m.beta * probs / labels.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), renorm=st.booleans(),
+       tip=st.booleans(), size=st.floats(0.01, 3.0))
+def test_closed_form_textual_branch_matches_dense_oracle(seed, renorm, tip,
+                                                         size):
+    m, sets = _make_model(n=4, dim=8, k=2, seed=seed, renorm=renorm,
+                          activation="tip" if tip else "linear", gamma=2.0,
+                          randomize=True)
+    rng = Rng(seed).child(7)
+    np.copyto(m.net.W_out, size * rng.normal(m.net.W_out.shape))
+    np.copyto(m.net.b_out, size * rng.normal(m.net.b_out.shape))
+    F, labels = sets["query"].features, sets["query"].labels
+    f1, f2, ctx = branches(m, F)
+    want, saved = dense_text_scores(F, m.textual.class_texts, ctx["S"],
+                                    renorm)
+    assert np.max(np.abs(f2 - want)) < 1e-12
+    want_dS = dense_text_shift_grad(F, _oracle_df2(m, f1, want, labels),
+                                    saved)
+    assert np.max(np.abs(_spy_shift_grad(m, F, labels) - want_dS)) < 1e-12
+
+
+@pytest.mark.parametrize("excess", [0.0, 1e-9])
+def test_cancelled_text_row_passes_through(excess):
+    m, sets = _make_model(n=4, dim=8, k=2)
+    texts = m.textual.class_texts
+    s = -(1.0 + excess) * texts[2]
+    m = shift_model(texts, s)
+    F, labels = sets["query"].features, sets["query"].labels
+    f1, f2, ctx = branches(m, F)
+    want, saved = dense_text_scores(F, texts, ctx["S"])
+    if excess == 0.0:
+        assert np.all(f2[:, 2] == 0.0)
+    assert np.max(np.abs(f2 - want)) < 1e-12
+    loss, grads = loss_and_grads(m, F, labels)
+    assert np.isfinite(loss)
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    # near cancellation dS grows like 1/|t_c + S_b|^2, so compare relatively
+    want_dS = dense_text_shift_grad(F, _oracle_df2(m, f1, want, labels),
+                                    saved)
+    err = np.max(np.abs(_spy_shift_grad(m, F, labels) - want_dS))
+    assert err < 1e-12 * max(1.0, np.max(np.abs(want_dS)))
+
+
+def test_loss_and_grads_peak_below_one_dense_text_tensor():
+    B, c, d = 256, 100, 512
+    sets = synth_dataset(SynthConfig(num_classes=c, dim=d, shots=2,
+                                     queries_per_class=3, seed=1))
+    textual = build_textual_cache(sets["text"])
+    visual = build_visual_cache(sets["support"], c)
+    net = init_condition_net(d, 8, 64, Rng(1))
+    np.copyto(net.W_out, 0.01 * Rng(2).normal(net.W_out.shape))
+    m = AtcModel(textual, visual, net)
+    F, labels = sets["query"].features[:B], sets["query"].labels[:B]
+    tracemalloc.start()
+    try:
+        loss_and_grads(m, F, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < B * c * d * 8
+
+
+def test_visual_branch_gathers_unsorted_labels():
+    m, sets = _make_model(n=4, dim=8, k=3, seed=2, randomize=True,
+                          activation="tip", gamma=2.0)
+    F, labels = sets["query"].features, sets["query"].labels
+    f1, _, _ = branches(m, F)
+    _, grads = loss_and_grads(m, F, labels, np.arange(F.shape[0]) % 12)
+    perm = Rng(3).permutation(m.visual.rows)
+    m.visual = VisualCache(m.visual.support[perm], m.visual.labels[perm],
+                           biases=m.visual.biases[perm])
+    assert np.max(np.abs(branches(m, F)[0] - f1)) < 1e-12
+    inverse = np.argsort(perm)
+    _, pgrads = loss_and_grads(m, F, labels, inverse[np.arange(F.shape[0])
+                                                     % 12])
+    assert np.max(np.abs(pgrads["visual.biases"][inverse]
+                         - grads["visual.biases"])) < 1e-12
+
+
+def test_visual_class_without_rows_scores_zero():
+    cache = VisualCache(np.eye(3)[[2, 0]], np.array([2, 0]), mode="fixed")
+    m = AtcModel(TextualCache(np.eye(3)), cache,
+                 init_condition_net(3, 1, 2, Rng(0)))
+    F = Rng(4).normal((4, 3))
+    f1 = _f1(m, F)
+    assert np.all(f1[:, 1] == 0.0)
+    for i, f in enumerate(F):
+        expected = visual_scores(f, cache.support, cache.labels, 3)
+        assert np.max(np.abs(f1[i] - expected)) < 1e-12

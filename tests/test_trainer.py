@@ -79,12 +79,12 @@ def test_lr_zero_is_identity():
 def test_frozen_tensors_untouched():
     m, sets = _model()
     frozen = (m.textual.class_texts.copy(), m.visual.support.copy(),
-              m.visual.labels_onehot.copy())
+              m.visual.labels.copy())
     cfg = TrainConfig(epochs=3, learning_rate=1e-2, seed=2)
     train(m, sets["support"].features, sets["support"].labels, cfg)
     assert np.array_equal(m.textual.class_texts, frozen[0])
     assert np.array_equal(m.visual.support, frozen[1])
-    assert np.array_equal(m.visual.labels_onehot, frozen[2])
+    assert np.array_equal(m.visual.labels, frozen[2])
 
 
 def test_empty_episode_rejected():
