@@ -5,7 +5,7 @@ from .caches import (TextualCache, VisualCache, build_textual_cache,
                      build_visual_cache)
 from .conditionnet import (ConditionNetParams, condition_backward,
                            condition_forward, init_condition_net)
-from .dataio import (EmbeddingSet, EpisodeSpec, SynthConfig, read_embeddings,
+from .dataio import (EmbeddingSet, SynthConfig, read_embeddings,
                      sample_episode, synth_dataset, write_embeddings)
 from .model import (AtcModel, branches, fuse, loss_and_grads, predict_batch,
                     zero_shot_logits)

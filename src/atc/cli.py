@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -25,15 +24,6 @@ from .conditionnet import init_condition_net
 from .errors import AtcError, EvaluationError, UsageError, ValidationError
 from .model import AtcModel, loss_and_grads, batch_loss, trainables
 from .numerics import Rng, grad_check
-
-
-def _parse_bool(value: str) -> bool:
-    v = value.strip().lower()
-    if v in ("on", "true", "1", "yes"):
-        return True
-    if v in ("off", "false", "0", "no"):
-        return False
-    raise UsageError(f"expected on/off, got {value!r}")
 
 
 def _parse_activation(value: str) -> tuple[str, float]:
@@ -150,17 +140,23 @@ def _load_pair(text_path, support_path):
 
 def _episode(support: dataio.EmbeddingSet, shots: int,
              seed: int) -> dataio.EmbeddingSet:
-    idx = dataio.sample_episode(support.labels,
-                                dataio.EpisodeSpec(shots, seed))
+    idx = dataio.sample_episode(support.labels, shots, seed)
     return dataio.EmbeddingSet(support.features[idx], support.labels[idx],
                                support.class_names, support.role)
 
 
-# the trainer.model_hyper keys: AtcModel fields, then what builds its parts
+# the trainer.model_hyper keys and the type of each value (a tuple lists
+# the allowed strings), then the ones that are AtcModel fields
+_HYPER = {"alpha": float, "beta": float, "logit_scale": float,
+          "activation": ("linear", "tip"), "tip_gamma": float,
+          "adaptive_text": bool, "renorm_text": bool, "renorm_visual": bool,
+          "visual_mode": VISUAL_MODES, "dim": int, "chunk_count": int,
+          "hidden_size": int}
 _MODEL_KEYS = ("alpha", "beta", "logit_scale", "activation", "tip_gamma",
                "adaptive_text")
-_PART_KEYS = ("dim", "renorm_text", "renorm_visual", "visual_mode",
-              "chunk_count", "hidden_size")
+# the checkpoint config keys that rebuild the support episode
+_EPISODE = {"episode_seed": int, "episode_shots": int, "episode_views": int}
+_KINDS = {float: "a number", int: "an integer", bool: "true or false"}
 
 
 def _require(section: dict, keys, name: str) -> None:
@@ -170,12 +166,29 @@ def _require(section: dict, keys, name: str) -> None:
                               f"{', '.join(map(repr, missing))}")
 
 
+def _check_types(section: dict, types: dict) -> None:
+    """Every key of `types` that `section` has must hold a value of its
+    type: bool, int, float (a real number in float range; neither of the
+    last two may be a bool), or one of a tuple's strings."""
+    for key, kind in types.items():
+        if key not in section:
+            continue
+        value = section[key]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ValidationError(f"{key} must be one of "
+                                      f"{', '.join(kind)}, got {value!r}")
+        elif (isinstance(value, bool) != (kind is bool) or not isinstance(
+                value, (int, float) if kind is float else kind)):
+            raise ValidationError(f"{key} must be {_KINDS[kind]}, "
+                                  f"got {value!r}")
+        elif kind is float and not abs(value) <= sys.float_info.max:
+            raise ValidationError(f"{key} must be finite, got {value}")
+
+
 def _build_model(hyper: dict, text, episode, seed: int) -> AtcModel:
-    """The head that `hyper` (keyed like trainer.model_hyper) describes,
-    around the text set and the support episode."""
-    for key in ("alpha", "beta", "logit_scale", "tip_gamma"):
-        if not math.isfinite(hyper[key]):
-            raise ValidationError(f"{key} must be finite, got {hyper[key]}")
+    """The head that `hyper` (keyed and typed like _HYPER) describes, around
+    the text set and the support episode."""
     if text.dim != hyper["dim"]:
         raise ValidationError(
             f"checkpoint dim {hyper['dim']} != embedding dim {text.dim}")
@@ -212,19 +225,20 @@ def _train_once(args, adaptive_text: bool):
     text, support = _load_pair(args.text, args.support)
     episode = _episode(support, args.shots, args.seed)
     activation, gamma = _parse_activation(args.activation)
-    renorm = _parse_bool(args.renorm)
+    renorm = args.renorm == "on"
     hyper = {"alpha": args.alpha, "beta": args.beta, "logit_scale": args.scale,
              "activation": activation, "tip_gamma": gamma,
              "adaptive_text": adaptive_text, "renorm_text": renorm,
              "renorm_visual": renorm, "visual_mode": args.visual_mode,
              "dim": text.dim, "chunk_count": args.chunk_count,
              "hidden_size": args.hidden_size}
+    _check_types(hyper, _HYPER)
     m = _build_model(hyper, text, episode, args.seed)
     cfg = trainer.TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.lr, weight_decay=args.weight_decay,
-        seed=args.seed, shuffle=_parse_bool(args.shuffle),
-        leave_self_out=_parse_bool(args.leave_self_out))
+        seed=args.seed, shuffle=args.shuffle == "on",
+        leave_self_out=args.leave_self_out == "on")
     ckpt = trainer.train(m, episode.features, episode.labels, cfg)
     ckpt.config.update(episode_shots=args.shots, episode_seed=args.seed,
                        episode_views=1)
@@ -235,16 +249,17 @@ def _train_once(args, adaptive_text: bool):
 
 def _rebuild_from_checkpoint(ckpt: trainer.Checkpoint, text_path, support_path,
                              alpha=None, beta=None) -> AtcModel:
-    _require(ckpt.hyper, _MODEL_KEYS + _PART_KEYS, "hyper")
+    _require(ckpt.hyper, _HYPER, "hyper")
     _require(ckpt.config, ("episode_seed", "episode_shots"), "config")
-    text, support = _load_pair(text_path, support_path)
-    seed = int(ckpt.config["episode_seed"])
-    # older checkpoints may record episode_views > 1 (rows per class = product)
-    shots = (int(ckpt.config["episode_shots"])
-             * int(ckpt.config.get("episode_views", 1)))
     hyper = {**ckpt.hyper,
              "alpha": ckpt.hyper["alpha"] if alpha is None else alpha,
              "beta": ckpt.hyper["beta"] if beta is None else beta}
+    _check_types(hyper, _HYPER)
+    _check_types(ckpt.config, _EPISODE)
+    text, support = _load_pair(text_path, support_path)
+    seed = ckpt.config["episode_seed"]
+    # older checkpoints may record episode_views > 1 (rows per class = product)
+    shots = ckpt.config["episode_shots"] * ckpt.config.get("episode_views", 1)
     m = _build_model(hyper, text, _episode(support, shots, seed), seed)
     trainer.apply_checkpoint(m, ckpt)
     return m
@@ -393,9 +408,9 @@ def run_full_gradcheck(seed: int, renorm: bool, activation: str = "linear",
 
 
 def cmd_gradcheck(args) -> int:
-    renorm = _parse_bool(args.renorm)
     activation, gamma = _parse_activation(args.activation)
-    report = run_full_gradcheck(args.seed, renorm, activation, gamma)
+    report = run_full_gradcheck(args.seed, args.renorm == "on", activation,
+                                gamma)
     print(report.summary())
     _emit({"command": "gradcheck", "seed": args.seed, "renorm": args.renorm,
            "activation": args.activation, "passed": report.passed,

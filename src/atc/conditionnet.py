@@ -45,18 +45,15 @@ class ConditionNetParams:
         out["b_out"] = self.b_out
         return out
 
-    def param_count(self) -> int:
-        return 4 * self.hidden_size * (self.chunk_size + self.hidden_size + 1) \
-            + self.dim * (self.hidden_size + 1)
 
-
-def init_condition_net(dim: int, chunk_count: int = 8, hidden_size: int = 64,
-                       rng: Rng | None = None) -> ConditionNetParams:
+def init_condition_net(dim: int, chunk_count: int, hidden_size: int,
+                       rng: Rng) -> ConditionNetParams:
     """Gate weights uniform(-1/sqrt(h), 1/sqrt(h)); forget-gate bias 1.0;
     output head exactly zero."""
+    if chunk_count < 1 or hidden_size < 1:
+        raise ConfigError("chunk count and hidden size must be >= 1")
     if dim % chunk_count != 0:
         raise ConfigError(f"dim {dim} not divisible by chunk count {chunk_count}")
-    rng = rng or Rng(0)
     h = hidden_size
     cs = dim // chunk_count
     bound = 1.0 / np.sqrt(h)
@@ -119,10 +116,9 @@ def condition_forward(params: ConditionNetParams, f_test: np.ndarray):
 
 def condition_backward(params: ConditionNetParams, tape: NetTape,
                        d_s: np.ndarray):
-    """Exact reverse-mode gradients of s w.r.t. every parameter and the input.
-
-    Returns (grads dict keyed like tensors(), d_f_test). The tape is consumed;
-    reuse raises ContractError.
+    """Exact reverse-mode gradients of s w.r.t. every parameter, keyed like
+    tensors(). The query features are frozen, so no gradient flows to them.
+    The tape is consumed; reuse raises ContractError.
     """
     if tape.consumed:
         raise ContractError("NetTape already consumed by a backward pass")
@@ -138,7 +134,6 @@ def condition_backward(params: ConditionNetParams, tape: NetTape,
     grads["b_out"] = dS.sum(axis=0)
     dh = dS @ params.W_out
     dc = np.zeros((B, h))
-    dF_chunks = []
     for t in range(T - 1, -1, -1):
         g = tape.gates[t]
         c_t = tape.C[t + 1]
@@ -158,13 +153,9 @@ def condition_backward(params: ConditionNetParams, tape: NetTape,
             "g": dg * (1.0 - g["g"] ** 2),
         }
         dh = np.zeros((B, h))
-        dx = np.zeros_like(tape.X[t])
         for name in GATES:
             grads[f"W_{name}"] += dz[name].T @ tape.X[t]
             grads[f"U_{name}"] += dz[name].T @ h_prev
             grads[f"b_{name}"] += dz[name].sum(axis=0)
             dh += dz[name] @ params.U[name]
-            dx += dz[name] @ params.W[name]
-        dF_chunks.append(dx)
-    dF = np.concatenate(dF_chunks[::-1], axis=1)
-    return grads, dF
+    return grads

@@ -5,8 +5,9 @@ Embedding file layout (little-endian):
   dim u32 | rows u64 | num_classes u32 |
   rows x u32 labels | rows x dim float32 row-major |
   num_classes class names (u16 byte length + UTF-8 bytes).
-Trailing bytes are an error. Storage is 32-bit; everything after load is
-64-bit and rows are L2-normalized at the boundary.
+Trailing bytes and a feature row with a NaN or inf entry are errors. Storage
+is 32-bit; everything after load is 64-bit and rows are L2-normalized at the
+boundary.
 """
 
 from __future__ import annotations
@@ -112,6 +113,7 @@ def read_embeddings(path) -> EmbeddingSet:
         raise CodecError(f"unknown role code {role_code}", 8)
     dim, rows, num_classes = cur.unpack("<IQI", "header")
     labels = np.frombuffer(cur.take(4 * rows, "labels"), dtype="<u4").astype(np.int64)
+    feats_at = cur.pos
     feats32 = np.frombuffer(cur.take(4 * rows * dim, "features"), dtype="<f4")
     names = []
     for _ in range(num_classes):
@@ -120,10 +122,15 @@ def read_embeddings(path) -> EmbeddingSet:
     if cur.pos != len(data):
         raise CodecError("trailing bytes after class names", cur.pos)
 
-    features = feats32.astype(np.float64).reshape(rows, dim)
-    norms = np.linalg.norm(features, axis=1)
-    warnings = int(np.count_nonzero(np.abs(norms - 1.0) > 1e-3))
-    features = l2_normalize_rows(features)[0]
+    with np.errstate(invalid="ignore"):     # inf / inf; rejected below
+        features, safe, zero = l2_normalize_rows(
+            feats32.astype(np.float64).reshape(rows, dim))
+    # a NaN or inf entry makes its row's norm non-finite
+    bad = np.flatnonzero(~np.isfinite(safe))
+    if bad.size:
+        raise CodecError(f"feature row {bad[0]} is not finite",
+                         feats_at + 4 * dim * int(bad[0]))
+    warnings = int(np.count_nonzero(zero | (np.abs(safe - 1.0) > 1e-3)))
     es = EmbeddingSet(features, labels, names, ROLE_NAMES[role_code],
                       norm_warnings=warnings)
     es.validate()
@@ -182,29 +189,20 @@ def synth_dataset(cfg: SynthConfig) -> dict[str, EmbeddingSet]:
     }
 
 
-@dataclass
-class EpisodeSpec:
-    shots_per_class: int
-    seed: int
-
-    def validate(self) -> None:
-        if self.shots_per_class < 1:
-            raise ConfigError("shots_per_class must be >= 1")
-
-
-def sample_episode(labels, spec: EpisodeSpec) -> np.ndarray:
+def sample_episode(labels, shots_per_class: int, seed: int) -> np.ndarray:
     """Pick support row indices: shots per class, without replacement,
     deterministic in the seed, ordered class-major then sample-index."""
-    spec.validate()
+    if shots_per_class < 1:
+        raise ConfigError("shots_per_class must be >= 1")
     labels = np.asarray(labels, dtype=np.int64)
-    need = spec.shots_per_class
-    rng = Rng(spec.seed)
+    rng = Rng(seed)
     picked = []
     for cls in np.unique(labels):
         rows = np.flatnonzero(labels == cls)
-        if rows.size < need:
-            raise InsufficientDataError(
-                f"class {cls} has {rows.size} rows, episode needs {need}")
-        sel = rng.child(int(cls)).sample_without_replacement(rows.size, need)
+        if rows.size < shots_per_class:
+            raise InsufficientDataError(f"class {cls} has {rows.size} rows, "
+                                        f"episode needs {shots_per_class}")
+        sel = rng.child(int(cls)).sample_without_replacement(rows.size,
+                                                             shots_per_class)
         picked.append(rows[sel])
     return np.concatenate(picked) if picked else np.zeros(0, dtype=np.int64)

@@ -12,7 +12,7 @@ import numpy as np
 from .caches import TextualCache, VisualCache
 from .conditionnet import ConditionNetParams, condition_backward, condition_forward
 from .errors import ShapeError, ValidationError
-from .numerics import l2_normalize_rows, one_hot
+from .numerics import ZERO_NORM, l2_normalize_rows, one_hot
 
 
 @dataclass
@@ -114,38 +114,33 @@ def _class_sums(a: np.ndarray, labels: np.ndarray,
 # |t_c|^2 + |S_b|^2 has lost most of its digits to cancellation in the
 # expanded form; its row t_c + S_b is formed and scored directly.
 _CANCEL = 1e-2
-_ZERO_NORM = 1e-12      # l2_normalize_rows' pass-through threshold
 
 
 def _text_scores(F, T, S, renormalize: bool):
     """Textual scores f2[b, c] = F_b . (t_c + S_b), divided by
     |t_c + S_b| when renormalizing, without forming the (B, c, dim) shifted
     rows: |t_c + S_b|^2 = |t_c|^2 + 2 S_b . t_c + |S_b|^2. A row whose norm
-    is at most 1e-12 passes through unnormalized.
+    is at most ZERO_NORM passes through unnormalized. S = 0 (a frozen or
+    fresh net) adds exact zeros, so it scores F . t_c / |t_c| bitwise.
 
     Returns f2 and what _text_shift_grad needs: None without renorm, else
     (safe norms, zero mask, the cancellation-prone pairs (b, c) and rows)."""
-    shifted = bool(np.any(S))      # S == 0 (a frozen or fresh net) is common
     f2 = F @ T.T
-    if shifted:
-        f2 += np.einsum("bd,bd->b", F, S)[:, None]
+    f2 += np.einsum("bd,bd->b", F, S)[:, None]
     if not renormalize:
         return f2, None
     tt = np.einsum("cd,cd->c", T, T)
+    ss = np.einsum("bd,bd->b", S, S)[:, None]
+    n2 = tt + 2.0 * (S @ T.T) + ss
+    norm = np.sqrt(np.maximum(n2, 0.0))
     close = None
-    if shifted:
-        ss = np.einsum("bd,bd->b", S, S)[:, None]
-        n2 = tt + 2.0 * (S @ T.T) + ss
-        norm = np.sqrt(np.maximum(n2, 0.0))
-        b, c = np.nonzero(n2 <= _CANCEL * (tt + ss))
-        if b.size:
-            V = T[c] + S[b]
-            norm[b, c] = np.linalg.norm(V, axis=1)
-            f2[b, c] = np.einsum("kd,kd->k", F[b], V)
-            close = (b, c, V)
-    else:
-        norm = np.broadcast_to(np.sqrt(tt), f2.shape)
-    zero = norm <= _ZERO_NORM
+    b, c = np.nonzero(n2 <= _CANCEL * (tt + ss))
+    if b.size:
+        V = T[c] + S[b]
+        norm[b, c] = np.linalg.norm(V, axis=1)
+        f2[b, c] = np.einsum("kd,kd->k", F[b], V)
+        close = (b, c, V)
+    zero = norm <= ZERO_NORM
     safe = np.where(zero, 1.0, norm)
     f2 /= safe
     return f2, (safe, zero, close)
@@ -249,8 +244,7 @@ def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarra
     if model.adaptive_text:
         dS = _text_shift_grad(F, model.textual.class_texts, ctx["S"], df2,
                               ctx["f2"], ctx["tsaved"])
-        net_grads, _ = condition_backward(model.net, ctx["tape"], dS)
-        for k, v in net_grads.items():
+        for k, v in condition_backward(model.net, ctx["tape"], dS).items():
             grads[f"net.{k}"] = v
     return grads
 
@@ -264,12 +258,10 @@ def _loss_from_logits(logits: np.ndarray, targets: np.ndarray):
     return float(losses.mean()), probs
 
 
-def batch_loss(model: AtcModel, queries: np.ndarray, targets,
-               self_indices=None) -> float:
+def batch_loss(model: AtcModel, queries: np.ndarray, targets) -> float:
     """Mean cross-entropy of the fused logits over a query batch."""
     targets = np.asarray(targets, dtype=np.int64)
-    logits, _ = _logits(model, np.asarray(queries, dtype=np.float64),
-                        self_indices)
+    logits, _ = _logits(model, np.asarray(queries, dtype=np.float64))
     loss, _ = _loss_from_logits(logits, targets)
     return loss
 

@@ -37,8 +37,6 @@ class Rng:
     never share an instance across threads; use child() for parallel work.
     """
 
-    algorithm = "philox4x64"
-
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
@@ -59,16 +57,21 @@ class Rng:
         return self._gen.choice(n, size=k, replace=False)
 
 
-def l2_normalize_rows(m: np.ndarray, eps: float = 1e-12):
+# a row with at most this Euclidean norm has no direction and passes through
+# every renormalization unchanged
+ZERO_NORM = 1e-12
+
+
+def l2_normalize_rows(m: np.ndarray):
     """Divide each row by its Euclidean norm.
 
-    Returns (unit, safe_norms, zero_mask): rows with norm <= eps pass through
-    unchanged (their safe norm is 1 and the mask marks them), and the norms
-    and mask keep a trailing axis of length 1 for the backward pass.
+    Returns (unit, safe_norms, zero_mask): rows with norm <= ZERO_NORM pass
+    through unchanged (their safe norm is 1 and the mask marks them), and the
+    norms and mask keep a trailing axis of length 1 for the backward pass.
     """
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=-1, keepdims=True)
-    zero = norms <= eps
+    zero = norms <= ZERO_NORM
     safe = np.where(zero, 1.0, norms)
     return m / safe, safe, zero
 

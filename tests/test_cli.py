@@ -604,3 +604,94 @@ def test_choice_cases_cover_every_choice_flag(command):
                    for a in commands.choices[command]._actions
                    if a.choices is not None and not a.required)
     assert flags == sorted(_CHOICE_FLAGS)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("hyper", "alpha", "x"), ("hyper", "beta", True),
+    ("hyper", "logit_scale", None), ("hyper", "tip_gamma", float("inf")),
+    pytest.param("hyper", "alpha", 10 ** 400, id="hyper-alpha-10**400"),
+    ("hyper", "adaptive_text", 1), ("hyper", "renorm_text", "on"),
+    ("hyper", "renorm_visual", None), ("hyper", "dim", "16"),
+    ("hyper", "chunk_count", "8"), ("hyper", "hidden_size", 64.0),
+    ("hyper", "activation", "bogus"), ("hyper", "visual_mode", "bogus"),
+    ("config", "episode_seed", "x"), ("config", "episode_shots", True),
+    ("config", "episode_views", 1.5)])
+def test_eval_checkpoint_value_of_wrong_type_exit_3(data_dir, trained,
+                                                    tmp_path, section, key,
+                                                    value, capsys):
+    from atc.trainer import load_checkpoint, save_checkpoint
+    ckpt, _ = trained
+    old = load_checkpoint(ckpt)
+    getattr(old, section)[key] = value
+    save_checkpoint(old, tmp_path / "old.atck")
+    # the text file does not exist: the trailer is checked before any read
+    assert run("eval", "--ckpt", str(tmp_path / "old.atck"),
+               "--text", str(tmp_path / "absent.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate")) == 3
+    assert f"error: {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--chunk-count", "0"],
+                                   ["--chunk-count=-2"],
+                                   ["--hidden-size", "0"]])
+def test_train_nonpositive_net_size_exit_3(data_dir, tmp_path, flags,
+                                           capsys):
+    assert run("train", "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--ckpt", str(tmp_path / "m.atck"), "--shots", "4",
+               "--epochs", "1", *flags) == 3
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_eval_absent_text_file_exit_5(data_dir, trained, tmp_path):
+    ckpt, _ = trained
+    assert run("eval", "--ckpt", str(ckpt),
+               "--text", str(tmp_path / "absent.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate")) == 5
+
+
+def _poison_row(src, dst, row, value):
+    """Copy an .ate file with one entry of `row` set to `value`; returns the
+    byte offset of that row."""
+    from atc.dataio import read_embeddings
+    es = read_embeddings(src)
+    rows, dim = es.features.shape
+    at = 25 + 4 * rows + 4 * dim * row
+    blob = bytearray(src.read_bytes())
+    blob[at + 4:at + 8] = np.float32(value).tobytes()
+    dst.write_bytes(bytes(blob))
+    return at
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("command", ["zeroshot", "eval"])
+def test_non_finite_query_row_exit_3(data_dir, trained, tmp_path, command,
+                                     value, capsys):
+    ckpt, _ = trained
+    bad = tmp_path / "query.ate"
+    at = _poison_row(data_dir / "query.ate", bad, 3, value)
+    files = (["--text", str(data_dir / "text.ate")] if command == "zeroshot"
+             else ["--ckpt", str(ckpt), "--text", str(data_dir / "text.ate"),
+                   "--support", str(data_dir / "support.ate")])
+    assert run(command, *files, "--query", str(bad)) == 3
+    err = capsys.readouterr().err
+    assert f"feature row 3 is not finite (at byte offset {at})" in err
+    assert "Warning" not in err
+
+
+def test_every_on_off_flag_declares_its_choices():
+    # the commands read an on/off flag as `value == "on"`, so any other
+    # spelling must be a usage error, from the command line or a config
+    from atc.cli import build_parser
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    seen = set()
+    for name, sub in commands.choices.items():
+        for a in sub._actions:
+            if a.option_strings and not a.required \
+                    and a.default in ("on", "off"):
+                assert a.choices == ["on", "off"], (name, a.dest)
+                seen.add((name, a.dest))
+    assert {("train", "renorm"), ("train", "shuffle"),
+            ("train", "leave_self_out"), ("gradcheck", "renorm")} <= seen

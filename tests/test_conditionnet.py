@@ -23,11 +23,16 @@ def test_fresh_net_outputs_zero():
     assert np.array_equal(s, np.zeros((3, 16)))
 
 
+def _param_count(net):
+    return 4 * net.hidden_size * (net.chunk_size + net.hidden_size + 1) \
+        + net.dim * (net.hidden_size + 1)
+
+
 def test_param_count_formula():
     net = init_condition_net(64, 8, 64, Rng(0))
-    assert net.param_count() == 4 * 64 * (8 + 64 + 1) + 64 * 65 == 22848
+    assert _param_count(net) == 4 * 64 * (8 + 64 + 1) + 64 * 65 == 22848
     total = sum(t.size for t in net.tensors().values())
-    assert total == net.param_count()
+    assert total == _param_count(net)
 
 
 def test_init_deterministic():
@@ -46,6 +51,12 @@ def test_forget_bias_is_one():
 def test_indivisible_dim_rejected():
     with pytest.raises(ConfigError):
         init_condition_net(10, 3, 4, Rng(0))
+
+
+@pytest.mark.parametrize("T,h", [(0, 4), (-2, 4), (4, 0), (4, -1)])
+def test_nonpositive_chunk_count_or_hidden_size_rejected(T, h):
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        init_condition_net(16, T, h, Rng(0))
 
 
 def _scalar_sigmoid(x):
@@ -101,7 +112,7 @@ def test_backward_matches_finite_differences():
 
         params = {k: v.copy() for k, v in net.tensors().items()}
         s, tape = condition_forward(net, x)
-        analytic, _ = condition_backward(net, tape, w)
+        analytic = condition_backward(net, tape, w)
 
         def fn(p):
             for g in ("i", "f", "o", "g"):
@@ -117,36 +128,18 @@ def test_backward_matches_finite_differences():
         assert report.passed, report.summary()
 
 
-def test_input_gradient_matches_finite_differences():
-    net = _net(dim=8, T=4, h=5, seed=4, nonzero_head=True)
-    x = Rng(8).normal((2, 8))
-    w = Rng(9).normal((2, 8))
-    s, tape = condition_forward(net, x)
-    _, dx = condition_backward(net, tape, w)
-    eps = 1e-5
-    for idx in np.ndindex(x.shape):
-        xb = x.copy()
-        xb[idx] += eps
-        up, _ = condition_forward(net, xb)
-        xb[idx] -= 2 * eps
-        down, _ = condition_forward(net, xb)
-        numeric = float(np.sum((up - down) * w)) / (2 * eps)
-        assert abs(numeric - dx[idx]) < 1e-7
-
-
 def test_zero_upstream_gives_zero_grads():
     net = _net(nonzero_head=True)
     _, tape = condition_forward(net, Rng(1).normal((2, 16)))
-    grads, dx = condition_backward(net, tape, np.zeros((2, 16)))
+    grads = condition_backward(net, tape, np.zeros((2, 16)))
     assert all(np.all(g == 0.0) for g in grads.values())
-    assert np.all(dx == 0.0)
 
 
 def test_zero_head_blocks_gate_grads_but_not_head_grad():
     net = _net(seed=5)  # W_out = 0
     x = Rng(2).normal((2, 16))
     _, tape = condition_forward(net, x)
-    grads, _ = condition_backward(net, tape, np.ones((2, 16)))
+    grads = condition_backward(net, tape, np.ones((2, 16)))
     for g in ("i", "f", "o", "g"):
         assert np.all(grads[f"W_{g}"] == 0.0)
     assert np.any(grads["W_out"] != 0.0)

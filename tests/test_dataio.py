@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from atc.dataio import (EmbeddingSet, EpisodeSpec, SynthConfig,
+from atc.dataio import (EmbeddingSet, SynthConfig,
                         read_embeddings, sample_episode, synth_dataset,
                         write_embeddings)
-from atc.errors import CodecError, InsufficientDataError, ValidationError
+from atc.errors import (CodecError, ConfigError, InsufficientDataError,
+                        ValidationError)
 from atc.numerics import Rng, l2_normalize_rows
 
 
@@ -67,6 +68,32 @@ def test_trailing_bytes_rejected(tmp_path):
         read_embeddings(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_rejected_at_its_offset(tmp_path, bad):
+    es = _small_set(rows=5, dim=4)
+    es.features = np.array(es.features)
+    es.features[3, 2] = bad
+    path = tmp_path / "a.ate"
+    write_embeddings(es, path)
+    with pytest.raises(CodecError, match="feature row 3 is not finite") as exc:
+        read_embeddings(path)
+    # 25 header bytes, 5 u32 labels, then rows of 4 float32
+    assert exc.value.offset == 25 + 4 * 5 + 4 * 4 * 3
+
+
+def test_norm_warnings_count_off_unit_and_zero_rows(tmp_path):
+    es = _small_set(rows=5, dim=4)
+    es.features = np.array(es.features)
+    es.features[1] *= 2.0
+    es.features[2] *= 1.0 + 1e-4
+    es.features[4] = 0.0
+    path = tmp_path / "a.ate"
+    write_embeddings(es, path)
+    back = read_embeddings(path)
+    assert back.norm_warnings == 2
+    assert np.array_equal(back.features[4], np.zeros(4))
+
+
 def test_label_out_of_range_rejected(tmp_path):
     es = _small_set()
     es.labels = np.array([0, 1, 5])
@@ -112,7 +139,7 @@ def test_synth_deterministic(tmp_path):
 
 def test_sample_episode_counts_and_order():
     labels = np.repeat(np.arange(3), 10)
-    idx = sample_episode(labels, EpisodeSpec(2, seed=5))
+    idx = sample_episode(labels, 2, seed=5)
     assert idx.shape == (6,)
     assert np.array_equal(labels[idx], [0, 0, 1, 1, 2, 2])
     assert len(set(idx.tolist())) == 6
@@ -120,20 +147,25 @@ def test_sample_episode_counts_and_order():
 
 def test_sample_episode_deterministic():
     labels = np.repeat(np.arange(4), 8)
-    a = sample_episode(labels, EpisodeSpec(3, seed=11))
-    b = sample_episode(labels, EpisodeSpec(3, seed=11))
+    a = sample_episode(labels, 3, seed=11)
+    b = sample_episode(labels, 3, seed=11)
     assert np.array_equal(a, b)
-    c = sample_episode(labels, EpisodeSpec(3, seed=12))
+    c = sample_episode(labels, 3, seed=12)
     assert not np.array_equal(a, c)
 
 
 def test_sample_episode_exhaustive_class():
     labels = np.array([0, 0, 1, 1, 1])
-    idx = sample_episode(labels, EpisodeSpec(2, seed=1))
+    idx = sample_episode(labels, 2, seed=1)
     assert set(idx[:2].tolist()) == {0, 1}
 
 
 def test_sample_episode_insufficient_rows():
     labels = np.array([0, 0, 1])
     with pytest.raises(InsufficientDataError, match="class 1"):
-        sample_episode(labels, EpisodeSpec(2, seed=1))
+        sample_episode(labels, 2, seed=1)
+
+
+def test_sample_episode_rejects_zero_shots():
+    with pytest.raises(ConfigError, match="shots_per_class"):
+        sample_episode(np.array([0, 0, 1, 1]), 0, seed=1)

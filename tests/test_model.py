@@ -93,6 +93,22 @@ def test_branch_textual_reduces_to_zero_shot_with_fresh_net():
                                                F))) < 1e-15
 
 
+@pytest.mark.parametrize("adaptive", [True, False])
+@pytest.mark.parametrize("renorm", [True, False])
+def test_unshifted_textual_branch_is_exact(renorm, adaptive):
+    # S == 0 (a fresh or a frozen net) takes the general closed form: the
+    # shift terms add exact zeros, so f2 is bitwise the unshifted score
+    m, sets = _make_model(n=6, dim=16, renorm=renorm)
+    m.adaptive_text = adaptive
+    F, T = sets["query"].features, m.textual.class_texts
+    want = F @ T.T
+    if renorm:
+        want = want / np.sqrt(np.einsum("cd,cd->c", T, T))
+    f2 = _f2(m, F)
+    assert not np.any(branches(m, F)[2]["S"])
+    assert np.array_equal(f2, want)
+
+
 def test_branch_textual_text_row_query():
     m, _ = _make_model()
     f2 = _f2(m, m.textual.class_texts[0])
