@@ -96,14 +96,16 @@ def _eval_threads() -> int:
     return min(max(1, threads), os.cpu_count() or 1)
 
 
-def _score(m: AtcModel, queries: np.ndarray):
+def _score(m: AtcModel, queries: np.ndarray, rows=None):
     """Both branch scores (f1, f2) for a query set; chunked across
     ATC_THREADS workers (the model is read-only while scoring), which share
-    one copy of the effective visual rows."""
+    one copy of the effective visual rows: `rows`, a model.visual_rows
+    result, or computed here once."""
+    if rows is None:
+        rows = model_mod.visual_rows(m.visual)
     threads = _eval_threads()
     if threads == 1 or queries.shape[0] < 2 * threads:
-        return model_mod.branches(m, queries)[:2]
-    rows = model_mod.visual_rows(m.visual)
+        return model_mod.branches(m, queries, rows=rows)[:2]
     chunks = np.array_split(np.arange(queries.shape[0]), threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(
@@ -122,9 +124,9 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict:
 
 
 def evaluate_queries(m: AtcModel, queries: np.ndarray,
-                     labels: np.ndarray) -> dict:
-    """Accuracy of the fused head over a query set."""
-    f1, f2 = _score(m, queries)
+                     labels: np.ndarray, rows=None) -> dict:
+    """Accuracy of the fused head over a query set (`rows` as in _score)."""
+    f1, f2 = _score(m, queries, rows)
     return _accuracy(model_mod.fuse(f1, f2, m.alpha, m.beta, m.logit_scale),
                      labels)
 
@@ -311,9 +313,12 @@ def cmd_eval(args) -> int:
     ckpt = trainer.load_checkpoint(args.ckpt)
     m = _rebuild_from_checkpoint(ckpt, args.text, args.support,
                                  alpha=args.alpha, beta=args.beta)
+    # the visual rows depend only on the checkpoint: one copy serves every
+    # query file
+    rows = model_mod.visual_rows(m.visual)
     for qpath in args.query:
         query = dataio.read_embeddings(qpath)
-        result = evaluate_queries(m, query.features, query.labels)
+        result = evaluate_queries(m, query.features, query.labels, rows)
         _emit({"command": "eval", "ckpt": args.ckpt, "query": qpath,
                "alpha": m.alpha, "beta": m.beta, **result,
                "wall_clock": time.time() - start}, args.report)

@@ -12,6 +12,10 @@ boundary.
 
 from __future__ import annotations
 
+import io
+import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -25,6 +29,9 @@ VERSION = 1
 
 ROLE_CODES = {"text": 0, "support": 1, "query": 2}
 ROLE_NAMES = {v: k for k, v in ROLE_CODES.items()}
+
+# values per read when a stored array is converted on load
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -63,28 +70,42 @@ class EmbeddingSet:
 def write_embeddings(es: EmbeddingSet, path) -> None:
     es.validate()
     rows, dim = es.features.shape
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<IBIQI", VERSION, ROLE_CODES[es.role], dim, rows,
-                       es.num_classes)
-    buf += np.ascontiguousarray(es.labels, dtype="<u4").tobytes()
-    buf += np.ascontiguousarray(es.features, dtype="<f4").tobytes()
-    for name in es.class_names:
-        nb = name.encode("utf-8")
-        buf += struct.pack("<H", len(nb)) + nb
+    labels = np.ascontiguousarray(es.labels, dtype="<u4")
+    features = np.ascontiguousarray(es.features, dtype="<f4")
+    encoded = [name.encode("utf-8") for name in es.class_names]
+    names = b"".join(struct.pack("<H", len(nb)) + nb for nb in encoded)
     with open(path, "wb") as f:
-        f.write(buf)
+        f.write(MAGIC + struct.pack("<IBIQI", VERSION, ROLE_CODES[es.role],
+                                    dim, rows, es.num_classes))
+        f.write(labels)
+        f.write(features)
+        f.write(names)
 
 
 class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Reads an open binary file front to back. Every read first checks that
+    the file holds its bytes, so a length field cannot make it allocate more
+    than the file, and a fault reports the offset where its item starts."""
+
+    def __init__(self, f):
+        info = os.fstat(f.fileno())
+        if stat.S_ISREG(info.st_mode):
+            self.size = info.st_size
+        else:   # a pipe has no size to check against: read it whole
+            data = f.read()
+            f, self.size = io.BytesIO(data), len(data)
+        self.f = f
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
+    def _check(self, n: int, what: str) -> None:
+        if self.pos + n > self.size:
             raise CodecError(f"truncated file while reading {what}", self.pos)
-        out = self.data[self.pos:self.pos + n]
+
+    def take(self, n: int, what: str) -> bytes:
+        self._check(n, what)
+        out = self.f.read(n)
+        if len(out) != n:
+            raise CodecError(f"truncated file while reading {what}", self.pos)
         self.pos += n
         return out
 
@@ -98,33 +119,61 @@ class _Cursor:
         except UnicodeDecodeError:
             raise CodecError(f"{what} is not UTF-8", at) from None
 
+    def array(self, shape, stored: str, dtype, what: str) -> np.ndarray:
+        """A new `dtype` array of `shape` filled from the file's `stored`
+        values. A conversion goes one block at a time, so the stored values
+        never exist as a full-size copy."""
+        count = math.prod(shape)
+        self._check(np.dtype(stored).itemsize * count, what)
+        try:
+            out = np.empty(shape, dtype)
+        except ValueError:
+            raise CodecError(f"unsupported shape for {what}",
+                             self.pos) from None
+        if out.dtype == np.dtype(stored):
+            self._fill(out, what)
+            return out
+        flat = out.reshape(-1)
+        block = np.empty(min(count, _BLOCK), stored)
+        for start in range(0, count, _BLOCK):
+            part = block[:count - start]
+            self._fill(part, what)
+            flat[start:start + part.size] = part
+        return out
+
+    def _fill(self, a: np.ndarray, what: str) -> None:
+        if self.f.readinto(a) != a.nbytes:
+            raise CodecError(f"truncated file while reading {what}", self.pos)
+        self.pos += a.nbytes
+
+    def check_end(self, after: str) -> None:
+        if self.pos != self.size:
+            raise CodecError(f"trailing bytes after {after}", self.pos)
+
 
 def read_embeddings(path) -> EmbeddingSet:
     with open(path, "rb") as f:
-        data = f.read()
-    cur = _Cursor(data)
-    if cur.take(4, "magic") != MAGIC:
-        raise CodecError("bad magic, expected 'ATCE'", 0)
-    (version,) = cur.unpack("<I", "version")
-    if version != VERSION:
-        raise CodecError(f"unsupported version {version}", 4)
-    (role_code,) = cur.unpack("<B", "role")
-    if role_code not in ROLE_NAMES:
-        raise CodecError(f"unknown role code {role_code}", 8)
-    dim, rows, num_classes = cur.unpack("<IQI", "header")
-    labels = np.frombuffer(cur.take(4 * rows, "labels"), dtype="<u4").astype(np.int64)
-    feats_at = cur.pos
-    feats32 = np.frombuffer(cur.take(4 * rows * dim, "features"), dtype="<f4")
-    names = []
-    for _ in range(num_classes):
-        (nlen,) = cur.unpack("<H", "class name length")
-        names.append(cur.text(nlen, "class name"))
-    if cur.pos != len(data):
-        raise CodecError("trailing bytes after class names", cur.pos)
+        cur = _Cursor(f)
+        if cur.take(4, "magic") != MAGIC:
+            raise CodecError("bad magic, expected 'ATCE'", 0)
+        (version,) = cur.unpack("<I", "version")
+        if version != VERSION:
+            raise CodecError(f"unsupported version {version}", 4)
+        (role_code,) = cur.unpack("<B", "role")
+        if role_code not in ROLE_NAMES:
+            raise CodecError(f"unknown role code {role_code}", 8)
+        dim, rows, num_classes = cur.unpack("<IQI", "header")
+        labels = cur.array((rows,), "<u4", np.int64, "labels")
+        feats_at = cur.pos
+        features = cur.array((rows, dim), "<f4", np.float64, "features")
+        names = []
+        for _ in range(num_classes):
+            (nlen,) = cur.unpack("<H", "class name length")
+            names.append(cur.text(nlen, "class name"))
+        cur.check_end("class names")
 
     with np.errstate(invalid="ignore"):     # inf / inf; rejected below
-        features, safe, zero = l2_normalize_rows(
-            feats32.astype(np.float64).reshape(rows, dim))
+        features, safe, zero = l2_normalize_rows(features, out=features)
     # a NaN or inf entry makes its row's norm non-finite
     bad = np.flatnonzero(~np.isfinite(safe))
     if bad.size:

@@ -79,9 +79,11 @@ def visual_rows(cache: VisualCache):
     depend only on the cache, so one result can serve many query batches."""
     if cache.mode == "linear":
         return cache.linear, None
-    raw = cache.support if cache.mode == "fixed" else cache.support + cache.biases
+    # a fresh sum is renormalized in place
+    fresh = None if cache.mode == "fixed" else cache.support + cache.biases
+    raw = cache.support if fresh is None else fresh
     if cache.renormalize:
-        unit, safe, zero = l2_normalize_rows(raw)
+        unit, safe, zero = l2_normalize_rows(raw, out=fresh)
         return unit, (safe, zero)
     return raw, None
 

@@ -62,8 +62,9 @@ class Rng:
 ZERO_NORM = 1e-12
 
 
-def l2_normalize_rows(m: np.ndarray):
-    """Divide each row by its Euclidean norm.
+def l2_normalize_rows(m: np.ndarray, out=None):
+    """Divide each row by its Euclidean norm, into `out` if given (which may
+    be `m` itself, a float64 array the caller owns).
 
     Returns (unit, safe_norms, zero_mask): rows with norm <= ZERO_NORM pass
     through unchanged (their safe norm is 1 and the mask marks them), and the
@@ -73,7 +74,7 @@ def l2_normalize_rows(m: np.ndarray):
     norms = np.linalg.norm(m, axis=-1, keepdims=True)
     zero = norms <= ZERO_NORM
     safe = np.where(zero, 1.0, norms)
-    return m / safe, safe, zero
+    return np.divide(m, safe, out=out), safe, zero
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:

@@ -5,7 +5,8 @@ Checkpoint file layout (little-endian):
   per tensor: name (u16 length + UTF-8) | dtype u8 (1 = float64) |
               rank u8 | dims u64 each | raw data |
   JSON trailer (u32 byte length + UTF-8) echoing config and metrics.
-Tensors are stored as 64-bit floats so determinism assertions stay bitwise.
+Tensors are stored as 64-bit floats so determinism assertions stay bitwise;
+a NaN or inf value is an error at the offset of its tensor's data.
 """
 
 from __future__ import annotations
@@ -184,50 +185,51 @@ def apply_checkpoint(model: AtcModel, ckpt: Checkpoint) -> None:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    buf = bytearray()
-    buf += CKPT_MAGIC
-    buf += struct.pack("<II", CKPT_VERSION, len(ckpt.tensors))
+    # everything is encoded before the file is opened, so a failure cannot
+    # leave a partial file; each tensor is then written from its own memory
+    tensors = []
     for name in sorted(ckpt.tensors):
         tensor = np.ascontiguousarray(ckpt.tensors[name], dtype="<f8")
         nb = name.encode("utf-8")
-        buf += struct.pack("<H", len(nb)) + nb
-        buf += struct.pack("<BB", _DTYPE_F64, tensor.ndim)
-        for d in tensor.shape:
-            buf += struct.pack("<Q", d)
-        buf += tensor.tobytes()
+        head = struct.pack(f"<H{len(nb)}sBB{tensor.ndim}Q", len(nb), nb,
+                           _DTYPE_F64, tensor.ndim, *tensor.shape)
+        tensors.append((head, tensor))
     trailer = json.dumps(
         {"hyper": ckpt.hyper, "config": ckpt.config, "metrics": ckpt.metrics},
         sort_keys=True).encode("utf-8")
-    buf += struct.pack("<I", len(trailer)) + trailer
     with open(path, "wb") as f:
-        f.write(buf)
+        f.write(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(tensors)))
+        for head, tensor in tensors:
+            f.write(head)
+            f.write(tensor)
+        f.write(struct.pack("<I", len(trailer)) + trailer)
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
-        data = f.read()
-    cur = _Cursor(data)
-    if cur.take(4, "magic") != CKPT_MAGIC:
-        raise CodecError("bad magic, expected 'ATCK'", 0)
-    version, count = cur.unpack("<II", "header")
-    if version != CKPT_VERSION:
-        raise CodecError(f"unsupported checkpoint version {version}", 4)
-    arrays = {}
-    for _ in range(count):
-        (nlen,) = cur.unpack("<H", "tensor name length")
-        name = cur.text(nlen, "tensor name")
-        dtype, rank = cur.unpack("<BB", "tensor header")
-        if dtype != _DTYPE_F64:
-            raise CodecError(f"unknown dtype byte {dtype}", cur.pos - 2)
-        dims = cur.unpack(f"<{rank}Q", "tensor dims")
-        size = int(np.prod(dims)) if rank else 1
-        raw = cur.take(8 * size, f"tensor data for {name}")
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
-    (tlen,) = cur.unpack("<I", "trailer length")
-    at = cur.pos
-    raw = cur.take(tlen, "trailer")
-    if cur.pos != len(data):
-        raise CodecError("trailing bytes after trailer", cur.pos)
+        cur = _Cursor(f)
+        if cur.take(4, "magic") != CKPT_MAGIC:
+            raise CodecError("bad magic, expected 'ATCK'", 0)
+        version, count = cur.unpack("<II", "header")
+        if version != CKPT_VERSION:
+            raise CodecError(f"unsupported checkpoint version {version}", 4)
+        arrays = {}
+        for _ in range(count):
+            (nlen,) = cur.unpack("<H", "tensor name length")
+            name = cur.text(nlen, "tensor name")
+            dtype, rank = cur.unpack("<BB", "tensor header")
+            if dtype != _DTYPE_F64:
+                raise CodecError(f"unknown dtype byte {dtype}", cur.pos - 2)
+            dims = cur.unpack(f"<{rank}Q", "tensor dims")
+            at = cur.pos
+            arrays[name] = cur.array(dims, "<f8", "<f8",
+                                     f"tensor data for {name}")
+            if not np.isfinite(arrays[name]).all():
+                raise CodecError(f"tensor {name} is not finite", at)
+        (tlen,) = cur.unpack("<I", "trailer length")
+        at = cur.pos
+        raw = cur.take(tlen, "trailer")
+        cur.check_end("trailer")
     try:
         trailer = json.loads(raw.decode("utf-8"))
         return Checkpoint(arrays, trailer["hyper"], trailer["config"],

@@ -1,13 +1,16 @@
-"""Reference implementations the tests compare `atc.model.branches` against.
+"""Reference implementations the tests compare `atc` against.
 
 Each shares no code with the batched model: the scorers work one query at a
 time with plain loops, and the dense textual branch forms every shifted text
 row, as the model did before it used the closed form. `shift_model` builds a
 model whose condition network emits the same bias `s` for every query, so a
-chosen shift goes through the real path.
+chosen shift goes through the real path. The encoders write the two
+documented file layouts one field at a time with `struct.pack`.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -85,3 +88,33 @@ def shift_model(class_texts, s, renormalize=True) -> AtcModel:
     net.b_out[:] = s
     visual = VisualCache(class_texts.copy(), np.arange(c), mode="fixed")
     return AtcModel(TextualCache(class_texts, renormalize), visual, net)
+
+
+def encode_embeddings(role_code, dim, labels, features, class_names) -> bytes:
+    """An .ate file: header, u32 labels, float32 rows, length-prefixed
+    UTF-8 class names."""
+    out = b"ATCE" + struct.pack("<IBIQI", 1, role_code, dim, len(labels),
+                                len(class_names))
+    out += b"".join(struct.pack("<I", int(label)) for label in labels)
+    out += b"".join(struct.pack("<f", float(x)) for row in features
+                    for x in row)
+    for name in class_names:
+        raw = name.encode("utf-8")
+        out += struct.pack("<H", len(raw)) + raw
+    return out
+
+
+def encode_checkpoint(tensors, trailer: dict) -> bytes:
+    """An .atck file: tensors sorted by name, each with its name, dtype byte
+    1, rank, u64 dims and float64 values in row-major order, then the
+    sorted-key JSON trailer with its u32 length."""
+    out = b"ATCK" + struct.pack("<II", 1, len(tensors))
+    for name in sorted(tensors):
+        t = np.asarray(tensors[name])
+        raw = name.encode("utf-8")
+        out += struct.pack("<H", len(raw)) + raw
+        out += struct.pack("<BB", 1, t.ndim)
+        out += b"".join(struct.pack("<Q", d) for d in t.shape)
+        out += b"".join(struct.pack("<d", float(x)) for x in t.reshape(-1))
+    raw = json.dumps(trailer, sort_keys=True).encode("utf-8")
+    return out + struct.pack("<I", len(raw)) + raw

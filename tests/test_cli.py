@@ -695,3 +695,85 @@ def test_every_on_off_flag_declares_its_choices():
                 seen.add((name, a.dest))
     assert {("train", "renorm"), ("train", "shuffle"),
             ("train", "leave_self_out"), ("gradcheck", "renorm")} <= seen
+
+
+@pytest.mark.parametrize("name,value", [("net.W_out", np.nan),
+                                        ("visual.biases", np.inf)])
+def test_eval_non_finite_checkpoint_tensor_exit_3(data_dir, trained, tmp_path,
+                                                  name, value, capsys):
+    from atc.trainer import load_checkpoint, save_checkpoint
+    ckpt, _ = trained
+    bad = load_checkpoint(ckpt)
+    bad.tensors[name][0, 0] = value
+    save_checkpoint(bad, tmp_path / "bad.atck")
+    blob = (tmp_path / "bad.atck").read_bytes()
+    # name, dtype byte, rank byte, two u64 dims, then the data
+    at = blob.index(name.encode()) + len(name) + 2 + 8 * 2
+    assert run("eval", "--ckpt", str(tmp_path / "bad.atck"),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate")) == 3
+    assert (f"error: tensor {name} is not finite (at byte offset {at})"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("field", ["dims", "trailer"])
+def test_eval_length_field_beyond_file_exit_3(data_dir, trained, tmp_path,
+                                              field, capsys):
+    import struct
+    ckpt, _ = trained
+    blob = ckpt.read_bytes()
+    if field == "dims":     # the first tensor's first dim
+        (nlen,) = struct.unpack_from("<H", blob, 12)
+        at = 14 + nlen + 2
+        blob = blob[:at] + struct.pack("<Q", 2 ** 40) + blob[at + 8:]
+    else:
+        at = blob.index(b'{"config"') - 4
+        blob = blob[:at] + struct.pack("<I", 2 ** 32 - 1) + blob[at + 4:]
+    (tmp_path / "bad.atck").write_bytes(blob)
+    assert run("eval", "--ckpt", str(tmp_path / "bad.atck"),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate")) == 3
+    assert "error: truncated file while reading" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_eval_renormalizes_visual_rows_once(data_dir, trained, tmp_path,
+                                            monkeypatch, threads):
+    import atc.model
+    ckpt, _ = trained
+    monkeypatch.setenv("ATC_THREADS", threads)
+    queries = [data_dir / "query.ate"]
+    for seed in (12, 13):
+        out = tmp_path / f"q{seed}"
+        assert run("synth", "--out", str(out), "--classes", "5", "--dim",
+                   "16", "--shots", "4", "--queries", "10", "--sigma", "0.3",
+                   "--seed", str(seed)) == 0
+        queries.append(out / "query.ate")
+    files = ["--ckpt", str(ckpt), "--text", str(data_dir / "text.ate"),
+             "--support", str(data_dir / "support.ate")]
+    singles = []
+    for i, q in enumerate(queries):
+        report = tmp_path / f"single{i}.jsonl"
+        assert run("eval", *files, "--query", str(q),
+                   "--report", str(report)) == 0
+        singles += read_records(report)
+
+    calls = []
+    original = atc.model.visual_rows
+
+    def counted(cache):
+        calls.append(cache)
+        return original(cache)
+
+    monkeypatch.setattr(atc.model, "visual_rows", counted)
+    report = tmp_path / "all.jsonl"
+    assert run("eval", *files,
+               *[a for q in queries for a in ("--query", str(q))],
+               "--report", str(report)) == 0
+    assert len(calls) == 1
+    together = read_records(report)
+    for rec in singles + together:
+        rec.pop("wall_clock")
+    assert together == singles

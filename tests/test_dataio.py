@@ -1,5 +1,9 @@
+import os
+import struct
+
 import numpy as np
 import pytest
+from oracles import encode_embeddings
 
 from atc.dataio import (EmbeddingSet, SynthConfig,
                         read_embeddings, sample_episode, synth_dataset,
@@ -94,6 +98,49 @@ def test_norm_warnings_count_off_unit_and_zero_rows(tmp_path):
     assert np.array_equal(back.features[4], np.zeros(4))
 
 
+@pytest.mark.parametrize("rows", [0, 1, 7])
+def test_write_matches_layout_oracle(tmp_path, rows):
+    feats = Rng(rows).normal((rows, 5))
+    labels = np.arange(rows) % 3
+    names = ["a", "bé", "class_002"]
+    path = tmp_path / "q.ate"
+    write_embeddings(EmbeddingSet(feats, labels, names, "query"), path)
+    assert path.read_bytes() == encode_embeddings(2, 5, labels, feats, names)
+
+
+def test_zero_row_query_set_round_trips(tmp_path):
+    es = EmbeddingSet(np.zeros((0, 6)), np.zeros(0, dtype=np.int64),
+                      ["a", "b"], "query")
+    p1, p2 = tmp_path / "a.ate", tmp_path / "b.ate"
+    write_embeddings(es, p1)
+    back = read_embeddings(p1)
+    assert back.features.shape == (0, 6) and back.labels.shape == (0,)
+    assert back.class_names == ["a", "b"] and back.role == "query"
+    write_embeddings(back, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_row_count_beyond_file_is_truncation_not_allocation(tmp_path):
+    # 25 header bytes claim 2**40 rows; the whole file is 100 bytes
+    path = tmp_path / "big.ate"
+    path.write_bytes((b"ATCE" + struct.pack("<IBIQI", 1, 2, 4, 2 ** 40, 2))
+                     .ljust(100, b"\0"))
+    with pytest.raises(CodecError, match="truncated file while reading "
+                                         "labels") as exc:
+        read_embeddings(path)
+    assert exc.value.offset == 25
+
+
+def test_cut_inside_features_reports_their_start(tmp_path):
+    path = tmp_path / "a.ate"
+    write_embeddings(_small_set(rows=5, dim=4), path)
+    path.write_bytes(path.read_bytes()[:25 + 4 * 5 + 30])
+    with pytest.raises(CodecError, match="truncated file while reading "
+                                         "features") as exc:
+        read_embeddings(path)
+    assert exc.value.offset == 25 + 4 * 5
+
+
 def test_label_out_of_range_rejected(tmp_path):
     es = _small_set()
     es.labels = np.array([0, 1, 5])
@@ -169,3 +216,17 @@ def test_sample_episode_insufficient_rows():
 def test_sample_episode_rejects_zero_shots():
     with pytest.raises(ConfigError, match="shots_per_class"):
         sample_episode(np.array([0, 0, 1, 1]), 0, seed=1)
+
+
+def test_read_from_a_pipe(tmp_path):
+    es = _small_set(rows=5, dim=4)
+    path = tmp_path / "a.ate"
+    write_embeddings(es, path)
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(write_fd, "wb") as w:
+        w.write(path.read_bytes())     # well under a pipe's buffer
+    try:
+        back = read_embeddings(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+    assert np.array_equal(back.features, read_embeddings(path).features)

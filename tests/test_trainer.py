@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from oracles import encode_checkpoint
 
 from atc.caches import build_textual_cache, build_visual_cache
 from atc.conditionnet import init_condition_net
@@ -227,3 +228,93 @@ def test_train_config_rejects_non_finite_rates():
                 TrainConfig(weight_decay=float("inf"))):
         with pytest.raises(ValidationError, match="finite"):
             train(m, sets["support"].features, sets["support"].labels, cfg)
+
+
+def test_save_matches_layout_oracle(tmp_path):
+    tensors = {"b.vec": np.array([1.5, -0.0, 3e-300]),
+               "a.mat": Rng(4).normal((2, 3)),
+               "c.empty": np.zeros((0, 4))}
+    trailer = {"hyper": {"alpha": 0.5}, "config": {"seed": 1},
+               "metrics": [{"epoch": 0, "loss": 1.25}]}
+    path = tmp_path / "m.atck"
+    save_checkpoint(Checkpoint(tensors, **trailer), path)
+    assert path.read_bytes() == encode_checkpoint(tensors, trailer)
+
+
+def test_save_of_trained_model_matches_layout_oracle(tmp_path):
+    m, sets = _model()
+    ckpt = train(m, sets["support"].features, sets["support"].labels,
+                 TrainConfig(epochs=1, seed=2))
+    path = tmp_path / "m.atck"
+    save_checkpoint(ckpt, path)
+    assert {t.ndim for t in ckpt.tensors.values()} == {1, 2}
+    assert path.read_bytes() == encode_checkpoint(
+        ckpt.tensors, {"hyper": ckpt.hyper, "config": ckpt.config,
+                       "metrics": ckpt.metrics})
+
+
+def _one_tensor_file(dims: bytes, rank: int) -> bytes:
+    """A checkpoint holding tensor "x" with the given raw dims and one
+    float64 value; its data starts at byte 17 + len(dims)."""
+    trailer = b'{"config": {}, "hyper": {}, "metrics": []}'
+    return (b"ATCK" + struct.pack("<IIH", 1, 1, 1) + b"x"
+            + struct.pack("<BB", 1, rank) + dims + bytes(8)
+            + struct.pack("<I", len(trailer)) + trailer)
+
+
+def test_tensor_dims_beyond_file_are_truncation_not_allocation(tmp_path):
+    path = tmp_path / "m.atck"
+    path.write_bytes(_one_tensor_file(struct.pack("<Q", 2 ** 40), 1))
+    with pytest.raises(CodecError, match="truncated file while reading "
+                                         "tensor data for x") as err:
+        load_checkpoint(path)
+    assert err.value.offset == 25
+
+
+@pytest.mark.parametrize("dims", [(1,) * 70, (2 ** 64 - 1, 0)],
+                         ids=["rank-70", "dim-2**64-1"])
+def test_tensor_shape_numpy_cannot_hold_rejected(tmp_path, dims):
+    path = tmp_path / "m.atck"
+    path.write_bytes(_one_tensor_file(struct.pack(f"<{len(dims)}Q", *dims),
+                                      len(dims)))
+    with pytest.raises(CodecError, match="unsupported shape for tensor "
+                                         "data for x") as err:
+        load_checkpoint(path)
+    assert err.value.offset == 17 + 8 * len(dims)
+
+
+def test_trailer_length_beyond_file_is_truncation(tmp_path):
+    path, blob, at = _saved_checkpoint(tmp_path)
+    path.write_bytes(blob[:at - 4] + struct.pack("<I", 2 ** 32 - 1)
+                     + blob[at:])
+    with pytest.raises(CodecError, match="truncated file while reading "
+                                         "trailer") as err:
+        load_checkpoint(path)
+    assert err.value.offset == at
+
+
+def test_cut_inside_tensor_data_reports_its_start(tmp_path):
+    path, blob, _ = _saved_checkpoint(tmp_path)
+    name = b"visual.biases"
+    rows, dim = load_checkpoint(path).tensors["visual.biases"].shape
+    data_at = blob.index(name) + len(name) + 2 + 8 * 2
+    path.write_bytes(blob[:data_at + 8 * dim + 3])
+    with pytest.raises(CodecError, match="truncated file while reading "
+                                         "tensor data for visual.biases"
+                       ) as err:
+        load_checkpoint(path)
+    assert err.value.offset == data_at
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_rejected_at_its_data(tmp_path, value):
+    path, _, _ = _saved_checkpoint(tmp_path)
+    ckpt = load_checkpoint(path)
+    ckpt.tensors["net.W_out"][1, 2] = value
+    save_checkpoint(ckpt, path)
+    blob = path.read_bytes()
+    data_at = blob.index(b"net.W_out") + len(b"net.W_out") + 2 + 8 * 2
+    with pytest.raises(CodecError, match="tensor net.W_out is not "
+                                         "finite") as err:
+        load_checkpoint(path)
+    assert err.value.offset == data_at
