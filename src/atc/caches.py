@@ -72,11 +72,13 @@ def build_visual_cache(support_set: EmbeddingSet, num_classes: int,
             f"support set missing classes {missing}" if missing else
             f"support set has {present.size} classes, text set has "
             f"{num_classes}")
-    support = np.array(support_set.features)
+    # the caller's rows, not a copy; np.zeros pages cost no memory until
+    # written, so biases that a checkpoint replaces never become resident
+    support = np.asarray(support_set.features, dtype=np.float64)
     cache = VisualCache(support, np.array(support_set.labels, dtype=np.int64),
                         mode, renormalize)
     if mode == "biases":
-        cache.biases = np.zeros_like(support)
+        cache.biases = np.zeros(support.shape)
     elif mode == "linear":
         # free weight rows initialized from the support
         # rows, no additive decomposition and no renormalization afterwards.

@@ -79,7 +79,7 @@ def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
 
 def _emit(record: dict, report_path) -> None:
-    line = json.dumps(record, sort_keys=True)
+    line = json.dumps(record, sort_keys=True, allow_nan=False)
     if report_path:
         with open(report_path, "a") as f:
             f.write(line + "\n")
@@ -328,6 +328,8 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     if not args.values:
         raise UsageError("sweep needs at least one value")
+    if not all(abs(v) <= sys.float_info.max for v in args.values):
+        raise UsageError("sweep values must be finite")
     ckpt = trainer.load_checkpoint(args.ckpt)
     query = dataio.read_embeddings(args.query)
     m = _rebuild_from_checkpoint(ckpt, args.text, args.support)

@@ -45,6 +45,14 @@ class ConditionNetParams:
         out["b_out"] = self.b_out
         return out
 
+    def bind(self, name: str, value: np.ndarray) -> None:
+        """Make `value` itself the tensor that tensors() calls `name`."""
+        head, _, gate = name.rpartition("_")
+        if gate in GATES:
+            getattr(self, head)[gate] = value
+        else:
+            setattr(self, name, value)
+
 
 def init_condition_net(dim: int, chunk_count: int, hidden_size: int,
                        rng: Rng) -> ConditionNetParams:

@@ -205,8 +205,8 @@ class SynthConfig:
             raise ConfigError("num_classes must be >= 2")
         if self.shots < 1 or self.queries_per_class < 1:
             raise ConfigError("shots and queries_per_class must be >= 1")
-        if self.sigma < 0 or self.text_noise < 0:
-            raise ConfigError("noise scales must be nonnegative")
+        if not all(0 <= x < math.inf for x in (self.sigma, self.text_noise)):
+            raise ConfigError("noise scales must be finite and nonnegative")
 
 
 def _noisy_rows(protos: np.ndarray, per_class: int, scale: float, rng: Rng):

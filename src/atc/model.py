@@ -11,7 +11,7 @@ import numpy as np
 
 from .caches import TextualCache, VisualCache
 from .conditionnet import ConditionNetParams, condition_backward, condition_forward
-from .errors import ShapeError, ValidationError
+from .errors import EvaluationError, ShapeError, ValidationError
 from .numerics import ZERO_NORM, l2_normalize_rows, one_hot
 
 
@@ -54,23 +54,40 @@ def trainables(model: AtcModel) -> dict[str, np.ndarray]:
 
 
 def set_tensors(model: AtcModel, values: dict[str, np.ndarray]) -> None:
-    """Copy values into the named model tensors. Every name must be one of
-    tensors(model), with its shape; nothing is copied otherwise."""
+    """Bind the given float64 arrays as the named model tensors, without
+    copying them: the model then reads and trains those arrays. Every name
+    must be one of tensors(model), with its shape; nothing is bound
+    otherwise."""
     live = tensors(model)
+    bound = {}
     for k, v in values.items():
         if k not in live:
             raise ValidationError(f"unknown tensor {k!r}")
-        if np.shape(v) != live[k].shape:
-            raise ValidationError(f"tensor {k} has shape {np.shape(v)}, "
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != live[k].shape:
+            raise ValidationError(f"tensor {k} has shape {v.shape}, "
                                   f"model expects {live[k].shape}")
-    for k, v in values.items():
-        np.copyto(live[k], v)
+        bound[k] = v
+    for k, v in bound.items():
+        group, _, name = k.partition(".")
+        if group == "visual":
+            setattr(model.visual, name, v)
+        else:
+            model.net.bind(name, v)
 
 
 def _normalize_rows_bwd(d_unit, unit, safe, zero):
-    inner = np.sum(unit * d_unit, axis=-1, keepdims=True)
-    d_raw = (d_unit - inner * unit) / safe
-    return np.where(zero, d_unit, d_raw)
+    """(d_unit - <unit, d_unit> unit) / safe, in one new array, with the
+    rows that passed through the renormalization (zero) passing d_unit
+    back unchanged."""
+    d_raw = np.multiply(unit, d_unit)
+    inner = np.add.reduce(d_raw, axis=-1, keepdims=True)
+    np.multiply(inner, unit, out=d_raw)
+    np.subtract(d_unit, d_raw, out=d_raw)
+    d_raw /= safe
+    rows = np.flatnonzero(zero)
+    d_raw[rows] = d_unit[rows]
+    return d_raw
 
 
 def visual_rows(cache: VisualCache):
@@ -84,6 +101,9 @@ def visual_rows(cache: VisualCache):
     raw = cache.support if fresh is None else fresh
     if cache.renormalize:
         unit, safe, zero = l2_normalize_rows(raw, out=fresh)
+        # an overflowed norm would quietly turn its row into zeros
+        if not np.isfinite(safe).all():
+            raise EvaluationError("a visual cache row norm is not finite")
         return unit, (safe, zero)
     return raw, None
 
@@ -122,23 +142,32 @@ def _text_scores(F, T, S, renormalize: bool):
     """Textual scores f2[b, c] = F_b . (t_c + S_b), divided by
     |t_c + S_b| when renormalizing, without forming the (B, c, dim) shifted
     rows: |t_c + S_b|^2 = |t_c|^2 + 2 S_b . t_c + |S_b|^2. A row whose norm
-    is at most ZERO_NORM passes through unnormalized. S = 0 (a frozen or
-    fresh net) adds exact zeros, so it scores F . t_c / |t_c| bitwise.
+    is at most ZERO_NORM passes through unnormalized. S = None (a frozen
+    net) drops the three S terms, giving the bits S = 0 gives: F . t_c, over
+    |t_c| when renormalizing.
 
     Returns f2 and what _text_shift_grad needs: None without renorm, else
-    (safe norms, zero mask, the cancellation-prone pairs (b, c) and rows)."""
+    (safe norms, zero mask, the cancellation-prone pairs (b, c) and rows);
+    with S = None the norms and mask are one row shared by every query."""
     f2 = F @ T.T
-    f2 += np.einsum("bd,bd->b", F, S)[:, None]
+    if S is not None:
+        f2 += np.einsum("bd,bd->b", F, S)[:, None]
     if not renormalize:
         return f2, None
     tt = np.einsum("cd,cd->c", T, T)
-    ss = np.einsum("bd,bd->b", S, S)[:, None]
-    n2 = tt + 2.0 * (S @ T.T) + ss
+    if S is None:
+        n2, ss = tt[None, :], 0.0
+    else:
+        ss = np.einsum("bd,bd->b", S, S)[:, None]
+        n2 = tt + 2.0 * (S @ T.T) + ss
     norm = np.sqrt(np.maximum(n2, 0.0))
+    if not np.isfinite(norm).all():
+        raise EvaluationError("a shifted text row norm is not finite")
     close = None
-    b, c = np.nonzero(n2 <= _CANCEL * (tt + ss))
+    b, c = np.nonzero(np.broadcast_to(n2 <= _CANCEL * (tt + ss), f2.shape))
     if b.size:
-        V = T[c] + S[b]
+        V = T[c] if S is None else T[c] + S[b]
+        norm = np.broadcast_to(norm, f2.shape).copy()
         norm[b, c] = np.linalg.norm(V, axis=1)
         f2[b, c] = np.einsum("kd,kd->k", F[b], V)
         close = (b, c, V)
@@ -194,7 +223,7 @@ def branches(model: AtcModel, F: np.ndarray, self_indices=None, rows=None):
     if model.adaptive_text:
         S, tape = condition_forward(model.net, F)
     else:
-        S, tape = np.zeros((B, model.dim)), None
+        S, tape = None, None
     f2, tsaved = _text_scores(F, model.textual.class_texts, S,
                               model.textual.renormalize)
 

@@ -7,6 +7,7 @@ entries finite; 32-bit floats appear only inside the file codecs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,16 +63,36 @@ class Rng:
 ZERO_NORM = 1e-12
 
 
+# l2_normalize_rows squares this many values at a time (256 KB, which stays
+# in cache) instead of allocating two temporaries the size of its input
+_BLOCK_VALUES = 1 << 15
+
+
 def l2_normalize_rows(m: np.ndarray, out=None):
-    """Divide each row by its Euclidean norm, into `out` if given (which may
-    be `m` itself, a float64 array the caller owns).
+    """Divide each row (the last axis) by its Euclidean norm, into `out` if
+    given (which may be `m` itself, a float64 array the caller owns).
 
     Returns (unit, safe_norms, zero_mask): rows with norm <= ZERO_NORM pass
     through unchanged (their safe norm is 1 and the mask marks them), and the
     norms and mask keep a trailing axis of length 1 for the backward pass.
+    Each row's squares are summed by one np.add.reduce, a block of rows at a
+    time, so the norms do not depend on m's memory layout; for a C-ordered m
+    they are bitwise those of np.linalg.norm(m, axis=-1).
     """
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    dim = m.shape[-1]
+    rows = m.reshape(math.prod(m.shape[:-1]), dim)
+    step = max(1, _BLOCK_VALUES // max(dim, 1))
+    norms = np.empty((rows.shape[0], 1))
+    buf = np.empty((min(step, rows.shape[0]), dim))
+    # a row past ~1e154 overflows to an inf norm, which callers check for
+    with np.errstate(over="ignore"):
+        for i in range(0, rows.shape[0], step):
+            block = rows[i:i + step]
+            squares = np.multiply(block, block, out=buf[:block.shape[0]])
+            np.add.reduce(squares, axis=-1, keepdims=True,
+                          out=norms[i:i + step])
+    norms = np.sqrt(norms, out=norms).reshape(m.shape[:-1] + (1,))
     zero = norms <= ZERO_NORM
     safe = np.where(zero, 1.0, norms)
     return np.divide(m, safe, out=out), safe, zero

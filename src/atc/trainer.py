@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataio import _Cursor
-from .errors import CodecError, ContractError, ValidationError
+from .errors import (CodecError, ContractError, EvaluationError,
+                     ValidationError)
 from .model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
                     tensors, trainables)
 from .numerics import Rng
@@ -160,6 +161,9 @@ def train(model: AtcModel, queries: np.ndarray, labels,
             sub_self = self_indices[sel] if self_indices is not None else None
             loss, grads = loss_and_grads(model, queries[sel], labels[sel],
                                          sub_self)
+            if not math.isfinite(loss):
+                raise EvaluationError(f"training loss is {loss} in epoch "
+                                      f"{epoch}")
             if cfg.learning_rate != 0.0:
                 adam_step(params, grads, state, cfg)
             total += loss * sel.size
@@ -171,13 +175,18 @@ def train(model: AtcModel, queries: np.ndarray, labels,
         })
     if _frozen_digest(model) != before:
         raise ContractError("frozen tensors changed during training")
+    # load_checkpoint refuses a non-finite value, so none is saved
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise EvaluationError(f"trained tensor {name} is not finite")
     return Checkpoint(checkpoint_tensors(model), model_hyper(model),
                       asdict(cfg), metrics)
 
 
 def apply_checkpoint(model: AtcModel, ckpt: Checkpoint) -> None:
-    """Load the checkpoint's tensors into the model. The names must be
-    exactly tensors(model) and every shape must match."""
+    """Bind the checkpoint's arrays as the model's tensors (set_tensors: no
+    copy, so training the model afterwards changes ckpt.tensors). The names
+    must be exactly tensors(model) and every shape must match."""
     missing = sorted(set(tensors(model)) - set(ckpt.tensors))
     if missing:
         raise ValidationError(f"checkpoint lacks tensors {missing}")
@@ -196,7 +205,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         tensors.append((head, tensor))
     trailer = json.dumps(
         {"hyper": ckpt.hyper, "config": ckpt.config, "metrics": ckpt.metrics},
-        sort_keys=True).encode("utf-8")
+        sort_keys=True, allow_nan=False).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(tensors)))
         for head, tensor in tensors:

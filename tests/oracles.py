@@ -1,8 +1,9 @@
 """Reference implementations the tests compare `atc` against.
 
-Each shares no code with the batched model: the scorers work one query at a
-time with plain loops, and the dense textual branch forms every shifted text
-row, as the model did before it used the closed form. `shift_model` builds a
+Each shares no code with the batched model: the row normalizer takes
+NumPy's own norm, the scorers work one query at a time with plain loops, and
+the dense textual branch forms every shifted text row, as the model did
+before it used the closed form. `shift_model` builds a
 model whose condition network emits the same bias `s` for every query, so a
 chosen shift goes through the real path. The encoders write the two
 documented file layouts one field at a time with `struct.pack`.
@@ -25,6 +26,26 @@ _EPS = 1e-12
 def _unit(row: np.ndarray) -> np.ndarray:
     norm = math.sqrt(sum(float(x) * float(x) for x in row))
     return row / norm if norm > _EPS else row
+
+
+def linalg_normalize_rows(m):
+    """Rows divided by np.linalg.norm(m, axis=-1), with the model's
+    pass-through rule for norms at most 1e-12: (unit, safe norms, zero
+    mask), the norms and mask keeping a trailing axis of length 1."""
+    m = np.asarray(m, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(m, axis=-1, keepdims=True)
+        zero = norms <= _EPS
+        safe = np.where(zero, 1.0, norms)
+        return m / safe, safe, zero
+
+
+def normalize_rows_bwd(d_unit, unit, safe, zero):
+    """Gradient through row renormalization over the whole array: the
+    projection (d_unit - <unit, d_unit> unit) / safe, or d_unit itself on
+    the rows that passed through."""
+    inner = np.sum(unit * d_unit, axis=-1, keepdims=True)
+    return np.where(zero, d_unit, (d_unit - inner * unit) / safe)
 
 
 def visual_scores(f, rows, labels, num_classes, activation="linear",

@@ -155,4 +155,4 @@ def test_fixed_mode_has_no_trainable_tensors():
 def test_linear_mode_initialized_from_support():
     cache = build_visual_cache(_sets()["support"], 3, mode="linear")
     assert np.array_equal(cache.linear, cache.support)
-    assert cache.linear is not cache.support
+    assert not np.shares_memory(cache.linear, cache.support)

@@ -619,11 +619,14 @@ def test_choice_cases_cover_every_choice_flag(command):
 def test_eval_checkpoint_value_of_wrong_type_exit_3(data_dir, trained,
                                                     tmp_path, section, key,
                                                     value, capsys):
-    from atc.trainer import load_checkpoint, save_checkpoint
+    from atc.trainer import load_checkpoint
+    from oracles import encode_checkpoint
     ckpt, _ = trained
     old = load_checkpoint(ckpt)
     getattr(old, section)[key] = value
-    save_checkpoint(old, tmp_path / "old.atck")
+    # written by the layout encoder: save_checkpoint refuses an inf value
+    (tmp_path / "old.atck").write_bytes(encode_checkpoint(old.tensors, {
+        "hyper": old.hyper, "config": old.config, "metrics": old.metrics}))
     # the text file does not exist: the trailer is checked before any read
     assert run("eval", "--ckpt", str(tmp_path / "old.atck"),
                "--text", str(tmp_path / "absent.ate"),
@@ -777,3 +780,67 @@ def test_eval_renormalizes_visual_rows_once(data_dir, trained, tmp_path,
     for rec in singles + together:
         rec.pop("wall_clock")
     assert together == singles
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--lr", "1e300"], "a visual cache row norm is not finite"),
+    (["--lr", "1e300", "--visual-mode", "fixed"],
+     "a shifted text row norm is not finite"),
+    (["--lr", "1e306", "--renorm", "off", "--epochs", "3"],
+     "training loss is nan in epoch 2"),
+    (["--lr", "1e306", "--renorm", "off"],
+     "trained tensor net.W_i is not finite")])
+def test_train_divergence_exit_4(data_dir, tmp_path, flags, message, capsys):
+    ckpt = tmp_path / "m.atck"
+    assert run("train", "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--ckpt", str(ckpt), "--shots", "4", "--epochs", "2",
+               *flags) == 4
+    assert f"numeric error: {message}" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_sweep_non_finite_value_exit_2(data_dir, trained, value, capsys):
+    ckpt, _ = trained
+    assert run("sweep", "--ckpt", str(ckpt),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate"),
+               "--param", "alpha", "--values", f"1,{value}") == 2
+    captured = capsys.readouterr()
+    assert "sweep values must be finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [["--sigma", "nan"],
+                                   ["--text-noise", "inf"]])
+def test_synth_non_finite_noise_exit_3(tmp_path, flags, capsys):
+    assert run("synth", "--out", str(tmp_path / "d"), "--classes", "3",
+               "--dim", "8", *flags) == 3
+    assert "noise scales must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_rebuild_binds_checkpoint_arrays_and_episode_rows(data_dir, trained,
+                                                          monkeypatch):
+    import atc.cli
+    from atc.model import tensors
+    from atc.trainer import load_checkpoint
+    episodes = []
+    original = atc.cli._episode
+
+    def kept(*args):
+        episodes.append(original(*args))
+        return episodes[-1]
+
+    monkeypatch.setattr(atc.cli, "_episode", kept)
+    ckpt = load_checkpoint(trained[0])
+    m = atc.cli._rebuild_from_checkpoint(ckpt, data_dir / "text.ate",
+                                         data_dir / "support.ate")
+    live = tensors(m)
+    assert sorted(live) == sorted(ckpt.tensors)
+    for name, value in live.items():
+        assert np.shares_memory(value, ckpt.tensors[name]), name
+    assert len(episodes) == 1
+    assert m.visual.support is episodes[0].features

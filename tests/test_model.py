@@ -13,9 +13,9 @@ from atc.errors import ShapeError
 from atc.model import (AtcModel, _loss_from_logits, batch_loss, branches,
                        fuse, loss_and_grads, predict_batch, set_tensors,
                        trainables, zero_shot_logits)
-from atc.numerics import Rng, grad_check
-from oracles import (dense_text_scores, dense_text_shift_grad, shift_model,
-                     visual_scores)
+from atc.numerics import Rng, grad_check, l2_normalize_rows
+from oracles import (dense_text_scores, dense_text_shift_grad,
+                     normalize_rows_bwd, shift_model, visual_scores)
 
 
 def _make_model(n=3, dim=8, k=2, seed=1, renorm=True, mode="biases",
@@ -373,3 +373,14 @@ def test_visual_class_without_rows_scores_zero():
     for i, f in enumerate(F):
         expected = visual_scores(f, cache.support, cache.labels, 3)
         assert np.max(np.abs(f1[i] - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 65])
+def test_visual_renorm_backward_matches_whole_array_oracle_bitwise(rows):
+    raw = Rng(5).normal((rows, 512))
+    raw[::4] *= 1e-13          # rows that pass through unnormalized
+    unit, safe, zero = l2_normalize_rows(raw)
+    d_unit = Rng(6).normal((rows, 512))
+    got = model_mod._normalize_rows_bwd(d_unit, unit, safe, zero)
+    assert got.tobytes() == normalize_rows_bwd(d_unit, unit, safe,
+                                               zero).tobytes()

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from atc.model import _loss_from_logits
 from atc.numerics import (Rng, grad_check, l2_normalize_rows, one_hot,
                           relative_error, seed_child)
+from oracles import linalg_normalize_rows
 
 
 def test_l2_normalize_345():
@@ -28,6 +29,38 @@ def test_l2_normalize_idempotent_on_unit_rows():
     m = l2_normalize_rows(rng.normal((4, 6)))[0]
     again = l2_normalize_rows(m)[0]
     assert np.max(np.abs(again - m)) < 1e-15
+
+
+# l2_normalize_rows squares 2**15 values at a time: 64 rows at dim 512
+_BLOCK_ROWS = 64
+
+
+def _rows(shape, special=None):
+    """Seeded normal rows; `special` overwrites every third row (0, 3, ...)
+    with that value."""
+    m = Rng(17).normal(shape)
+    if special is not None:
+        m.reshape(-1, shape[-1])[::3] = special
+    return m
+
+
+@pytest.mark.parametrize("shape,special", [
+    ((_BLOCK_ROWS - 1, 512), None), ((_BLOCK_ROWS, 512), None),
+    ((_BLOCK_ROWS + 1, 512), None), ((0, 512), None), ((5, 0), None),
+    ((512,), None), ((2, 3, 17), None), ((_BLOCK_ROWS + 1, 512), 0.0),
+    ((9, 16), 1e-13), ((_BLOCK_ROWS + 1, 512), 1e200),
+    ((9, 16), np.nan), ((9, 16), np.inf), ((9, 16), -np.inf)])
+@pytest.mark.parametrize("in_place", [False, True])
+def test_l2_normalize_matches_linalg_norm_bitwise(shape, special, in_place):
+    m = _rows(shape, special)
+    want = linalg_normalize_rows(m)
+    with np.errstate(invalid="ignore"):
+        got = (l2_normalize_rows(m, out=m) if in_place
+               else l2_normalize_rows(m))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    assert (got[0] is m) == in_place
 
 
 def softmax(logits):

@@ -188,6 +188,18 @@ def test_set_tensors_rejects_unknown_name_and_wrong_shape():
         assert np.array_equal(v, before[k]), k
 
 
+def test_failed_set_tensors_binds_nothing():
+    m, _ = _model()
+    before = tensors(m)
+    good = {k: np.ones_like(v) for k, v in before.items()}
+    for bad in ({"visual.linear": good["visual.biases"]},
+                {"visual.biases": good["visual.biases"][1:]}):
+        with pytest.raises(ValidationError):
+            set_tensors(m, {**good, **bad})
+        for k, v in tensors(m).items():
+            assert v is before[k], k
+
+
 def _saved_checkpoint(tmp_path):
     """Path and bytes of a saved checkpoint, and its trailer's offset (the
     sorted-key JSON trailer starts with its "config" key)."""
