@@ -9,8 +9,7 @@ from .dataio import (EmbeddingSet, SynthConfig, read_embeddings,
                      sample_episode, synth_dataset, write_embeddings)
 from .model import (AtcModel, branches, fuse, loss_and_grads, predict_batch,
                     zero_shot_logits)
-from .numerics import (GradReport, Rng, grad_check, l2_normalize_rows, one_hot,
-                       seed_child)
+from .numerics import Rng, l2_normalize_rows, seed_child
 from .trainer import (Checkpoint, TrainConfig, adam_step, load_checkpoint,
                       save_checkpoint, train)
 

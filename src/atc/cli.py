@@ -1,5 +1,4 @@
-"""Command-line surface: synth | zeroshot | train | eval | sweep | ablate |
-gradcheck.
+"""Command-line surface: synth | zeroshot | train | eval | sweep | ablate.
 
 Reports are append-only line-delimited JSON. Exit codes: 0 success, 2 usage,
 3 validation/codec, 4 numeric failure, 5 I/O. A key=value config file can
@@ -22,35 +21,39 @@ from . import dataio, model as model_mod, trainer
 from .caches import VISUAL_MODES, build_textual_cache, build_visual_cache
 from .conditionnet import init_condition_net
 from .errors import AtcError, EvaluationError, UsageError, ValidationError
-from .model import AtcModel, loss_and_grads, batch_loss, trainables
-from .numerics import Rng, grad_check
+from .model import AtcModel
+from .numerics import Rng
 
 
 def _parse_activation(value: str) -> tuple[str, float]:
+    """`linear`, `tip` (gamma 1) or `tip:<gamma>`."""
     if value == "linear":
         return "linear", 1.0
-    if value.startswith("tip"):
-        gamma = 1.0
-        if ":" in value:
-            try:
-                gamma = float(value.split(":", 1)[1])
-            except ValueError:
-                raise UsageError(f"bad tip gamma in {value!r}") from None
-        return "tip", gamma
+    name, colon, gamma = value.partition(":")
+    if name == "tip":
+        try:
+            return "tip", float(gamma) if colon else 1.0
+        except ValueError:
+            raise UsageError(f"bad tip gamma in {value!r}") from None
     raise UsageError(f"unknown activation {value!r}")
 
 
 def _read_config_file(path) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"{path}: not UTF-8 text (byte {exc.start})") from None
     out = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -378,54 +381,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def run_full_gradcheck(seed: int, renorm: bool, activation: str = "linear",
-                       gamma: float = 1.0, eps: float = 1e-4,
-                       tol: float = 1e-4):
-    """Finite-difference check of the whole trainable surface on a small
-    synthetic episode."""
-    cfg = dataio.SynthConfig(num_classes=3, dim=16, shots=2,
-                             queries_per_class=2, sigma=0.3, seed=seed)
-    sets = dataio.synth_dataset(cfg)
-    textual = build_textual_cache(sets["text"], renormalize=renorm)
-    visual = build_visual_cache(sets["support"], cfg.num_classes,
-                                mode="biases", renormalize=renorm)
-    net = init_condition_net(cfg.dim, chunk_count=4, hidden_size=6,
-                             rng=Rng(seed).child(1))
-    # nonzero starting point so every gate parameter sees gradient
-    rng = Rng(seed).child(2)
-    np.copyto(net.W_out, 0.05 * rng.normal(net.W_out.shape))
-    np.copyto(visual.biases, 0.05 * rng.normal(visual.biases.shape))
-    m = AtcModel(textual, visual, net, logit_scale=5.0, activation=activation,
-                 tip_gamma=gamma)
-    queries = sets["query"].features
-    targets = sets["query"].labels
-
-    params = {k: v.copy() for k, v in trainables(m).items()}
-    _, analytic = loss_and_grads(m, queries, targets)
-
-    def fn(p):
-        model_mod.set_tensors(m, p)
-        return batch_loss(m, queries, targets)
-
-    try:
-        report = grad_check(fn, params, analytic, eps=eps, tol=tol)
-    finally:
-        model_mod.set_tensors(m, params)
-    return report
-
-
-def cmd_gradcheck(args) -> int:
-    activation, gamma = _parse_activation(args.activation)
-    report = run_full_gradcheck(args.seed, args.renorm == "on", activation,
-                                gamma)
-    print(report.summary())
-    _emit({"command": "gradcheck", "seed": args.seed, "renorm": args.renorm,
-           "activation": args.activation, "passed": report.passed,
-           "worst": {g.name: g.max_rel_err for g in report.groups.values()}},
-          args.report)
-    return 0 if report.passed else 4
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atc",
@@ -493,13 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     common(p)
     p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--renorm", choices=["on", "off"], default="on")
-    p.add_argument("--activation", default="linear")
-    common(p)
-    p.set_defaults(func=cmd_gradcheck)
 
     return parser
 

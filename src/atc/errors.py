@@ -22,7 +22,8 @@ class ConfigError(AtcError):
 
 
 class ContractError(AtcError):
-    """An API contract was violated (e.g. tape reuse, wrong cache mode)."""
+    """An API contract was violated (e.g. tape reuse, frozen tensors changed
+    during training)."""
 
 
 class EvaluationError(AtcError):

@@ -12,7 +12,7 @@ import numpy as np
 from .caches import TextualCache, VisualCache
 from .conditionnet import ConditionNetParams, condition_backward, condition_forward
 from .errors import EvaluationError, ShapeError, ValidationError
-from .numerics import ZERO_NORM, l2_normalize_rows, one_hot
+from .numerics import ZERO_NORM, l2_normalize_rows
 
 
 @dataclass
@@ -281,20 +281,16 @@ def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarra
 
 
 def _loss_from_logits(logits: np.ndarray, targets: np.ndarray):
+    c = logits.shape[1]
+    # a negative target would index from the end instead of failing
+    if targets.size and (targets.min() < 0 or targets.max() >= c):
+        raise IndexError(f"label out of range for {c} classes")
     shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1))
     idx = np.arange(logits.shape[0])
     losses = logz - shifted[idx, targets]
     probs = np.exp(shifted - logz[:, None])
     return float(losses.mean()), probs
-
-
-def batch_loss(model: AtcModel, queries: np.ndarray, targets) -> float:
-    """Mean cross-entropy of the fused logits over a query batch."""
-    targets = np.asarray(targets, dtype=np.int64)
-    logits, _ = _logits(model, np.asarray(queries, dtype=np.float64))
-    loss, _ = _loss_from_logits(logits, targets)
-    return loss
 
 
 def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
@@ -305,8 +301,11 @@ def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
     targets = np.asarray(targets, dtype=np.int64)
     logits, ctx = _logits(model, F, self_indices)
     loss, probs = _loss_from_logits(logits, targets)
-    d_logits = (probs - one_hot(targets, logits.shape[1])) / F.shape[0]
-    return loss, _backward(model, ctx, d_logits)
+    # the gradient with respect to the logits: softmax minus the one-hot
+    # targets, over the batch size
+    probs[np.arange(F.shape[0]), targets] -= 1.0
+    probs /= F.shape[0]
+    return loss, _backward(model, ctx, probs)
 
 
 def predict_batch(model: AtcModel, queries: np.ndarray) -> np.ndarray:

@@ -1,5 +1,4 @@
-"""Row normalization, one-hot encoding, seeded RNG, and a finite-difference
-gradient checker.
+"""Row normalization and a seeded RNG.
 
 Matrices are plain 2-D float64 numpy arrays. All public operations keep
 entries finite; 32-bit floats appear only inside the file codecs.
@@ -8,11 +7,8 @@ entries finite; 32-bit floats appear only inside the file codecs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import EvaluationError, ShapeError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -96,83 +92,3 @@ def l2_normalize_rows(m: np.ndarray, out=None):
     zero = norms <= ZERO_NORM
     safe = np.where(zero, 1.0, norms)
     return np.divide(m, safe, out=out), safe, zero
-
-
-def one_hot(labels, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise IndexError(f"label out of range for {num_classes} classes")
-    out = np.zeros((labels.size, num_classes), dtype=np.float64)
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
-def relative_error(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
-@dataclass
-class GroupCheck:
-    name: str
-    max_rel_err: float
-    worst_index: tuple
-    passed: bool
-
-
-@dataclass
-class GradReport:
-    groups: dict[str, GroupCheck]
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(g.passed for g in self.groups.values())
-
-    def summary(self) -> str:
-        lines = []
-        for g in self.groups.values():
-            status = "pass" if g.passed else "FAIL"
-            lines.append(
-                f"{status}  {g.name}: max rel err {g.max_rel_err:.3e} "
-                f"at {g.worst_index} (tol {self.tolerance:g})"
-            )
-        return "\n".join(lines)
-
-
-def grad_check(fn, params: dict[str, np.ndarray], analytic: dict[str, np.ndarray],
-               eps: float = 1e-4, tol: float = 1e-4) -> GradReport:
-    """Compare analytic gradients against central finite differences.
-
-    fn maps the params dict to a scalar. Every coordinate of every group is
-    perturbed by +/- eps; rel err uses max(1, |a|, |b|) in the denominator.
-    """
-    work = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
-    groups: dict[str, GroupCheck] = {}
-    for name, tensor in work.items():
-        grad = np.asarray(analytic[name], dtype=np.float64)
-        if grad.shape != tensor.shape:
-            raise ShapeError(
-                f"analytic grad for {name} has shape {grad.shape}, "
-                f"expected {tensor.shape}"
-            )
-        worst = 0.0
-        worst_idx: tuple = ()
-        it = np.nditer(tensor, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = tensor[idx]
-            tensor[idx] = orig + eps
-            f_plus = float(fn(work))
-            tensor[idx] = orig - eps
-            f_minus = float(fn(work))
-            tensor[idx] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise EvaluationError(f"non-finite value at {name}{idx}")
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = relative_error(float(grad[idx]), numeric)
-            if err > worst:
-                worst = err
-                worst_idx = idx
-            it.iternext()
-        groups[name] = GroupCheck(name, worst, worst_idx, worst <= tol)
-    return GradReport(groups, tol)

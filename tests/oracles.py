@@ -7,17 +7,24 @@ before it used the closed form. `shift_model` builds a
 model whose condition network emits the same bias `s` for every query, so a
 chosen shift goes through the real path. The encoders write the two
 documented file layouts one field at a time with `struct.pack`.
+
+The gradient audit is the exception: `grad_check` differentiates any scalar
+function by central finite differences, and `check_gradients` points it at
+`batch_loss`, the model's own forward loss, to audit `loss_and_grads`.
 """
 
 import json
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
 from atc.caches import TextualCache, VisualCache
 from atc.conditionnet import init_condition_net
-from atc.model import AtcModel
+from atc.errors import EvaluationError, ShapeError
+from atc.model import (AtcModel, _loss_from_logits, branches, fuse,
+                       loss_and_grads, set_tensors, trainables)
 from atc.numerics import Rng
 
 _EPS = 1e-12
@@ -139,3 +146,99 @@ def encode_checkpoint(tensors, trailer: dict) -> bytes:
         out += b"".join(struct.pack("<d", float(x)) for x in t.reshape(-1))
     raw = json.dumps(trailer, sort_keys=True).encode("utf-8")
     return out + struct.pack("<I", len(raw)) + raw
+
+
+def relative_error(a: float, b: float) -> float:
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+@dataclass
+class GroupCheck:
+    name: str
+    max_rel_err: float
+    worst_index: tuple
+    passed: bool
+
+
+@dataclass
+class GradReport:
+    groups: dict[str, GroupCheck]
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return all(g.passed for g in self.groups.values())
+
+    def summary(self) -> str:
+        lines = []
+        for g in self.groups.values():
+            status = "pass" if g.passed else "FAIL"
+            lines.append(
+                f"{status}  {g.name}: max rel err {g.max_rel_err:.3e} "
+                f"at {g.worst_index} (tol {self.tolerance:g})"
+            )
+        return "\n".join(lines)
+
+
+def grad_check(fn, params: dict[str, np.ndarray], analytic: dict[str, np.ndarray],
+               eps: float = 1e-4, tol: float = 1e-4) -> GradReport:
+    """Compare analytic gradients against central finite differences.
+
+    fn maps the params dict to a scalar. Every coordinate of every group is
+    perturbed by +/- eps; rel err uses max(1, |a|, |b|) in the denominator.
+    """
+    work = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+    groups: dict[str, GroupCheck] = {}
+    for name, tensor in work.items():
+        grad = np.asarray(analytic[name], dtype=np.float64)
+        if grad.shape != tensor.shape:
+            raise ShapeError(
+                f"analytic grad for {name} has shape {grad.shape}, "
+                f"expected {tensor.shape}"
+            )
+        worst = 0.0
+        worst_idx: tuple = ()
+        it = np.nditer(tensor, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            orig = tensor[idx]
+            tensor[idx] = orig + eps
+            f_plus = float(fn(work))
+            tensor[idx] = orig - eps
+            f_minus = float(fn(work))
+            tensor[idx] = orig
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise EvaluationError(f"non-finite value at {name}{idx}")
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            err = relative_error(float(grad[idx]), numeric)
+            if err > worst:
+                worst = err
+                worst_idx = idx
+            it.iternext()
+        groups[name] = GroupCheck(name, worst, worst_idx, worst <= tol)
+    return GradReport(groups, tol)
+
+
+def batch_loss(model: AtcModel, queries, targets) -> float:
+    """Mean cross-entropy of the fused logits over a query batch, forward
+    only."""
+    f1, f2, _ = branches(model, np.asarray(queries, dtype=np.float64))
+    logits = fuse(f1, f2, model.alpha, model.beta, model.logit_scale)
+    return _loss_from_logits(logits, np.asarray(targets, dtype=np.int64))[0]
+
+
+def check_gradients(model: AtcModel, queries, targets, eps: float = 1e-4,
+                    tol: float = 1e-4) -> GradReport:
+    """Check every trainable tensor's loss_and_grads gradient against finite
+    differences of batch_loss. The model's tensors are restored after."""
+    params = {k: v.copy() for k, v in trainables(model).items()}
+    _, analytic = loss_and_grads(model, queries, targets)
+
+    def fn(p):
+        set_tensors(model, p)
+        return batch_loss(model, queries, targets)
+
+    try:
+        return grad_check(fn, params, analytic, eps=eps, tol=tol)
+    finally:
+        set_tensors(model, params)

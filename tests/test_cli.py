@@ -198,12 +198,10 @@ def test_ablate_unknown_mode_exit_2(data_dir):
                "--mode", "bogus", "--shots", "4") == 2
 
 
-def test_gradcheck_passes():
-    assert run("gradcheck", "--seed", "0") == 0
-
-
-def test_gradcheck_renorm_off_passes():
-    assert run("gradcheck", "--seed", "1", "--renorm", "off") == 0
+def test_gradcheck_command_removed_exit_2(capsys):
+    # the finite-difference audit is acceptance test A2, not a command
+    assert run("gradcheck", "--seed", "0") == 2
+    assert "invalid choice: 'gradcheck'" in capsys.readouterr().err
 
 
 def test_sweep_empty_values_exit_2(data_dir, trained):
@@ -262,12 +260,32 @@ def test_sweep_matches_eval_at_every_value(data_dir, trained, tmp_path, param):
 
 
 def test_bad_activation_number_exit_2(data_dir, tmp_path, capsys):
-    assert run("gradcheck", "--activation", "tip:abc") == 2
     assert run("train", "--text", str(data_dir / "text.ate"),
                "--support", str(data_dir / "support.ate"),
                "--ckpt", str(tmp_path / "m.atck"), "--shots", "4",
                "--epochs", "1", "--activation", "tip:abc") == 2
     assert "tip:abc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("activation", ["tipsy", "tipsy:2.0", "tip2"])
+def test_unknown_activation_exit_2(data_dir, tmp_path, activation, capsys):
+    ckpt = tmp_path / "m.atck"
+    assert run("train", "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--ckpt", str(ckpt), "--shots", "4", "--epochs", "1",
+               "--activation", activation) == 2
+    assert f"unknown activation {activation!r}" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_config_file_not_utf8_exit_2(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"shots = 4\n\xff\xfe = 2\n")
+    assert run("train", "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--ckpt", str(tmp_path / "m.atck"), "--config", str(cfg)) == 2
+    assert f"usage error: {cfg}: not UTF-8 text (byte 10)" in \
+        capsys.readouterr().err
 
 
 def test_config_file_bad_number_exit_2(data_dir, tmp_path, capsys):
@@ -315,7 +333,6 @@ _REQUIRED = {
     "train": ["--text", "t.ate", "--support", "s.ate", "--ckpt", "m.atck"],
     "eval": ["--ckpt", "m.atck", "--text", "t.ate", "--support", "s.ate",
              "--query", "q.ate"],
-    "gradcheck": [],
 }
 
 # (command, config key, config value, parsed value): every optional flag
@@ -338,9 +355,6 @@ _CONFIG_CASES = [
     ("train", "report", "r.jsonl", "r.jsonl"),
     ("eval", "alpha", "0.5", 0.5), ("eval", "beta", "2", 2.0),
     ("eval", "report", "r.jsonl", "r.jsonl"),
-    ("gradcheck", "seed", "3", 3), ("gradcheck", "renorm", "off", "off"),
-    ("gradcheck", "activation", "tip:2.0", "tip:2.0"),
-    ("gradcheck", "report", "r.jsonl", "r.jsonl"),
 ]
 
 
@@ -684,6 +698,18 @@ def test_non_finite_query_row_exit_3(data_dir, trained, tmp_path, command,
     assert "Warning" not in err
 
 
+def test_readme_cli_block_shows_every_command():
+    from pathlib import Path
+    from atc.cli import build_parser
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    shown = {line.split()[1] for line in block.splitlines()
+             if line.startswith("atc ")}
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert shown == set(commands.choices)
+
+
 def test_every_on_off_flag_declares_its_choices():
     # the commands read an on/off flag as `value == "on"`, so any other
     # spelling must be a usage error, from the command line or a config
@@ -697,7 +723,7 @@ def test_every_on_off_flag_declares_its_choices():
                 assert a.choices == ["on", "off"], (name, a.dest)
                 seen.add((name, a.dest))
     assert {("train", "renorm"), ("train", "shuffle"),
-            ("train", "leave_self_out"), ("gradcheck", "renorm")} <= seen
+            ("train", "leave_self_out")} <= seen
 
 
 @pytest.mark.parametrize("name,value", [("net.W_out", np.nan),

@@ -6,7 +6,8 @@ import pytest
 from atc.conditionnet import (condition_backward, condition_forward,
                               init_condition_net)
 from atc.errors import ConfigError, ContractError
-from atc.numerics import Rng, grad_check
+from atc.numerics import Rng
+from oracles import grad_check
 
 
 def _net(dim=16, T=4, h=6, seed=0, nonzero_head=False):

@@ -10,12 +10,12 @@ from atc.caches import (TextualCache, VisualCache, build_textual_cache,
 from atc.conditionnet import init_condition_net
 from atc.dataio import SynthConfig, synth_dataset
 from atc.errors import ShapeError
-from atc.model import (AtcModel, _loss_from_logits, batch_loss, branches,
-                       fuse, loss_and_grads, predict_batch, set_tensors,
-                       trainables, zero_shot_logits)
-from atc.numerics import Rng, grad_check, l2_normalize_rows
-from oracles import (dense_text_scores, dense_text_shift_grad,
-                     normalize_rows_bwd, shift_model, visual_scores)
+from atc.model import (AtcModel, _loss_from_logits, branches, fuse,
+                       loss_and_grads, predict_batch, zero_shot_logits)
+from atc.numerics import Rng, l2_normalize_rows
+from oracles import (batch_loss, check_gradients, dense_text_scores,
+                     dense_text_shift_grad, normalize_rows_bwd, shift_model,
+                     visual_scores)
 
 
 def _make_model(n=3, dim=8, k=2, seed=1, renorm=True, mode="biases",
@@ -194,34 +194,25 @@ def test_predict_deterministic_and_exposes_intermediates():
 def test_full_gradients_match_finite_differences(renorm, activation, gamma):
     m, sets = _make_model(renorm=renorm, activation=activation, gamma=gamma,
                           scale=5.0, randomize=True)
-    q = sets["query"].features[:4]
-    labels = sets["query"].labels[:4]
-    params = {k: v.copy() for k, v in trainables(m).items()}
-    _, analytic = loss_and_grads(m, q, labels)
-
-    def fn(p):
-        set_tensors(m, p)
-        return batch_loss(m, q, labels)
-
-    report = grad_check(fn, params, analytic, eps=1e-4, tol=1e-4)
-    set_tensors(m, params)
+    report = check_gradients(m, sets["query"].features[:4],
+                             sets["query"].labels[:4])
     assert report.passed, report.summary()
 
 
 def test_linear_mode_gradients_match_finite_differences():
     m, sets = _make_model(mode="linear", scale=5.0, randomize=True)
-    q = sets["query"].features[:4]
-    labels = sets["query"].labels[:4]
-    params = {k: v.copy() for k, v in trainables(m).items()}
-    _, analytic = loss_and_grads(m, q, labels)
-
-    def fn(p):
-        set_tensors(m, p)
-        return batch_loss(m, q, labels)
-
-    report = grad_check(fn, params, analytic, eps=1e-4, tol=1e-4)
-    set_tensors(m, params)
+    report = check_gradients(m, sets["query"].features[:4],
+                             sets["query"].labels[:4])
     assert report.passed, report.summary()
+
+
+def test_loss_and_grads_rejects_targets_out_of_range():
+    # a target of -1 would otherwise index class c - 1
+    m, sets = _make_model()
+    q = sets["query"].features[:2]
+    for bad in (-1, m.num_classes):
+        with pytest.raises(IndexError, match="label out of range for 3"):
+            loss_and_grads(m, q, np.array([0, bad]))
 
 
 def test_renorm_off_kills_condition_net_gradients():
