@@ -102,10 +102,10 @@ def _eval_threads() -> int:
 def _score(m: AtcModel, queries: np.ndarray, rows=None):
     """Both branch scores (f1, f2) for a query set; chunked across
     ATC_THREADS workers (the model is read-only while scoring), which share
-    one copy of the effective visual rows: `rows`, a model.visual_rows
-    result, or computed here once."""
+    one copy of the effective visual rows and their class sums: `rows`, a
+    model.visual_rows result, or computed here once."""
     if rows is None:
-        rows = model_mod.visual_rows(m.visual)
+        rows = model_mod.visual_rows(m)
     threads = _eval_threads()
     if threads == 1 or queries.shape[0] < 2 * threads:
         return model_mod.branches(m, queries, rows=rows)[:2]
@@ -134,13 +134,23 @@ def evaluate_queries(m: AtcModel, queries: np.ndarray,
                      labels)
 
 
+def _read_like(text: dataio.EmbeddingSet, path, role: str):
+    """Read a support or query file, which must have the text file's dim and
+    class names: a label means the same class in both."""
+    es = dataio.read_embeddings(path)
+    if es.dim != text.dim:
+        raise ValidationError(f"dim mismatch: text {text.dim} vs {role} "
+                              f"{es.dim}")
+    if es.class_names != text.class_names:
+        raise ValidationError(
+            f"{path}: class names differ from the text file's "
+            f"({es.num_classes} classes vs {text.num_classes})")
+    return es
+
+
 def _load_pair(text_path, support_path):
     text = dataio.read_embeddings(text_path)
-    support = dataio.read_embeddings(support_path)
-    if text.dim != support.dim:
-        raise ValidationError(
-            f"dim mismatch: text {text.dim} vs support {support.dim}")
-    return text, support
+    return text, _read_like(text, support_path, "support")
 
 
 def _episode(support: dataio.EmbeddingSet, shots: int,
@@ -227,7 +237,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _train_once(args, adaptive_text: bool):
+    """Train (and save); a query file is read and checked before training."""
     text, support = _load_pair(args.text, args.support)
+    query = _read_like(text, args.query, "query") if args.query else None
     episode = _episode(support, args.shots, args.seed)
     activation, gamma = _parse_activation(args.activation)
     renorm = args.renorm == "on"
@@ -249,11 +261,12 @@ def _train_once(args, adaptive_text: bool):
                        episode_views=1)
     if args.ckpt:
         trainer.save_checkpoint(ckpt, args.ckpt)
-    return m, ckpt
+    return m, ckpt, query
 
 
 def _rebuild_from_checkpoint(ckpt: trainer.Checkpoint, text_path, support_path,
-                             alpha=None, beta=None) -> AtcModel:
+                             alpha=None, beta=None):
+    """The checkpoint's model around the embedding files, and the text set."""
     _require(ckpt.hyper, _HYPER, "hyper")
     _require(ckpt.config, ("episode_seed", "episode_shots"), "config")
     hyper = {**ckpt.hyper,
@@ -261,13 +274,15 @@ def _rebuild_from_checkpoint(ckpt: trainer.Checkpoint, text_path, support_path,
              "beta": ckpt.hyper["beta"] if beta is None else beta}
     _check_types(hyper, _HYPER)
     _check_types(ckpt.config, _EPISODE)
+    views = ckpt.config.get("episode_views", 1)
+    if views != 1:
+        raise ValidationError(f"episode_views must be 1, got {views}")
     text, support = _load_pair(text_path, support_path)
     seed = ckpt.config["episode_seed"]
-    # older checkpoints may record episode_views > 1 (rows per class = product)
-    shots = ckpt.config["episode_shots"] * ckpt.config.get("episode_views", 1)
-    m = _build_model(hyper, text, _episode(support, shots, seed), seed)
+    episode = _episode(support, ckpt.config["episode_shots"], seed)
+    m = _build_model(hyper, text, episode, seed)
     trainer.apply_checkpoint(m, ckpt)
-    return m
+    return m, text
 
 
 def cmd_synth(args) -> int:
@@ -288,9 +303,7 @@ def cmd_synth(args) -> int:
 def cmd_zeroshot(args) -> int:
     start = time.time()
     text = dataio.read_embeddings(args.text)
-    query = dataio.read_embeddings(args.query)
-    if text.dim != query.dim:
-        raise ValidationError(f"dim mismatch: text {text.dim} vs query {query.dim}")
+    query = _read_like(text, args.query, "query")
     logits = model_mod.zero_shot_logits(text.features, query.features)
     _emit({"command": "zeroshot", "text": args.text, "query": args.query,
            **_accuracy(logits, query.labels),
@@ -300,12 +313,11 @@ def cmd_zeroshot(args) -> int:
 
 def cmd_train(args) -> int:
     start = time.time()
-    m, ckpt = _train_once(args, adaptive_text=True)
+    m, ckpt, query = _train_once(args, adaptive_text=True)
     record = {"command": "train", "ckpt": args.ckpt, "seed": args.seed,
               "config": ckpt.config, "epochs": ckpt.metrics,
               "wall_clock": time.time() - start}
-    if args.query:
-        query = dataio.read_embeddings(args.query)
+    if query is not None:
         record["eval"] = evaluate_queries(m, query.features, query.labels)
     _emit(record, args.report)
     return 0
@@ -314,13 +326,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     start = time.time()
     ckpt = trainer.load_checkpoint(args.ckpt)
-    m = _rebuild_from_checkpoint(ckpt, args.text, args.support,
-                                 alpha=args.alpha, beta=args.beta)
+    m, text = _rebuild_from_checkpoint(ckpt, args.text, args.support,
+                                       alpha=args.alpha, beta=args.beta)
     # the visual rows depend only on the checkpoint: one copy serves every
     # query file
-    rows = model_mod.visual_rows(m.visual)
+    rows = model_mod.visual_rows(m)
     for qpath in args.query:
-        query = dataio.read_embeddings(qpath)
+        query = _read_like(text, qpath, "query")
         result = evaluate_queries(m, query.features, query.labels, rows)
         _emit({"command": "eval", "ckpt": args.ckpt, "query": qpath,
                "alpha": m.alpha, "beta": m.beta, **result,
@@ -334,8 +346,8 @@ def cmd_sweep(args) -> int:
     if not all(abs(v) <= sys.float_info.max for v in args.values):
         raise UsageError("sweep values must be finite")
     ckpt = trainer.load_checkpoint(args.ckpt)
-    query = dataio.read_embeddings(args.query)
-    m = _rebuild_from_checkpoint(ckpt, args.text, args.support)
+    m, text = _rebuild_from_checkpoint(ckpt, args.text, args.support)
+    query = _read_like(text, args.query, "query")
     # alpha and beta only scale the branch scores, so one scoring pass
     # serves every value
     f1, f2 = _score(m, query.features)
@@ -369,13 +381,12 @@ def cmd_ablate(args) -> int:
         if mode not in _ABLATE_MODES:
             raise UsageError(f"unknown ablation mode {mode!r}")
         setattr(args, *_ABLATE_MODES[mode])
-    m, ckpt = _train_once(args, adaptive_text=args.adaptive_text)
+    m, ckpt, query = _train_once(args, adaptive_text=args.adaptive_text)
     record = {"command": "ablate", "modes": args.mode, "seed": args.seed,
               "adaptive_text": args.adaptive_text,
               "visual_mode": args.visual_mode,
               "epochs": ckpt.metrics, "wall_clock": time.time() - start}
-    if args.query:
-        query = dataio.read_embeddings(args.query)
+    if query is not None:
         record["eval"] = evaluate_queries(m, query.features, query.labels)
     _emit(record, args.report)
     return 0

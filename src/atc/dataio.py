@@ -245,9 +245,11 @@ def sample_episode(labels, shots_per_class: int, seed: int) -> np.ndarray:
         raise ConfigError("shots_per_class must be >= 1")
     labels = np.asarray(labels, dtype=np.int64)
     rng = Rng(seed)
+    # one stable sort groups each class's rows in ascending row order
+    order = np.argsort(labels, kind="stable")
+    classes, starts = np.unique(labels[order], return_index=True)
     picked = []
-    for cls in np.unique(labels):
-        rows = np.flatnonzero(labels == cls)
+    for cls, rows in zip(classes, np.split(order, starts[1:])):
         if rows.size < shots_per_class:
             raise InsufficientDataError(f"class {cls} has {rows.size} rows, "
                                         f"episode needs {shots_per_class}")

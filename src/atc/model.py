@@ -90,28 +90,33 @@ def _normalize_rows_bwd(d_unit, unit, safe, zero):
     return d_raw
 
 
-def visual_rows(cache: VisualCache):
-    """The effective cache rows the visual branch scores against, plus what
-    the backward pass needs to undo their renormalization (or None). They
-    depend only on the cache, so one result can serve many query batches."""
-    if cache.mode == "linear":
-        return cache.linear, None
-    # a fresh sum is renormalized in place
-    fresh = None if cache.mode == "fixed" else cache.support + cache.biases
-    raw = cache.support if fresh is None else fresh
-    if cache.renormalize:
-        unit, safe, zero = l2_normalize_rows(raw, out=fresh)
-        # an overflowed norm would quietly turn its row into zeros
-        if not np.isfinite(safe).all():
-            raise EvaluationError("a visual cache row norm is not finite")
-        return unit, (safe, zero)
-    return raw, None
-
-
-def _activate(a_raw: np.ndarray, activation: str, gamma: float) -> np.ndarray:
-    if activation == "tip":
-        return np.exp(-gamma * (1.0 - a_raw))
-    return a_raw
+def visual_rows(model: AtcModel):
+    """The effective cache rows the visual branch scores against, what the
+    backward pass needs to undo their renormalization (or None), and, under
+    linear activation, their per-class sums (or None). They depend only on
+    the cache and activation, so one result can serve many query batches."""
+    cache = model.visual
+    rows, vnorm = cache.linear, None
+    if cache.mode != "linear":
+        # a fresh sum is renormalized in place
+        fresh = None if cache.mode == "fixed" else cache.support + cache.biases
+        rows = cache.support if fresh is None else fresh
+        if cache.renormalize:
+            rows, safe, zero = l2_normalize_rows(rows, out=fresh)
+            # an overflowed norm would quietly turn its row into zeros
+            if not np.isfinite(safe).all():
+                raise EvaluationError("a visual cache row norm is not finite")
+            vnorm = (safe, zero)
+    if model.activation != "linear":
+        return rows, vnorm, None
+    # linear affinities sum per class to one dot product with the class's
+    # summed row; a class without rows sums to 0
+    proto = np.zeros((model.num_classes, rows.shape[1]))
+    labels = cache.labels
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    for start, end in zip(starts, [*starts[1:], labels.size]):
+        proto[labels[start]] += np.add.reduce(rows[start:end], axis=0)
+    return rows, vnorm, proto
 
 
 def _class_sums(a: np.ndarray, labels: np.ndarray,
@@ -204,20 +209,26 @@ def branches(model: AtcModel, F: np.ndarray, self_indices=None, rows=None):
     Returns (f1, f2, ctx): the visual and textual scores, each (B, c), and
     the intermediates the backward pass needs. With self_indices, query i's
     affinity to support row self_indices[i] is masked out. `rows` is a
-    visual_rows(model.visual) result to reuse instead of recomputing it.
+    visual_rows(model) result to reuse instead of recomputing it.
     """
     if F.ndim != 2 or F.shape[1] != model.dim:
         raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
     B = F.shape[0]
 
-    # visual branch
-    rows, vnorm = visual_rows(model.visual) if rows is None else rows
-    a_raw = F @ rows.T
-    a_act = _activate(a_raw, model.activation, model.tip_gamma)
-    if self_indices is not None:
-        a_act = a_act.copy()
-        a_act[np.arange(B), self_indices] = 0.0
-    f1 = _class_sums(a_act, model.visual.labels, model.num_classes)
+    # visual branch: tip affinities cannot be summed before activating, so
+    # they form (B, rows); linear ones are scored against the class sums
+    rows, vnorm, proto = visual_rows(model) if rows is None else rows
+    labels, a_act = model.visual.labels, None
+    if proto is None:
+        a_act = np.exp(-model.tip_gamma * (1.0 - F @ rows.T))
+        if self_indices is not None:
+            a_act[np.arange(B), self_indices] = 0.0
+        f1 = _class_sums(a_act, labels, model.num_classes)
+    else:
+        f1 = F @ proto.T
+        if self_indices is not None:
+            f1[np.arange(B), labels[self_indices]] -= np.einsum(
+                "bd,bd->b", F, rows[self_indices])
 
     # textual branch
     if model.adaptive_text:
@@ -243,11 +254,6 @@ def fuse(f1: np.ndarray, f2: np.ndarray, alpha: float, beta: float,
     return logit_scale * (alpha * f1 + beta * f2)
 
 
-def _logits(model: AtcModel, F: np.ndarray, self_indices=None):
-    f1, f2, ctx = branches(model, F, self_indices)
-    return fuse(f1, f2, model.alpha, model.beta, model.logit_scale), ctx
-
-
 def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarray]:
     F = ctx["F"]
     B = F.shape[0]
@@ -256,14 +262,19 @@ def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarra
     df2 = model.logit_scale * model.beta * d_logits
 
     if model.visual.mode in ("biases", "linear"):
-        da_act = df1[:, model.visual.labels]
-        if ctx["self_indices"] is not None:
-            da_act[np.arange(B), ctx["self_indices"]] = 0.0
-        if model.activation == "tip":
-            da_raw = da_act * model.tip_gamma * ctx["a_act"]
+        labels = model.visual.labels
+        s = ctx["self_indices"]
+        if ctx["a_act"] is None:
+            d_rows = (df1.T @ F)[labels]
+            if s is not None:
+                np.subtract.at(d_rows, s,
+                               df1[np.arange(B), labels[s]][:, None] * F)
         else:
-            da_raw = da_act
-        d_rows = da_raw.T @ F
+            da_act = df1[:, labels]
+            if s is not None:
+                da_act[np.arange(B), s] = 0.0
+            da_raw = da_act * model.tip_gamma * ctx["a_act"]
+            d_rows = da_raw.T @ F
         if model.visual.mode == "linear":
             grads["visual.linear"] = d_rows
         else:
@@ -299,8 +310,9 @@ def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
     averaged over the batch."""
     F = np.asarray(queries, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    logits, ctx = _logits(model, F, self_indices)
-    loss, probs = _loss_from_logits(logits, targets)
+    f1, f2, ctx = branches(model, F, self_indices)
+    loss, probs = _loss_from_logits(
+        fuse(f1, f2, model.alpha, model.beta, model.logit_scale), targets)
     # the gradient with respect to the logits: softmax minus the one-hot
     # targets, over the batch size
     probs[np.arange(F.shape[0]), targets] -= 1.0
@@ -310,8 +322,9 @@ def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
 
 def predict_batch(model: AtcModel, queries: np.ndarray) -> np.ndarray:
     """Predicted class per query row."""
-    logits, _ = _logits(model, np.asarray(queries, dtype=np.float64))
-    return np.argmax(logits, axis=1)
+    f1, f2, _ = branches(model, np.asarray(queries, dtype=np.float64))
+    return np.argmax(fuse(f1, f2, model.alpha, model.beta, model.logit_scale),
+                     axis=1)
 
 
 def zero_shot_logits(class_texts: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -78,17 +78,21 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if g.shape != p.shape:
             raise ValidationError(
                 f"grad shape {g.shape} != param shape {p.shape} for {name}")
-        m = state.m[name]
-        v = state.v[name]
+        # two scratch buffers, in the textbook formula's order (same bits)
+        m, v = state.m[name], state.v[name]
+        step = np.multiply(g, 1 - b1)
         m *= b1
-        m += (1 - b1) * g
+        m += step
         v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        v += np.multiply(np.multiply(g, 1 - b2, out=step), g, out=step)
+        denom = np.divide(v, 1 - b2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += cfg.adam_eps
+        np.divide(m, 1 - b1 ** t, out=step)
+        step *= cfg.learning_rate
+        p -= np.divide(step, denom, out=step)
         if cfg.weight_decay and name.startswith("visual."):
-            p -= cfg.learning_rate * cfg.weight_decay * p
+            p -= np.multiply(p, cfg.learning_rate * cfg.weight_decay, out=step)
 
 
 @dataclass

@@ -1,12 +1,15 @@
 """Reference implementations the tests compare `atc` against.
 
 Each shares no code with the batched model: the row normalizer takes
-NumPy's own norm, the scorers work one query at a time with plain loops, and
-the dense textual branch forms every shifted text row, as the model did
-before it used the closed form. `shift_model` builds a
-model whose condition network emits the same bias `s` for every query, so a
-chosen shift goes through the real path. The encoders write the two
-documented file layouts one field at a time with `struct.pack`.
+NumPy's own norm, the scorers work one query at a time with plain loops,
+the dense textual branch forms every shifted text row where the model uses
+a closed form, and the dense visual branch forms every (B, rows) affinity
+where the linear activation scores against per-class row sums. The Adam
+step is the textbook formula, one temporary per operation, and the episode
+sampler scans the labels once per class. `shift_model` builds a model whose
+condition network emits the same bias `s` for every query, so a chosen
+shift goes through the real path. The encoders write the two documented
+file layouts one field at a time with `struct.pack`.
 
 The gradient audit is the exception: `grad_check` differentiates any scalar
 function by central finite differences, and `check_gradients` points it at
@@ -22,7 +25,7 @@ import numpy as np
 
 from atc.caches import TextualCache, VisualCache
 from atc.conditionnet import init_condition_net
-from atc.errors import EvaluationError, ShapeError
+from atc.errors import EvaluationError, InsufficientDataError, ShapeError
 from atc.model import (AtcModel, _loss_from_logits, branches, fuse,
                        loss_and_grads, set_tensors, trainables)
 from atc.numerics import Rng
@@ -105,6 +108,106 @@ def dense_text_shift_grad(F, df2, saved):
     inner = np.sum(U * dU, axis=-1, keepdims=True)
     dV = np.where(zero, dU, (dU - inner * U) / safe)
     return dV.sum(axis=1)
+
+
+def effective_visual_rows(cache: VisualCache):
+    """The rows the visual branch scores against: the free rows (`linear`
+    mode), or the support rows plus any biases, renormalized through NumPy's
+    norm when the cache renormalizes. Returns the rows and (safe norms, zero
+    mask), or None without renormalization."""
+    if cache.mode == "linear":
+        return cache.linear, None
+    raw = cache.support if cache.mode == "fixed" else (cache.support
+                                                        + cache.biases)
+    if not cache.renormalize:
+        return raw, None
+    unit, safe, zero = linalg_normalize_rows(raw)
+    return unit, (safe, zero)
+
+
+def _sum_columns_per_class(a, labels, num_classes):
+    """Columns of a (B, rows) summed per label in class-major order (a
+    stable argsort first, then np.add.reduceat over each class's run), with
+    0 for a class that has no column."""
+    order = np.argsort(labels, kind="stable")
+    a, labels = a[:, order], labels[order]
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    out = np.zeros((a.shape[0], num_classes))
+    if starts.size:
+        out[:, labels[starts]] = np.add.reduceat(a, starts, axis=1)
+    return out
+
+
+def dense_visual_scores(model: AtcModel, F, self_indices=None):
+    """The visual branch through the full (B, rows) affinity matrix: each
+    affinity activated (identity, or exp(-gamma (1 - a)) for tip), query b's
+    affinity to row self_indices[b] set to 0, then summed per class. Returns
+    f1 and the masked activated affinities."""
+    rows, _ = effective_visual_rows(model.visual)
+    a = F @ rows.T
+    if model.activation == "tip":
+        a = np.exp(-model.tip_gamma * (1.0 - a))
+    if self_indices is not None:
+        a[np.arange(F.shape[0]), self_indices] = 0.0
+    return _sum_columns_per_class(a, model.visual.labels,
+                                  model.num_classes), a
+
+
+def dense_visual_grads(model: AtcModel, F, df1, self_indices=None):
+    """Gradient of sum(df1 * f1) with respect to the cache's trainable rows
+    (`visual.biases` or `visual.linear`), through the (B, rows) affinities
+    of dense_visual_scores and the whole-array renormalization backward."""
+    rows, vnorm = effective_visual_rows(model.visual)
+    _, a = dense_visual_scores(model, F, self_indices)
+    da = df1[:, model.visual.labels]
+    if self_indices is not None:
+        da[np.arange(F.shape[0]), self_indices] = 0.0
+    if model.activation == "tip":
+        da = da * model.tip_gamma * a
+    d_rows = da.T @ F
+    if model.visual.mode == "linear":
+        return {"visual.linear": d_rows}
+    if vnorm is not None:
+        d_rows = normalize_rows_bwd(d_rows, rows, *vnorm)
+    return {"visual.biases": d_rows}
+
+
+def adam_step(params, grads, state, cfg) -> None:
+    """The bias-corrected Adam update by its textbook formula, one
+    full-size temporary per operation; decoupled weight decay on visual
+    tensors only."""
+    state.step += 1
+    t = state.step
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        if cfg.weight_decay and name.startswith("visual."):
+            p -= cfg.learning_rate * cfg.weight_decay * p
+
+
+def sample_episode(labels, shots_per_class: int, seed: int) -> np.ndarray:
+    """Episode indices by scanning the labels once per class: each class's
+    rows in ascending order, shots_per_class of them drawn by the class's
+    child of Rng(seed), classes in ascending order."""
+    labels = np.asarray(labels, dtype=np.int64)
+    rng = Rng(seed)
+    picked = []
+    for cls in np.unique(labels):
+        rows = np.flatnonzero(labels == cls)
+        if rows.size < shots_per_class:
+            raise InsufficientDataError(f"class {cls} has {rows.size} rows, "
+                                        f"episode needs {shots_per_class}")
+        sel = rng.child(int(cls)).sample_without_replacement(rows.size,
+                                                             shots_per_class)
+        picked.append(rows[sel])
+    return np.concatenate(picked) if picked else np.zeros(0, dtype=np.int64)
 
 
 def shift_model(class_texts, s, renormalize=True) -> AtcModel:

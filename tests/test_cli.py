@@ -128,9 +128,9 @@ def test_eval_alpha_zero_equals_zeroshot(data_dir, trained, tmp_path):
     from atc.cli import _rebuild_from_checkpoint, evaluate_queries
     from atc.dataio import read_embeddings
     from atc.trainer import load_checkpoint
-    m = _rebuild_from_checkpoint(load_checkpoint(ckpt),
-                                 data_dir / "text.ate",
-                                 data_dir / "support.ate", alpha=0.0)
+    m, _ = _rebuild_from_checkpoint(load_checkpoint(ckpt),
+                                    data_dir / "text.ate",
+                                    data_dir / "support.ate", alpha=0.0)
     q = read_embeddings(data_dir / "query.ate")
     direct = evaluate_queries(m, q.features, q.labels)
     assert rec["accuracy"] == direct["accuracy"]
@@ -431,6 +431,66 @@ def six_class_dir(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def renamed_dir(data_dir, tmp_path_factory):
+    """data_dir's support and query files with the same number of classes
+    under other names."""
+    from atc.dataio import read_embeddings, write_embeddings
+    d = tmp_path_factory.mktemp("renamed")
+    for role in ("support", "query"):
+        es = read_embeddings(data_dir / f"{role}.ate")
+        es.class_names = [f"other_{i}" for i in range(es.num_classes)]
+        write_embeddings(es, d / f"{role}.ate")
+    return d
+
+
+def _class_set_commands(data_dir, ckpt, support, query, out):
+    pair = ["--text", str(data_dir / "text.ate"), "--support", str(support)]
+    train = ["--ckpt", str(out / "new.atck"), "--shots", "4",
+             "--epochs", "1"]
+    return {
+        "eval": ["eval", "--ckpt", str(ckpt), *pair, "--query", str(query)],
+        "sweep": ["sweep", "--ckpt", str(ckpt), *pair, "--query", str(query),
+                  "--param", "alpha", "--values", "0,1"],
+        "zeroshot": ["zeroshot", "--text", str(data_dir / "text.ate"),
+                     "--query", str(query)],
+        "train": ["train", *pair, *train, "--query", str(query)],
+        "ablate": ["ablate", *pair, *train, "--mode", "fixed-text",
+                   "--query", str(query)],
+    }
+
+
+@pytest.mark.parametrize("other", ["six", "renamed"])
+@pytest.mark.parametrize("command",
+                         ["eval", "sweep", "zeroshot", "train", "ablate"])
+def test_query_of_other_class_set_exit_3(data_dir, trained, six_class_dir,
+                                         renamed_dir, tmp_path, other,
+                                         command, capsys):
+    ckpt, _ = trained
+    query = {"six": six_class_dir, "renamed": renamed_dir}[other] / "query.ate"
+    argv = _class_set_commands(data_dir, ckpt, data_dir / "support.ate",
+                               query, tmp_path)[command]
+    assert run(*argv) == 3
+    out = capsys.readouterr()
+    assert f"error: {query}: class names differ from the text file's" \
+        in out.err
+    assert out.out == ""
+    # the query file is checked before any training
+    assert not (tmp_path / "new.atck").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "train", "ablate"])
+def test_support_of_other_class_names_exit_3(data_dir, trained, renamed_dir,
+                                             tmp_path, command, capsys):
+    ckpt, _ = trained
+    support = renamed_dir / "support.ate"
+    argv = _class_set_commands(data_dir, ckpt, support,
+                               data_dir / "query.ate", tmp_path)[command]
+    assert run(*argv) == 3
+    assert (f"error: {support}: class names differ from the text file's "
+            "(5 classes vs 5)") in capsys.readouterr().err
+
+
 def test_eval_checkpoint_on_other_class_count_exit_3(trained, six_class_dir,
                                                      capsys):
     ckpt, _ = trained
@@ -515,24 +575,22 @@ def test_eval_threads_not_integer_exit_2(data_dir, trained, monkeypatch,
     assert "ATC_THREADS" in capsys.readouterr().err
 
 
-def test_eval_reads_episode_views_of_older_checkpoints(data_dir, trained,
-                                                       tmp_path):
+@pytest.mark.parametrize("views", [0, 2])
+def test_eval_rejects_episode_views_other_than_1_exit_3(data_dir, trained,
+                                                        tmp_path, views,
+                                                        capsys):
     from atc.trainer import load_checkpoint, save_checkpoint
     ckpt, _ = trained
     old = load_checkpoint(ckpt)
     assert (old.config["episode_shots"], old.config["episode_views"]) == (4, 1)
-    old.config.update(episode_shots=2, episode_views=2)
+    old.config.update(episode_shots=2, episode_views=views)
     save_checkpoint(old, tmp_path / "old.atck")
-    records = []
-    for path in (ckpt, tmp_path / "old.atck"):
-        report = tmp_path / f"{path.stem}.jsonl"
-        assert run("eval", "--ckpt", str(path),
-                   "--text", str(data_dir / "text.ate"),
-                   "--support", str(data_dir / "support.ate"),
-                   "--query", str(data_dir / "query.ate"),
-                   "--report", str(report)) == 0
-        records.append(read_records(report)[0])
-    assert records[0]["correct"] == records[1]["correct"]
+    assert run("eval", "--ckpt", str(tmp_path / "old.atck"),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate")) == 3
+    assert (f"error: episode_views must be 1, got {views}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -862,8 +920,8 @@ def test_rebuild_binds_checkpoint_arrays_and_episode_rows(data_dir, trained,
 
     monkeypatch.setattr(atc.cli, "_episode", kept)
     ckpt = load_checkpoint(trained[0])
-    m = atc.cli._rebuild_from_checkpoint(ckpt, data_dir / "text.ate",
-                                         data_dir / "support.ate")
+    m, _ = atc.cli._rebuild_from_checkpoint(ckpt, data_dir / "text.ate",
+                                            data_dir / "support.ate")
     live = tensors(m)
     assert sorted(live) == sorted(ckpt.tensors)
     for name, value in live.items():

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+import oracles
 from oracles import encode_embeddings
 
 from atc.dataio import (EmbeddingSet, SynthConfig,
@@ -211,6 +212,31 @@ def test_sample_episode_insufficient_rows():
     labels = np.array([0, 0, 1])
     with pytest.raises(InsufficientDataError, match="class 1"):
         sample_episode(labels, 2, seed=1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_episode_matches_per_class_scan(seed):
+    rng = Rng(seed)
+    counts = 3 + rng.child(0).permutation(9)     # uneven: 3 to 11 rows
+    labels = np.repeat(np.arange(9), counts)
+    labels = labels[rng.child(1).permutation(labels.size)]
+    labels[labels == 4] = 12                     # a gap in the class ids
+    for shots in (1, 3):
+        got = sample_episode(labels, shots, seed)
+        want = oracles.sample_episode(labels, shots, seed)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    errors = []
+    for sample in (sample_episode, oracles.sample_episode):
+        with pytest.raises(InsufficientDataError) as info:
+            sample(labels, 4, seed)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_sample_episode_of_no_labels_is_empty():
+    idx = sample_episode(np.zeros(0, dtype=np.int64), 2, seed=1)
+    assert idx.dtype == np.int64 and idx.size == 0
 
 
 def test_sample_episode_rejects_zero_shots():

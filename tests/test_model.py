@@ -14,7 +14,8 @@ from atc.model import (AtcModel, _loss_from_logits, branches, fuse,
                        loss_and_grads, predict_batch, zero_shot_logits)
 from atc.numerics import Rng, l2_normalize_rows
 from oracles import (batch_loss, check_gradients, dense_text_scores,
-                     dense_text_shift_grad, normalize_rows_bwd, shift_model,
+                     dense_text_shift_grad, dense_visual_grads,
+                     dense_visual_scores, normalize_rows_bwd, shift_model,
                      visual_scores)
 
 
@@ -375,3 +376,97 @@ def test_visual_renorm_backward_matches_whole_array_oracle_bitwise(rows):
     got = model_mod._normalize_rows_bwd(d_unit, unit, safe, zero)
     assert got.tobytes() == normalize_rows_bwd(d_unit, unit, safe,
                                                zero).tobytes()
+
+
+def _cache_rows(cache, idx):
+    """The cache's rows idx (with their labels and trainable rows), in that
+    order."""
+    out = VisualCache(cache.support[idx], cache.labels[idx], cache.mode,
+                      cache.renormalize)
+    if cache.biases is not None:
+        out.biases = cache.biases[idx]
+    if cache.linear is not None:
+        out.linear = cache.linear[idx]
+    return out
+
+
+def _visual_case(mode, activation, leave_self_out, unsorted, empty_class):
+    """A randomized model, 7 queries and d_logits for the visual-branch
+    oracle comparisons. Under leave-self-out query i masks support row i:
+    queries 1, 3 and 5 are those rows themselves, the others query rows."""
+    m, sets = _make_model(n=5, dim=16, k=3, seed=9, mode=mode,
+                          activation=activation, gamma=2.5, randomize=True)
+    m.adaptive_text = False
+    if empty_class:
+        keep = np.flatnonzero(m.visual.labels != 2)
+        m.visual = _cache_rows(m.visual, keep)
+    if unsorted:
+        m.visual = _cache_rows(m.visual, Rng(10).permutation(m.visual.rows))
+    F = m.visual.support[:7].copy()
+    F[::2] = sets["query"].features[:4]
+    self_indices = np.arange(7) if leave_self_out else None
+    d_logits = Rng(11).normal((7, 5))
+    return m, F, self_indices, d_logits
+
+
+def _visual_grads(m, F, self_indices, d_logits):
+    f1, _, ctx = branches(m, F, self_indices)
+    grads = model_mod._backward(m, ctx, d_logits)
+    return f1, {k: v for k, v in grads.items() if k.startswith("visual.")}
+
+
+_VISUAL_CASES = [(mode, lso, unsorted, empty)
+                 for mode in ("fixed", "biases", "linear")
+                 for lso in (False, True) for unsorted in (False, True)
+                 for empty in (False, True)]
+
+
+@pytest.mark.parametrize("mode,leave_self_out,unsorted,empty_class",
+                         _VISUAL_CASES)
+def test_linear_visual_branch_matches_dense_oracle(mode, leave_self_out,
+                                                   unsorted, empty_class):
+    m, F, self_indices, d_logits = _visual_case(
+        mode, "linear", leave_self_out, unsorted, empty_class)
+    f1, grads = _visual_grads(m, F, self_indices, d_logits)
+    want, _ = dense_visual_scores(m, F, self_indices)
+    assert np.max(np.abs(f1 - want)) <= 1e-12 * np.max(np.abs(want))
+    if empty_class:
+        assert np.all(f1[:, 2] == 0.0)
+    df1 = m.logit_scale * m.alpha * d_logits
+    want_grads = ({} if mode == "fixed"
+                  else dense_visual_grads(m, F, df1, self_indices))
+    assert grads.keys() == want_grads.keys()
+    for name, g in grads.items():
+        ref = want_grads[name]
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("mode,leave_self_out,unsorted,empty_class",
+                         _VISUAL_CASES)
+def test_tip_visual_branch_is_the_dense_oracle_bitwise(mode, leave_self_out,
+                                                       unsorted, empty_class):
+    m, F, self_indices, d_logits = _visual_case(
+        mode, "tip", leave_self_out, unsorted, empty_class)
+    f1, grads = _visual_grads(m, F, self_indices, d_logits)
+    assert f1.tobytes() == dense_visual_scores(m, F, self_indices)[0].tobytes()
+    if mode != "fixed":
+        want = dense_visual_grads(m, F, m.logit_scale * m.alpha * d_logits,
+                                  self_indices)
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == want[name].tobytes(), name
+
+
+def test_linear_visual_branch_matches_dense_oracle_at_scale():
+    m, sets = _make_model(n=100, dim=512, k=16, seed=12, randomize=True)
+    m.adaptive_text = False
+    F = m.visual.support[:256]
+    self_indices = np.arange(256)
+    d_logits = Rng(13).normal((256, 100)) / 256
+    f1, grads = _visual_grads(m, F, self_indices, d_logits)
+    want, _ = dense_visual_scores(m, F, self_indices)
+    assert np.max(np.abs(f1 - want)) <= 1e-12 * np.max(np.abs(want))
+    ref = dense_visual_grads(m, F, m.logit_scale * d_logits,
+                             self_indices)["visual.biases"]
+    assert np.max(np.abs(grads["visual.biases"] - ref)) <= (
+        1e-12 * np.max(np.abs(ref)))

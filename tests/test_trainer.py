@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+import oracles
 from oracles import encode_checkpoint
 
 from atc.caches import build_textual_cache, build_visual_cache
@@ -55,6 +56,30 @@ def test_adam_state_shapes_mirror_params():
     for k in params:
         assert state.m[k].shape == params[k].shape
         assert state.v[k].shape == params[k].shape
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_step_is_the_textbook_formula_bitwise(weight_decay):
+    cfg = TrainConfig(learning_rate=3e-3, weight_decay=weight_decay)
+    rng = Rng(7)
+    start = {"visual.biases": rng.child(0).normal((40, 16)),
+             "net.W_i": rng.child(1).normal((6, 4))}
+    runs = []
+    for step in (adam_step, oracles.adam_step):
+        params = {k: v.copy() for k, v in start.items()}
+        state = init_adam(params)
+        for t in range(60):
+            grads = {k: Rng(100 + t).child(i).normal(v.shape)
+                     for i, (k, v) in enumerate(params.items())}
+            grads["net.W_i"][0] = 0.0        # a coordinate with v = 0
+            step(params, grads, state, cfg)
+        runs.append((params, state))
+    (got, got_state), (want, want_state) = runs
+    assert got_state.step == want_state.step == 60
+    for k in start:
+        assert got[k].tobytes() == want[k].tobytes(), k
+        assert got_state.m[k].tobytes() == want_state.m[k].tobytes(), k
+        assert got_state.v[k].tobytes() == want_state.v[k].tobytes(), k
 
 
 def test_training_is_deterministic():
