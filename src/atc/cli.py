@@ -13,7 +13,8 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from concurrent.futures import ThreadPoolExecutor
+# unused here: kept importable only for perfbench's instrument() and its test
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
@@ -89,35 +90,6 @@ def _emit(record: dict, report_path) -> None:
     print(line)
 
 
-def _eval_threads() -> int:
-    raw = os.environ.get("ATC_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise UsageError(
-            f"ATC_THREADS must be an integer, got {raw!r}") from None
-    return min(max(1, threads), os.cpu_count() or 1)
-
-
-def _score(m: AtcModel, queries: np.ndarray, rows=None):
-    """Both branch scores (f1, f2) for a query set; chunked across
-    ATC_THREADS workers (the model is read-only while scoring), which share
-    one copy of the effective visual rows and their class sums: `rows`, a
-    model.visual_rows result, or computed here once."""
-    if rows is None:
-        rows = model_mod.visual_rows(m)
-    threads = _eval_threads()
-    if threads == 1 or queries.shape[0] < 2 * threads:
-        return model_mod.branches(m, queries, rows=rows)[:2]
-    chunks = np.array_split(np.arange(queries.shape[0]), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda sel: model_mod.branches(m, queries[sel], rows=rows)[:2],
-            chunks))
-    f1s, f2s = zip(*parts)
-    return np.concatenate(f1s), np.concatenate(f2s)
-
-
 def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict:
     total = int(labels.size)
     if total == 0:
@@ -128,16 +100,21 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict:
 
 def evaluate_queries(m: AtcModel, queries: np.ndarray,
                      labels: np.ndarray, rows=None) -> dict:
-    """Accuracy of the fused head over a query set (`rows` as in _score)."""
-    f1, f2 = _score(m, queries, rows)
+    """Accuracy of the fused head over a query set; `rows` is a
+    model.visual_rows result to reuse, or None to compute it."""
+    f1, f2, _ = model_mod.branches(m, queries, rows=rows)
     return _accuracy(model_mod.fuse(f1, f2, m.alpha, m.beta, m.logit_scale),
                      labels)
 
 
 def _read_like(text: dataio.EmbeddingSet, path, role: str):
-    """Read a support or query file, which must have the text file's dim and
-    class names: a label means the same class in both."""
+    """Read a support or query file, which must carry the `role` tag and have
+    the text file's dim and class names: a label means the same class in
+    both."""
     es = dataio.read_embeddings(path)
+    if es.role != role:
+        raise ValidationError(f"{path}: role tag is {es.role!r}, expected "
+                              f"{role!r}")
     if es.dim != text.dim:
         raise ValidationError(f"dim mismatch: text {text.dim} vs {role} "
                               f"{es.dim}")
@@ -274,6 +251,13 @@ def _rebuild_from_checkpoint(ckpt: trainer.Checkpoint, text_path, support_path,
              "beta": ckpt.hyper["beta"] if beta is None else beta}
     _check_types(hyper, _HYPER)
     _check_types(ckpt.config, _EPISODE)
+    # the net is built at hidden_size before the checkpoint is bound to it,
+    # so the size must first match the stored (h, h) recurrent weights
+    h = hyper["hidden_size"]
+    stored = getattr(ckpt.tensors.get("net.U_i"), "shape", None)
+    if stored != (h, h):
+        raise ValidationError(f"hidden_size {h} does not match the "
+                              f"checkpoint's net.U_i shape {stored}")
     views = ckpt.config.get("episode_views", 1)
     if views != 1:
         raise ValidationError(f"episode_views must be 1, got {views}")
@@ -350,7 +334,7 @@ def cmd_sweep(args) -> int:
     query = _read_like(text, args.query, "query")
     # alpha and beta only scale the branch scores, so one scoring pass
     # serves every value
-    f1, f2 = _score(m, query.features)
+    f1, f2, _ = model_mod.branches(m, query.features)
     results = []
     for value in args.values:
         alpha = value if args.param == "alpha" else 1.0

@@ -6,7 +6,8 @@ Checkpoint file layout (little-endian):
               rank u8 | dims u64 each | raw data |
   JSON trailer (u32 byte length + UTF-8) echoing config and metrics.
 Tensors are stored as 64-bit floats so determinism assertions stay bitwise;
-a NaN or inf value is an error at the offset of its tensor's data.
+a NaN or inf value is an error at the offset of its tensor's data, and a
+repeated tensor name at the offset of the repeat.
 """
 
 from __future__ import annotations
@@ -229,7 +230,10 @@ def load_checkpoint(path) -> Checkpoint:
         arrays = {}
         for _ in range(count):
             (nlen,) = cur.unpack("<H", "tensor name length")
+            at = cur.pos
             name = cur.text(nlen, "tensor name")
+            if name in arrays:
+                raise CodecError(f"duplicate tensor name {name!r}", at)
             dtype, rank = cur.unpack("<BB", "tensor header")
             if dtype != _DTYPE_F64:
                 raise CodecError(f"unknown dtype byte {dtype}", cur.pos - 2)

@@ -491,6 +491,25 @@ def test_support_of_other_class_names_exit_3(data_dir, trained, renamed_dir,
             "(5 classes vs 5)") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,slot,given", [
+    *[(c, "query", g) for c in ("eval", "sweep", "zeroshot", "train",
+                                "ablate") for g in ("support", "text")],
+    *[(c, "support", "query") for c in ("eval", "sweep", "train", "ablate")]])
+def test_file_with_another_role_tag_exit_3(data_dir, trained, tmp_path,
+                                           command, slot, given, capsys):
+    ckpt, _ = trained
+    files = {"support": data_dir / "support.ate",
+             "query": data_dir / "query.ate", slot: data_dir / f"{given}.ate"}
+    argv = _class_set_commands(data_dir, ckpt, files["support"],
+                               files["query"], tmp_path)[command]
+    assert run(*argv) == 3
+    out = capsys.readouterr()
+    assert (f"error: {files[slot]}: role tag is '{given}', expected "
+            f"'{slot}'") in out.err
+    assert out.out == ""
+    assert not (tmp_path / "new.atck").exists()
+
+
 def test_eval_checkpoint_on_other_class_count_exit_3(trained, six_class_dir,
                                                      capsys):
     ckpt, _ = trained
@@ -551,30 +570,6 @@ def test_eval_corrupt_trailer_exit_3(data_dir, trained, tmp_path, capsys):
     assert "trailer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw,cpus,expected", [
-    (None, 4, 1), ("3", 4, 3), ("16", 4, 4), ("0", 4, 1), ("-2", 4, 1),
-    ("2", None, 1)])
-def test_eval_threads_clamped_to_cpu_count(monkeypatch, raw, cpus, expected):
-    from atc import cli
-    if raw is None:
-        monkeypatch.delenv("ATC_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("ATC_THREADS", raw)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert cli._eval_threads() == expected
-
-
-def test_eval_threads_not_integer_exit_2(data_dir, trained, monkeypatch,
-                                         capsys):
-    ckpt, _ = trained
-    monkeypatch.setenv("ATC_THREADS", "two")
-    assert run("eval", "--ckpt", str(ckpt),
-               "--text", str(data_dir / "text.ate"),
-               "--support", str(data_dir / "support.ate"),
-               "--query", str(data_dir / "query.ate")) == 2
-    assert "ATC_THREADS" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("views", [0, 2])
 def test_eval_rejects_episode_views_other_than_1_exit_3(data_dir, trained,
                                                         tmp_path, views,
@@ -593,11 +588,8 @@ def test_eval_rejects_episode_views_other_than_1_exit_3(data_dir, trained,
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_eval_query_dim_mismatch_exit_3(data_dir, trained, tmp_path,
-                                        monkeypatch, threads):
+def test_eval_query_dim_mismatch_exit_3(data_dir, trained, tmp_path):
     ckpt, _ = trained
-    monkeypatch.setenv("ATC_THREADS", threads)
     assert run("synth", "--out", str(tmp_path), "--dim", "8",
                "--classes", "5", "--shots", "2", "--queries", "2") == 0
     assert run("eval", "--ckpt", str(ckpt),
@@ -705,6 +697,43 @@ def test_eval_checkpoint_value_of_wrong_type_exit_3(data_dir, trained,
                "--support", str(data_dir / "support.ate"),
                "--query", str(data_dir / "query.ate")) == 3
     assert f"error: {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hidden", [10 ** 11, 63])
+def test_eval_hidden_size_other_than_the_net_tensors_exit_3(
+        data_dir, trained, tmp_path, hidden, capsys):
+    from atc.trainer import load_checkpoint, save_checkpoint
+    ckpt, _ = trained
+    old = load_checkpoint(ckpt)
+    old.hyper["hidden_size"] = hidden
+    save_checkpoint(old, tmp_path / "old.atck")
+    assert run("eval", "--ckpt", str(tmp_path / "old.atck"),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate")) == 3
+    assert (f"error: hidden_size {hidden} does not match the checkpoint's "
+            "net.U_i shape (64, 64)") in capsys.readouterr().err
+
+
+def test_eval_duplicate_tensor_name_exit_3(data_dir, trained, tmp_path,
+                                           capsys):
+    from atc.trainer import load_checkpoint
+    from oracles import encode_checkpoint
+    ckpt, _ = trained
+    old = load_checkpoint(ckpt)
+    # net.U_F sorts just before net.U_f; renamed, it is a first net.U_f
+    tensors = {**old.tensors, "net.U_F": old.tensors["net.U_f"] + 1.0}
+    blob = encode_checkpoint(tensors, {
+        "hyper": old.hyper, "config": old.config, "metrics": old.metrics})
+    blob = blob.replace(b"net.U_F", b"net.U_f")
+    (tmp_path / "dup.atck").write_bytes(blob)
+    assert run("eval", "--ckpt", str(tmp_path / "dup.atck"),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate")) == 3
+    repeat = blob.index(b"net.U_f", blob.index(b"net.U_f") + 1)
+    assert (f"error: duplicate tensor name 'net.U_f' (at byte offset "
+            f"{repeat})") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--chunk-count", "0"],
@@ -825,12 +854,10 @@ def test_eval_length_field_beyond_file_exit_3(data_dir, trained, tmp_path,
     assert "error: truncated file while reading" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 def test_eval_renormalizes_visual_rows_once(data_dir, trained, tmp_path,
-                                            monkeypatch, threads):
+                                            monkeypatch):
     import atc.model
     ckpt, _ = trained
-    monkeypatch.setenv("ATC_THREADS", threads)
     queries = [data_dir / "query.ate"]
     for seed in (12, 13):
         out = tmp_path / f"q{seed}"
