@@ -588,14 +588,20 @@ def test_eval_rejects_episode_views_other_than_1_exit_3(data_dir, trained,
             in capsys.readouterr().err)
 
 
-def test_eval_query_dim_mismatch_exit_3(data_dir, trained, tmp_path):
+@pytest.mark.parametrize("query_files", [1, 2])
+def test_eval_query_dim_mismatch_exit_3(data_dir, trained, tmp_path,
+                                        query_files, capsys):
+    # with two query files the bad one follows a good one
     ckpt, _ = trained
     assert run("synth", "--out", str(tmp_path), "--dim", "8",
                "--classes", "5", "--shots", "2", "--queries", "2") == 0
+    queries = [data_dir / "query.ate"] * (query_files - 1)
+    queries.append(tmp_path / "query.ate")
     assert run("eval", "--ckpt", str(ckpt),
                "--text", str(data_dir / "text.ate"),
                "--support", str(data_dir / "support.ate"),
-               "--query", str(tmp_path / "query.ate")) == 3
+               *[a for q in queries for a in ("--query", str(q))]) == 3
+    assert "error: dim mismatch: text 16 vs query 8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section,key", [("hyper", "alpha"),
@@ -854,12 +860,13 @@ def test_eval_length_field_beyond_file_exit_3(data_dir, trained, tmp_path,
     assert "error: truncated file while reading" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra_queries", [1, 2])
 def test_eval_renormalizes_visual_rows_once(data_dir, trained, tmp_path,
-                                            monkeypatch):
+                                            monkeypatch, extra_queries):
     import atc.model
     ckpt, _ = trained
     queries = [data_dir / "query.ate"]
-    for seed in (12, 13):
+    for seed in (12, 13)[:extra_queries]:
         out = tmp_path / f"q{seed}"
         assert run("synth", "--out", str(out), "--classes", "5", "--dim",
                    "16", "--shots", "4", "--queries", "10", "--sigma", "0.3",
