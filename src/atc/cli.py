@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 # unused here: kept importable only for perfbench's instrument() and its test
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
@@ -107,14 +107,20 @@ def evaluate_queries(m: AtcModel, queries: np.ndarray,
                      labels)
 
 
-def _read_like(text: dataio.EmbeddingSet, path, role: str):
-    """Read a support or query file, which must carry the `role` tag and have
-    the text file's dim and class names: a label means the same class in
-    both."""
+def _read_role(path, role: str) -> dataio.EmbeddingSet:
+    """Read an embedding file, which must carry the `role` tag."""
     es = dataio.read_embeddings(path)
     if es.role != role:
         raise ValidationError(f"{path}: role tag is {es.role!r}, expected "
                               f"{role!r}")
+    return es
+
+
+def _read_like(text: dataio.EmbeddingSet, path, role: str):
+    """Read a support or query file, which must carry the `role` tag and have
+    the text file's dim and class names: a label means the same class in
+    both."""
+    es = _read_role(path, role)
     if es.dim != text.dim:
         raise ValidationError(f"dim mismatch: text {text.dim} vs {role} "
                               f"{es.dim}")
@@ -126,7 +132,7 @@ def _read_like(text: dataio.EmbeddingSet, path, role: str):
 
 
 def _load_pair(text_path, support_path):
-    text = dataio.read_embeddings(text_path)
+    text = _read_role(text_path, "text")
     return text, _read_like(text, support_path, "support")
 
 
@@ -137,50 +143,14 @@ def _episode(support: dataio.EmbeddingSet, shots: int,
                                support.class_names, support.role)
 
 
-# the trainer.model_hyper keys and the type of each value (a tuple lists
-# the allowed strings), then the ones that are AtcModel fields
-_HYPER = {"alpha": float, "beta": float, "logit_scale": float,
-          "activation": ("linear", "tip"), "tip_gamma": float,
-          "adaptive_text": bool, "renorm_text": bool, "renorm_visual": bool,
-          "visual_mode": VISUAL_MODES, "dim": int, "chunk_count": int,
-          "hidden_size": int}
-_MODEL_KEYS = ("alpha", "beta", "logit_scale", "activation", "tip_gamma",
-               "adaptive_text")
 # the checkpoint config keys that rebuild the support episode
 _EPISODE = {"episode_seed": int, "episode_shots": int, "episode_views": int}
-_KINDS = {float: "a number", int: "an integer", bool: "true or false"}
-
-
-def _require(section: dict, keys, name: str) -> None:
-    missing = [k for k in keys if k not in section]
-    if missing:
-        raise ValidationError(f"checkpoint {name} lacks "
-                              f"{', '.join(map(repr, missing))}")
-
-
-def _check_types(section: dict, types: dict) -> None:
-    """Every key of `types` that `section` has must hold a value of its
-    type: bool, int, float (a real number in float range; neither of the
-    last two may be a bool), or one of a tuple's strings."""
-    for key, kind in types.items():
-        if key not in section:
-            continue
-        value = section[key]
-        if isinstance(kind, tuple):
-            if value not in kind:
-                raise ValidationError(f"{key} must be one of "
-                                      f"{', '.join(kind)}, got {value!r}")
-        elif (isinstance(value, bool) != (kind is bool) or not isinstance(
-                value, (int, float) if kind is float else kind)):
-            raise ValidationError(f"{key} must be {_KINDS[kind]}, "
-                                  f"got {value!r}")
-        elif kind is float and not abs(value) <= sys.float_info.max:
-            raise ValidationError(f"{key} must be finite, got {value}")
 
 
 def _build_model(hyper: dict, text, episode, seed: int) -> AtcModel:
-    """The head that `hyper` (keyed and typed like _HYPER) describes, around
-    the text set and the support episode."""
+    """The head that `hyper` (keyed and typed like trainer.HYPER) describes,
+    around the text set and the support episode."""
+    trainer.check_types(hyper, trainer.HYPER, "hyper")
     if text.dim != hyper["dim"]:
         raise ValidationError(
             f"checkpoint dim {hyper['dim']} != embedding dim {text.dim}")
@@ -190,8 +160,8 @@ def _build_model(hyper: dict, text, episode, seed: int) -> AtcModel:
                                 renormalize=hyper["renorm_visual"])
     net = init_condition_net(text.dim, hyper["chunk_count"],
                              hyper["hidden_size"], Rng(seed).child(1000))
-    return AtcModel(textual, visual, net,
-                    **{k: hyper[k] for k in _MODEL_KEYS})
+    return AtcModel(textual, visual, net, **{
+        f.name: hyper[f.name] for f in fields(AtcModel) if f.name in hyper})
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -226,7 +196,6 @@ def _train_once(args, adaptive_text: bool):
              "renorm_visual": renorm, "visual_mode": args.visual_mode,
              "dim": text.dim, "chunk_count": args.chunk_count,
              "hidden_size": args.hidden_size}
-    _check_types(hyper, _HYPER)
     m = _build_model(hyper, text, episode, args.seed)
     cfg = trainer.TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size,
@@ -244,26 +213,17 @@ def _train_once(args, adaptive_text: bool):
 def _rebuild_from_checkpoint(ckpt: trainer.Checkpoint, text_path, support_path,
                              alpha=None, beta=None):
     """The checkpoint's model around the embedding files, and the text set."""
-    _require(ckpt.hyper, _HYPER, "hyper")
-    _require(ckpt.config, ("episode_seed", "episode_shots"), "config")
+    config = {"episode_views": 1, **ckpt.config}
+    trainer.check_types(config, _EPISODE, "config")
+    if config["episode_views"] != 1:
+        raise ValidationError(
+            f"episode_views must be 1, got {config['episode_views']}")
+    text, support = _load_pair(text_path, support_path)
+    seed = config["episode_seed"]
+    episode = _episode(support, config["episode_shots"], seed)
     hyper = {**ckpt.hyper,
              "alpha": ckpt.hyper["alpha"] if alpha is None else alpha,
              "beta": ckpt.hyper["beta"] if beta is None else beta}
-    _check_types(hyper, _HYPER)
-    _check_types(ckpt.config, _EPISODE)
-    # the net is built at hidden_size before the checkpoint is bound to it,
-    # so the size must first match the stored (h, h) recurrent weights
-    h = hyper["hidden_size"]
-    stored = getattr(ckpt.tensors.get("net.U_i"), "shape", None)
-    if stored != (h, h):
-        raise ValidationError(f"hidden_size {h} does not match the "
-                              f"checkpoint's net.U_i shape {stored}")
-    views = ckpt.config.get("episode_views", 1)
-    if views != 1:
-        raise ValidationError(f"episode_views must be 1, got {views}")
-    text, support = _load_pair(text_path, support_path)
-    seed = ckpt.config["episode_seed"]
-    episode = _episode(support, ckpt.config["episode_shots"], seed)
     m = _build_model(hyper, text, episode, seed)
     trainer.apply_checkpoint(m, ckpt)
     return m, text
@@ -286,7 +246,7 @@ def cmd_synth(args) -> int:
 
 def cmd_zeroshot(args) -> int:
     start = time.time()
-    text = dataio.read_embeddings(args.text)
+    text = _read_role(args.text, "text")
     query = _read_like(text, args.query, "query")
     logits = model_mod.zero_shot_logits(text.features, query.features)
     _emit({"command": "zeroshot", "text": args.text, "query": args.query,

@@ -10,6 +10,7 @@ Forward/backward take a batch: one row of (B, dim) per query.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,13 +58,19 @@ class ConditionNetParams:
 def init_condition_net(dim: int, chunk_count: int, hidden_size: int,
                        rng: Rng) -> ConditionNetParams:
     """Gate weights uniform(-1/sqrt(h), 1/sqrt(h)); forget-gate bias 1.0;
-    output head exactly zero."""
+    output head exactly zero. A net larger than physical memory is refused."""
     if chunk_count < 1 or hidden_size < 1:
         raise ConfigError("chunk count and hidden size must be >= 1")
     if dim % chunk_count != 0:
         raise ConfigError(f"dim {dim} not divisible by chunk count {chunk_count}")
     h = hidden_size
     cs = dim // chunk_count
+    # the float64 weights below, counted before any is allocated
+    nbytes = 8 * (len(GATES) * h * (cs + h + 1) + dim * (h + 1))
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ConfigError(f"hidden_size {h} needs {nbytes} bytes of weights, "
+                          f"more than the {memory} bytes of physical memory")
     bound = 1.0 / np.sqrt(h)
     W = {g: rng.uniform(-bound, bound, (h, cs)) for g in GATES}
     U = {g: rng.uniform(-bound, bound, (h, h)) for g in GATES}

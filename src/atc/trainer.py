@@ -16,10 +16,12 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .caches import VISUAL_MODES
 from .dataio import _Cursor
 from .errors import (CodecError, ContractError, EvaluationError,
                      ValidationError)
@@ -50,9 +52,8 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 1")
         if self.batch_size < 0:
             raise ValidationError("batch_size must be >= 0")
-        for key in ("learning_rate", "weight_decay"):
-            if not math.isfinite(value := getattr(self, key)):
-                raise ValidationError(f"{key} must be finite, got {value}")
+        check_types(vars(self), {"learning_rate": float,
+                                 "weight_decay": float}, "config")
 
 
 @dataclass
@@ -111,6 +112,39 @@ def _frozen_digest(model: AtcModel) -> str:
     h.update(np.ascontiguousarray(model.visual.labels, dtype="<i8").tobytes())
     h.update(struct.pack("<ddd", model.alpha, model.beta, model.logit_scale))
     return h.hexdigest()
+
+
+# every model_hyper key, in its order, and the type of each value (a tuple
+# lists the allowed strings)
+HYPER = {"alpha": float, "beta": float, "logit_scale": float,
+         "activation": ("linear", "tip"), "tip_gamma": float,
+         "adaptive_text": bool, "renorm_text": bool, "renorm_visual": bool,
+         "visual_mode": VISUAL_MODES, "dim": int, "chunk_count": int,
+         "hidden_size": int}
+_KINDS = {float: "a number", int: "an integer", bool: "true or false"}
+
+
+def check_types(section: dict, types: dict, name: str) -> None:
+    """Every key of `types` must be in `section` (an error calls it the
+    checkpoint's `name` section) and hold a value of its type: bool, int,
+    float (a real number in float range; neither of the last two may be a
+    bool), or one of a tuple's strings."""
+    missing = [k for k in types if k not in section]
+    if missing:
+        raise ValidationError(f"checkpoint {name} lacks "
+                              f"{', '.join(map(repr, missing))}")
+    for key, kind in types.items():
+        value = section[key]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ValidationError(f"{key} must be one of "
+                                      f"{', '.join(kind)}, got {value!r}")
+        elif (isinstance(value, bool) != (kind is bool) or not isinstance(
+                value, (int, float) if kind is float else kind)):
+            raise ValidationError(f"{key} must be {_KINDS[kind]}, "
+                                  f"got {value!r}")
+        elif kind is float and not abs(value) <= sys.float_info.max:
+            raise ValidationError(f"{key} must be finite, got {value}")
 
 
 def model_hyper(model: AtcModel) -> dict:
@@ -220,6 +254,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at `path`, its trailer's hyper checked against HYPER."""
     with open(path, "rb") as f:
         cur = _Cursor(f)
         if cur.take(4, "magic") != CKPT_MAGIC:
@@ -247,10 +282,22 @@ def load_checkpoint(path) -> Checkpoint:
         at = cur.pos
         raw = cur.take(tlen, "trailer")
         cur.check_end("trailer")
+    sections = {"hyper": dict, "config": dict, "metrics": list}
     try:
         trailer = json.loads(raw.decode("utf-8"))
-        return Checkpoint(arrays, trailer["hyper"], trailer["config"],
-                          trailer["metrics"])
+        values = [trailer[k] for k in sections]
     except (ValueError, KeyError, TypeError):
+        values = []
+    if [type(v) for v in values] != list(sections.values()):
         raise CodecError("trailer is not UTF-8 JSON with hyper, config and "
-                         "metrics", at) from None
+                         "metrics", at)
+    ckpt = Checkpoint(arrays, *values)
+    check_types(ckpt.hyper, HYPER, "hyper")
+    # a model is built at hidden_size before the checkpoint is bound to it,
+    # so the size must first match the stored (h, h) recurrent weights
+    h = ckpt.hyper["hidden_size"]
+    stored = getattr(arrays.get("net.U_i"), "shape", None)
+    if stored != (h, h):
+        raise ValidationError(f"hidden_size {h} does not match the "
+                              f"checkpoint's net.U_i shape {stored}")
+    return ckpt

@@ -410,7 +410,7 @@ def test_build_model_round_trips_hyper(visual_mode, renorm_text,
                                        renorm_visual, activation, gamma):
     from atc.cli import _build_model
     from atc.dataio import SynthConfig, synth_dataset
-    from atc.trainer import model_hyper
+    from atc.trainer import HYPER, model_hyper
     sets = synth_dataset(SynthConfig(num_classes=3, dim=8, shots=2,
                                      queries_per_class=1))
     hyper = {"alpha": 0.5, "beta": 1.5, "logit_scale": 20.0,
@@ -419,6 +419,7 @@ def test_build_model_round_trips_hyper(visual_mode, renorm_text,
              "renorm_text": renorm_text, "renorm_visual": renorm_visual,
              "visual_mode": visual_mode, "dim": 8, "chunk_count": 2,
              "hidden_size": 3}
+    assert list(hyper) == list(HYPER)
     m = _build_model(hyper, sets["text"], sets["support"], seed=1)
     assert model_hyper(m) == hyper
 
@@ -444,16 +445,16 @@ def renamed_dir(data_dir, tmp_path_factory):
     return d
 
 
-def _class_set_commands(data_dir, ckpt, support, query, out):
-    pair = ["--text", str(data_dir / "text.ate"), "--support", str(support)]
+def _class_set_commands(data_dir, ckpt, support, query, out, text=None):
+    text = str(text or data_dir / "text.ate")
+    pair = ["--text", text, "--support", str(support)]
     train = ["--ckpt", str(out / "new.atck"), "--shots", "4",
              "--epochs", "1"]
     return {
         "eval": ["eval", "--ckpt", str(ckpt), *pair, "--query", str(query)],
         "sweep": ["sweep", "--ckpt", str(ckpt), *pair, "--query", str(query),
                   "--param", "alpha", "--values", "0,1"],
-        "zeroshot": ["zeroshot", "--text", str(data_dir / "text.ate"),
-                     "--query", str(query)],
+        "zeroshot": ["zeroshot", "--text", text, "--query", str(query)],
         "train": ["train", *pair, *train, "--query", str(query)],
         "ablate": ["ablate", *pair, *train, "--mode", "fixed-text",
                    "--query", str(query)],
@@ -494,14 +495,18 @@ def test_support_of_other_class_names_exit_3(data_dir, trained, renamed_dir,
 @pytest.mark.parametrize("command,slot,given", [
     *[(c, "query", g) for c in ("eval", "sweep", "zeroshot", "train",
                                 "ablate") for g in ("support", "text")],
-    *[(c, "support", "query") for c in ("eval", "sweep", "train", "ablate")]])
+    *[(c, "support", "query") for c in ("eval", "sweep", "train", "ablate")],
+    *[(c, "text", g) for c in ("eval", "sweep", "zeroshot", "train",
+                               "ablate") for g in ("support", "query")]])
 def test_file_with_another_role_tag_exit_3(data_dir, trained, tmp_path,
                                            command, slot, given, capsys):
     ckpt, _ = trained
     files = {"support": data_dir / "support.ate",
-             "query": data_dir / "query.ate", slot: data_dir / f"{given}.ate"}
+             "query": data_dir / "query.ate", "text": data_dir / "text.ate",
+             slot: data_dir / f"{given}.ate"}
     argv = _class_set_commands(data_dir, ckpt, files["support"],
-                               files["query"], tmp_path)[command]
+                               files["query"], tmp_path,
+                               files["text"])[command]
     assert run(*argv) == 3
     out = capsys.readouterr()
     assert (f"error: {files[slot]}: role tag is '{given}', expected "
@@ -721,6 +726,22 @@ def test_eval_hidden_size_other_than_the_net_tensors_exit_3(
             "net.U_i shape (64, 64)") in capsys.readouterr().err
 
 
+def test_eval_trailer_section_of_wrong_type_exit_3(data_dir, trained,
+                                                   tmp_path, capsys):
+    from atc.trainer import load_checkpoint
+    from oracles import encode_checkpoint
+    ckpt, _ = trained
+    old = load_checkpoint(ckpt)
+    (tmp_path / "old.atck").write_bytes(encode_checkpoint(old.tensors, {
+        "hyper": 5, "config": old.config, "metrics": old.metrics}))
+    assert run("eval", "--ckpt", str(tmp_path / "old.atck"),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate")) == 3
+    assert ("error: trailer is not UTF-8 JSON with hyper, config and "
+            "metrics") in capsys.readouterr().err
+
+
 def test_eval_duplicate_tensor_name_exit_3(data_dir, trained, tmp_path,
                                            capsys):
     from atc.trainer import load_checkpoint
@@ -752,6 +773,18 @@ def test_train_nonpositive_net_size_exit_3(data_dir, tmp_path, flags,
                "--ckpt", str(tmp_path / "m.atck"), "--shots", "4",
                "--epochs", "1", *flags) == 3
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_net_larger_than_memory_exit_3(data_dir, tmp_path, command, capsys):
+    # 10**11 needs ~3e23 bytes: refused before anything is allocated
+    argv = _class_set_commands(data_dir, None, data_dir / "support.ate",
+                               data_dir / "query.ate", tmp_path)[command]
+    assert run(*argv, "--hidden-size", str(10 ** 11)) == 3
+    out = capsys.readouterr()
+    assert "error: hidden_size 100000000000 needs" in out.err
+    assert out.out == ""
+    assert not (tmp_path / "new.atck").exists()
 
 
 def test_eval_absent_text_file_exit_5(data_dir, trained, tmp_path):

@@ -259,6 +259,40 @@ def test_checkpoint_trailer_missing_key_rejected_at_offset(tmp_path, key):
     assert err.value.offset == at
 
 
+@pytest.mark.parametrize("key,value", [("hyper", 5), ("config", 5),
+                                       ("metrics", {"epoch": 0})])
+def test_checkpoint_trailer_section_of_wrong_type_rejected_at_offset(
+        tmp_path, key, value):
+    path, blob, at = _saved_checkpoint(tmp_path)
+    trailer = json.loads(blob[at:])
+    trailer[key] = value
+    raw = json.dumps(trailer).encode()
+    path.write_bytes(blob[:at - 4] + struct.pack("<I", len(raw)) + raw)
+    with pytest.raises(CodecError, match="trailer") as err:
+        load_checkpoint(path)
+    assert err.value.offset == at
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: h.pop("tip_gamma"), "checkpoint hyper lacks 'tip_gamma'"),
+    (lambda h: h.update(renorm_text="on"),
+     "renorm_text must be true or false, got 'on'"),
+    (lambda h: h.update(hidden_size=5),
+     r"hidden_size 5 does not match the checkpoint's net.U_i shape \(4, 4\)"),
+], ids=["missing-key", "wrong-type", "hidden-size"])
+def test_load_checkpoint_checks_the_hyper(tmp_path, edit, message):
+    m, sets = _model()
+    ckpt = train(m, sets["support"].features, sets["support"].labels,
+                 TrainConfig(epochs=1, seed=9))
+    edit(ckpt.hyper)
+    path = tmp_path / "m.atck"
+    path.write_bytes(encode_checkpoint(ckpt.tensors, {
+        "hyper": ckpt.hyper, "config": ckpt.config,
+        "metrics": ckpt.metrics}))
+    with pytest.raises(ValidationError, match=message):
+        load_checkpoint(path)
+
+
 def test_train_config_rejects_non_finite_rates():
     m, sets = _model()
     for cfg in (TrainConfig(learning_rate=float("nan")),
