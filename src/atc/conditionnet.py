@@ -86,8 +86,8 @@ def _sigmoid(x):
 
 @dataclass
 class NetTape:
-    """Per-step activations from one forward pass; consumed once by the
-    matching backward pass."""
+    """Per-step activations from one forward pass run with record=True;
+    consumed once by the matching backward pass."""
     X: list = field(default_factory=list)        # chunks, (B, cs)
     gates: list = field(default_factory=list)    # dicts of (B, h)
     C: list = field(default_factory=list)        # cell states incl. c_0
@@ -95,9 +95,11 @@ class NetTape:
     consumed: bool = False
 
 
-def condition_forward(params: ConditionNetParams, f_test: np.ndarray):
+def condition_forward(params: ConditionNetParams, f_test: np.ndarray, *,
+                      record: bool = False):
     """Run the recurrence over queries (B, dim); returns (s, tape) with s
-    (B, dim)."""
+    (B, dim). Only record=True keeps the tape condition_backward needs;
+    otherwise just the running (h, c) state is kept and the tape is None."""
     F = np.asarray(f_test, dtype=np.float64)
     if F.ndim != 2 or F.shape[1] != params.dim:
         raise ShapeError(f"queries shape {F.shape} incompatible with dim "
@@ -106,11 +108,9 @@ def condition_forward(params: ConditionNetParams, f_test: np.ndarray):
     h = params.hidden_size
     cs = params.chunk_size
 
-    tape = NetTape()
     hs = np.zeros((B, h))
     cs_state = np.zeros((B, h))
-    tape.H.append(hs)
-    tape.C.append(cs_state)
+    tape = NetTape(C=[cs_state], H=[hs]) if record else None
     for t in range(params.chunk_count):
         x = F[:, t * cs:(t + 1) * cs]
         pre = {g: x @ params.W[g].T + hs @ params.U[g].T + params.b[g]
@@ -121,10 +121,11 @@ def condition_forward(params: ConditionNetParams, f_test: np.ndarray):
         g = np.tanh(pre["g"])
         cs_state = f * cs_state + i * g
         hs = o * np.tanh(cs_state)
-        tape.X.append(x)
-        tape.gates.append({"i": i, "f": f, "o": o, "g": g})
-        tape.C.append(cs_state)
-        tape.H.append(hs)
+        if tape is not None:
+            tape.X.append(x)
+            tape.gates.append({"i": i, "f": f, "o": o, "g": g})
+            tape.C.append(cs_state)
+            tape.H.append(hs)
     s = hs @ params.W_out.T + params.b_out
     return s, tape
 
@@ -133,8 +134,12 @@ def condition_backward(params: ConditionNetParams, tape: NetTape,
                        d_s: np.ndarray):
     """Exact reverse-mode gradients of s w.r.t. every parameter, keyed like
     tensors(). The query features are frozen, so no gradient flows to them.
-    The tape is consumed; reuse raises ContractError.
+    The tape is consumed; reuse raises ContractError, as does a missing
+    tape (a forward pass run with record=False).
     """
+    if tape is None:
+        raise ContractError("no NetTape: the forward pass ran with "
+                            "record=False")
     if tape.consumed:
         raise ContractError("NetTape already consumed by a backward pass")
     tape.consumed = True

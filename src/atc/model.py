@@ -203,11 +203,14 @@ def _text_shift_grad(F, T, S, df2, f2, saved):
     return dS
 
 
-def branches(model: AtcModel, F: np.ndarray, self_indices=None, rows=None):
+def branches(model: AtcModel, F: np.ndarray, self_indices=None, rows=None,
+             *, record: bool = False):
     """Both branch scores for queries F (B, dim), before fusion.
 
     Returns (f1, f2, ctx): the visual and textual scores, each (B, c), and
-    the intermediates the backward pass needs. With self_indices, query i's
+    the intermediates the backward pass needs. The condition net's tape is
+    recorded only with record=True; without it ctx["tape"] is None and
+    _backward raises ContractError. With self_indices, query i's
     affinity to support row self_indices[i] is masked out. `rows` is a
     visual_rows(model) result to reuse instead of recomputing it.
     """
@@ -232,7 +235,7 @@ def branches(model: AtcModel, F: np.ndarray, self_indices=None, rows=None):
 
     # textual branch
     if model.adaptive_text:
-        S, tape = condition_forward(model.net, F)
+        S, tape = condition_forward(model.net, F, record=record)
     else:
         S, tape = None, None
     f2, tsaved = _text_scores(F, model.textual.class_texts, S,
@@ -310,7 +313,7 @@ def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
     averaged over the batch."""
     F = np.asarray(queries, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    f1, f2, ctx = branches(model, F, self_indices)
+    f1, f2, ctx = branches(model, F, self_indices, record=True)
     loss, probs = _loss_from_logits(
         fuse(f1, f2, model.alpha, model.beta, model.logit_scale), targets)
     # the gradient with respect to the logits: softmax minus the one-hot

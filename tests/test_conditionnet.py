@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from atc import model as model_mod
 from atc.conditionnet import (condition_backward, condition_forward,
                               init_condition_net)
 from atc.errors import ConfigError, ContractError
 from atc.numerics import Rng
-from oracles import grad_check
+from oracles import grad_check, shift_model
 
 
 def _net(dim=16, T=4, h=6, seed=0, nonzero_head=False):
@@ -100,7 +101,7 @@ def test_forward_matches_scalar_oracle():
 
 def test_single_chunk_degenerates_to_one_cell():
     net = _net(dim=6, T=1, h=4, seed=3, nonzero_head=True)
-    s, tape = condition_forward(net, Rng(1).normal((2, 6)))
+    s, tape = condition_forward(net, Rng(1).normal((2, 6)), record=True)
     assert len(tape.X) == 1
     assert s.shape == (2, 6)
 
@@ -112,7 +113,7 @@ def test_backward_matches_finite_differences():
         w = Rng(200 + seed).normal((2, 8))   # fixed projection to a scalar
 
         params = {k: v.copy() for k, v in net.tensors().items()}
-        s, tape = condition_forward(net, x)
+        s, tape = condition_forward(net, x, record=True)
         analytic = condition_backward(net, tape, w)
 
         def fn(p):
@@ -131,7 +132,7 @@ def test_backward_matches_finite_differences():
 
 def test_zero_upstream_gives_zero_grads():
     net = _net(nonzero_head=True)
-    _, tape = condition_forward(net, Rng(1).normal((2, 16)))
+    _, tape = condition_forward(net, Rng(1).normal((2, 16)), record=True)
     grads = condition_backward(net, tape, np.zeros((2, 16)))
     assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -139,7 +140,7 @@ def test_zero_upstream_gives_zero_grads():
 def test_zero_head_blocks_gate_grads_but_not_head_grad():
     net = _net(seed=5)  # W_out = 0
     x = Rng(2).normal((2, 16))
-    _, tape = condition_forward(net, x)
+    _, tape = condition_forward(net, x, record=True)
     grads = condition_backward(net, tape, np.ones((2, 16)))
     for g in ("i", "f", "o", "g"):
         assert np.all(grads[f"W_{g}"] == 0.0)
@@ -148,10 +149,25 @@ def test_zero_head_blocks_gate_grads_but_not_head_grad():
 
 def test_tape_reuse_rejected():
     net = _net()
-    _, tape = condition_forward(net, Rng(1).normal((1, 16)))
+    _, tape = condition_forward(net, Rng(1).normal((1, 16)), record=True)
     condition_backward(net, tape, np.zeros((1, 16)))
     with pytest.raises(ContractError):
         condition_backward(net, tape, np.zeros((1, 16)))
+
+
+def test_backward_without_tape_rejected():
+    net = _net(nonzero_head=True)
+    x = Rng(1).normal((2, 16))
+    s, tape = condition_forward(net, x)
+    assert tape is None
+    assert s.tobytes() == condition_forward(net, x, record=True)[0].tobytes()
+    with pytest.raises(ContractError):
+        condition_backward(net, tape, np.zeros((2, 16)))
+    # a forward-only model pass cannot be backpropagated either
+    m = shift_model(np.eye(3), [0.5, -0.5, 0.0])
+    _, _, ctx = model_mod.branches(m, np.eye(3))
+    with pytest.raises(ContractError):
+        model_mod._backward(m, ctx, np.zeros((3, 3)))
 
 
 def test_batch_forward_matches_per_query():

@@ -338,6 +338,49 @@ def test_loss_and_grads_peak_below_one_dense_text_tensor():
     assert peak < B * c * d * 8
 
 
+@pytest.mark.parametrize("adaptive", [True, False])
+@pytest.mark.parametrize("activation", ["linear", "tip"])
+@pytest.mark.parametrize("renorm", [True, False])
+@pytest.mark.parametrize("leave_self_out", [False, True])
+def test_branches_without_tape_are_bitwise_the_recorded_ones(
+        adaptive, activation, renorm, leave_self_out):
+    m, _ = _make_model(renorm=renorm, activation=activation, gamma=2.0,
+                       randomize=True)
+    m.adaptive_text = adaptive
+    F = m.visual.support
+    self_indices = np.arange(F.shape[0]) if leave_self_out else None
+    f1, f2, ctx = branches(m, F, self_indices, record=True)
+    g1, g2, bare = branches(m, F, self_indices)
+    assert bare["tape"] is None
+    assert (ctx["tape"] is not None) == adaptive
+    assert f1.tobytes() == g1.tobytes() and f2.tobytes() == g2.tobytes()
+    if adaptive:
+        assert np.any(ctx["S"]) and ctx["S"].tobytes() == bare["S"].tobytes()
+
+
+def test_predict_batch_peak_below_the_condition_net_tape():
+    # the 1600-row training episode of a c=100, d=512 run: the tape of the
+    # T=8, h=64 net (four gates, c and h per step plus the initial state,
+    # and the T input chunks) is what a forward-only call need not hold
+    B, c, d, T, h = 1600, 100, 512, 8, 64
+    sets = synth_dataset(SynthConfig(num_classes=c, dim=d, shots=16,
+                                     queries_per_class=1, seed=1))
+    textual = build_textual_cache(sets["text"])
+    visual = build_visual_cache(sets["support"], c)
+    net = init_condition_net(d, T, h, Rng(1))
+    np.copyto(net.W_out, 0.01 * Rng(2).normal(net.W_out.shape))
+    m = AtcModel(textual, visual, net)
+    F = sets["support"].features
+    assert F.shape == (B, d)
+    tracemalloc.start()
+    try:
+        predict_batch(m, F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < B * (h * (4 * T + 2 * (T + 1)) + d) * 8
+
+
 def test_visual_branch_gathers_unsorted_labels():
     m, sets = _make_model(n=4, dim=8, k=3, seed=2, randomize=True,
                           activation="tip", gamma=2.0)
@@ -410,7 +453,7 @@ def _visual_case(mode, activation, leave_self_out, unsorted, empty_class):
 
 
 def _visual_grads(m, F, self_indices, d_logits):
-    f1, _, ctx = branches(m, F, self_indices)
+    f1, _, ctx = branches(m, F, self_indices, record=True)
     grads = model_mod._backward(m, ctx, d_logits)
     return f1, {k: v for k, v in grads.items() if k.startswith("visual.")}
 
