@@ -307,20 +307,25 @@ def _loss_from_logits(logits: np.ndarray, targets: np.ndarray):
     return float(losses.mean()), probs
 
 
-def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
-                   self_indices=None):
-    """Mean cross-entropy plus exact gradients for every trainable group,
-    averaged over the batch."""
+def _loss_grads_logits(model: AtcModel, queries: np.ndarray, targets,
+                       self_indices=None):
     F = np.asarray(queries, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
     f1, f2, ctx = branches(model, F, self_indices, record=True)
-    loss, probs = _loss_from_logits(
-        fuse(f1, f2, model.alpha, model.beta, model.logit_scale), targets)
+    logits = fuse(f1, f2, model.alpha, model.beta, model.logit_scale)
+    loss, probs = _loss_from_logits(logits, targets)
     # the gradient with respect to the logits: softmax minus the one-hot
     # targets, over the batch size
     probs[np.arange(F.shape[0]), targets] -= 1.0
     probs /= F.shape[0]
-    return loss, _backward(model, ctx, probs)
+    return loss, _backward(model, ctx, probs), logits
+
+
+def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
+                   self_indices=None):
+    """Mean cross-entropy plus exact gradients for every trainable group,
+    averaged over the batch."""
+    return _loss_grads_logits(model, queries, targets, self_indices)[:2]
 
 
 def predict_batch(model: AtcModel, queries: np.ndarray) -> np.ndarray:

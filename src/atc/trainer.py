@@ -25,13 +25,15 @@ from .caches import VISUAL_MODES
 from .dataio import _Cursor
 from .errors import (CodecError, ContractError, EvaluationError,
                      ValidationError)
-from .model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
-                    tensors, trainables)
+# train's step, with its logits, under the name the benchmark's span wraps
+from .model import (AtcModel, predict_batch, set_tensors, tensors,
+                    trainables, _loss_grads_logits as loss_and_grads)
 from .numerics import Rng
 
 CKPT_MAGIC = b"ATCK"
 CKPT_VERSION = 1
 _DTYPE_F64 = 1
+_HUGE = math.sqrt(sys.float_info.max)  # larger entries square to inf
 
 
 @dataclass
@@ -177,6 +179,8 @@ def train(model: AtcModel, queries: np.ndarray, labels,
     Queries default to the support embeddings themselves at the call site;
     with leave_self_out each query's own support row is masked out of its
     visual affinities. Frozen tensors are checksummed before and after.
+    An epoch's accuracy is after its update: with one batch and no
+    leave_self_out it is read off the next epoch's training logits.
     """
     cfg.validate()
     queries = np.asarray(queries, dtype=np.float64)
@@ -184,8 +188,8 @@ def train(model: AtcModel, queries: np.ndarray, labels,
     n = queries.shape[0]
     if n == 0:
         raise ValidationError("empty training episode")
-    self_indices = np.arange(n) if cfg.leave_self_out else None
     batch = cfg.batch_size or min(256, n)
+    reuse = batch >= n and not cfg.leave_self_out
 
     before = _frozen_digest(model)
     params = trainables(model)
@@ -197,27 +201,31 @@ def train(model: AtcModel, queries: np.ndarray, labels,
         total = 0.0
         for start in range(0, n, batch):
             sel = order[start:start + batch]
-            sub_self = self_indices[sel] if self_indices is not None else None
-            loss, grads = loss_and_grads(model, queries[sel], labels[sel],
-                                         sub_self)
+            sub_self = sel if cfg.leave_self_out else None
+            loss, grads, logits = loss_and_grads(model, queries[sel],
+                                                 labels[sel], sub_self)
             if not math.isfinite(loss):
                 raise EvaluationError(f"training loss is {loss} in epoch "
                                       f"{epoch}")
+            if reuse and epoch:  # scored at the last epoch's parameters
+                metrics[-1]["accuracy"] = float(np.mean(
+                    np.argmax(logits, axis=1) == labels[sel]))
+            del logits  # not held through the next batch's forward
             if cfg.learning_rate != 0.0:
                 adam_step(params, grads, state, cfg)
             total += loss * sel.size
-        preds = predict_batch(model, queries)
-        metrics.append({
-            "epoch": epoch,
-            "loss": total / n,
-            "accuracy": float(np.mean(preds == labels)),
-        })
+        metrics.append({"epoch": epoch, "loss": total / n})
+        if not reuse or epoch == cfg.epochs - 1:
+            preds = predict_batch(model, queries)
+            metrics[-1]["accuracy"] = float(np.mean(preds == labels))
     if _frozen_digest(model) != before:
         raise ContractError("frozen tensors changed during training")
     # load_checkpoint refuses a non-finite value, so none is saved
     for name, value in params.items():
         if not np.isfinite(value).all():
             raise EvaluationError(f"trained tensor {name} is not finite")
+        if (np.abs(value) > _HUGE).any():
+            raise EvaluationError(f"trained tensor {name} exceeds {_HUGE:.3g}")
     return Checkpoint(checkpoint_tensors(model), model_hyper(model),
                       asdict(cfg), metrics)
 

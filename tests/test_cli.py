@@ -951,6 +951,29 @@ def test_train_divergence_exit_4(data_dir, tmp_path, flags, message, capsys):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("mode", ["fixed", "biases", "linear"])
+def test_train_renorm_off_divergence_exit_4(tmp_path, mode, capsys):
+    # without renorm no norm overflows: the diverged run stays finite, with
+    # entries near 1e292..1e301, and only the trained-tensor bound sees it
+    data = tmp_path / "d"
+    assert run("synth", "--out", str(data), "--classes", "4", "--dim", "16",
+               "--seed", "1") == 0
+    ckpt = tmp_path / "m.atck"
+    argv = ["train", "--text", str(data / "text.ate"),
+            "--support", str(data / "support.ate"), "--ckpt", str(ckpt),
+            "--renorm", "off", "--visual-mode", mode]
+    capsys.readouterr()
+    assert run(*argv, "--lr", "1e300") == 4
+    captured = capsys.readouterr()
+    assert "numeric error: trained tensor " in captured.err
+    assert "exceeds 1.34e+154" in captured.err
+    assert captured.out == ""
+    assert not ckpt.exists()
+    # a large step that stays far below the bound is kept
+    assert run(*argv, "--lr", "1e10") == 0
+    assert ckpt.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_sweep_non_finite_value_exit_2(data_dir, trained, value, capsys):
     ckpt, _ = trained

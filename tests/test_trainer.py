@@ -6,20 +6,22 @@ import pytest
 import oracles
 from oracles import encode_checkpoint
 
+import atc.trainer
 from atc.caches import build_textual_cache, build_visual_cache
 from atc.conditionnet import init_condition_net
 from atc.dataio import SynthConfig, synth_dataset
 from atc.errors import CodecError, ValidationError
-from atc.model import AtcModel, set_tensors, tensors, trainables
+from atc.model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
+                       tensors, trainables)
 from atc.numerics import Rng
 from atc.trainer import (AdamState, Checkpoint, TrainConfig, adam_step,
                          apply_checkpoint, init_adam, load_checkpoint,
                          save_checkpoint, train)
 
 
-def _model(seed=1, n=3, dim=8, k=4):
+def _model(seed=1, n=3, dim=8, k=4, queries=2):
     sets = synth_dataset(SynthConfig(num_classes=n, dim=dim, shots=k,
-                                     queries_per_class=2, sigma=0.3,
+                                     queries_per_class=queries, sigma=0.3,
                                      seed=seed))
     textual = build_textual_cache(sets["text"])
     visual = build_visual_cache(sets["support"], n)
@@ -125,6 +127,67 @@ def test_metrics_recorded_per_epoch():
     ckpt = train(m, sets["support"].features, sets["support"].labels, cfg)
     assert len(ckpt.metrics) == 4
     assert all({"epoch", "loss", "accuracy"} <= set(e) for e in ckpt.metrics)
+
+
+def _replayed_accuracy(m, q, y, cfg):
+    """train's one-batch epochs (same permutations and Adam steps), each
+    scored by predict_batch after its update."""
+    params = trainables(m)
+    state, rng = init_adam(params), Rng(cfg.seed)
+    accuracy = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y)) if cfg.shuffle else np.arange(len(y))
+        _, grads = loss_and_grads(m, q[order], y[order])
+        adam_step(params, grads, state, cfg)
+        accuracy.append(float(np.mean(predict_batch(m, q) == y)))
+    return accuracy
+
+
+@pytest.mark.parametrize("n", [65, 70, 97, 160])
+@pytest.mark.parametrize("shuffle", [True, False])
+@pytest.mark.parametrize("epochs", [1, 6])
+def test_one_batch_accuracy_is_predict_batch_after_the_update(n, shuffle,
+                                                              epochs):
+    # all but the last epoch's accuracy comes from the next epoch's training
+    # logits, over permuted rows
+    runs = []
+    for scorer in (lambda *a: [e["accuracy"] for e in train(*a).metrics],
+                   _replayed_accuracy):
+        # at d=64 and the CLI's scale, permuting the rows moves the logits
+        # of about a third of these epochs, by up to 1.4e-14
+        m, sets = _model(seed=4, n=10, dim=64, queries=16)
+        m.logit_scale = 100.0
+        pick = Rng(9).permutation(160)[:n]
+        cfg = TrainConfig(epochs=epochs, learning_rate=1e-2, seed=n,
+                          shuffle=shuffle)
+        accuracy = scorer(m, sets["query"].features[pick],
+                          sets["query"].labels[pick], cfg)
+        runs.append((accuracy, {k: v.copy() for k, v in trainables(m).items()}))
+    (got, got_params), (want, want_params) = runs
+    assert got == want
+    for k in want_params:
+        assert got_params[k].tobytes() == want_params[k].tobytes(), k
+
+
+@pytest.mark.parametrize("config,calls", [
+    ({}, 1),
+    ({"leave_self_out": True}, 5),
+    ({"batch_size": 7}, 5)])
+def test_one_batch_train_calls_predict_batch_once(monkeypatch, config, calls):
+    seen = []
+    original = atc.trainer.predict_batch
+
+    def counted(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(atc.trainer, "predict_batch", counted)
+    m, sets = _model()   # 12 support rows
+    ckpt = train(m, sets["support"].features, sets["support"].labels,
+                 TrainConfig(epochs=5, learning_rate=1e-2, **config))
+    assert len(seen) == calls
+    assert [e["epoch"] for e in ckpt.metrics] == list(range(5))
+    assert all(set(e) == {"epoch", "loss", "accuracy"} for e in ckpt.metrics)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
