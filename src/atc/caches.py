@@ -50,6 +50,13 @@ class VisualCache:
     biases: np.ndarray | None = None       # (n*k, dim), zero at init (mode=biases)
     linear: np.ndarray | None = None       # (n*k, dim), copy of support (mode=linear)
 
+    def __post_init__(self):
+        # class-major labels 0,..,0,1,..,c-1: starts[c] is class c's first row
+        self.starts = np.flatnonzero(np.diff(self.labels, prepend=-1))
+        if not self.starts.size or not np.array_equal(
+                self.labels[self.starts], np.arange(self.starts.size)):
+            raise ValidationError("visual cache labels are not class-major")
+
     @property
     def rows(self) -> int:
         return self.support.shape[0]

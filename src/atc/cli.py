@@ -94,6 +94,8 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict:
     total = int(labels.size)
     if total == 0:
         raise ValidationError("query set has no rows")
+    if not np.isfinite(logits).all():
+        raise EvaluationError("a fused logit is not finite")
     correct = int(np.sum(np.argmax(logits, axis=1) == labels))
     return {"accuracy": correct / total, "correct": correct, "total": total}
 

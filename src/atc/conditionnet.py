@@ -10,11 +10,11 @@ Forward/backward take a batch: one row of (B, dim) per query.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import check_fits_memory
 from .errors import ConfigError, ContractError, ShapeError
 from .numerics import Rng
 
@@ -65,12 +65,8 @@ def init_condition_net(dim: int, chunk_count: int, hidden_size: int,
         raise ConfigError(f"dim {dim} not divisible by chunk count {chunk_count}")
     h = hidden_size
     cs = dim // chunk_count
-    # the float64 weights below, counted before any is allocated
-    nbytes = 8 * (len(GATES) * h * (cs + h + 1) + dim * (h + 1))
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > memory:
-        raise ConfigError(f"hidden_size {h} needs {nbytes} bytes of weights, "
-                          f"more than the {memory} bytes of physical memory")
+    check_fits_memory(8 * (len(GATES) * h * (cs + h + 1) + dim * (h + 1)),
+                      f"hidden_size {h}")
     bound = 1.0 / np.sqrt(h)
     W = {g: rng.uniform(-bound, bound, (h, cs)) for g in GATES}
     U = {g: rng.uniform(-bound, bound, (h, h)) for g in GATES}
@@ -111,21 +107,23 @@ def condition_forward(params: ConditionNetParams, f_test: np.ndarray, *,
     hs = np.zeros((B, h))
     cs_state = np.zeros((B, h))
     tape = NetTape(C=[cs_state], H=[hs]) if record else None
-    for t in range(params.chunk_count):
-        x = F[:, t * cs:(t + 1) * cs]
-        pre = {g: x @ params.W[g].T + hs @ params.U[g].T + params.b[g]
-               for g in GATES}
-        i = _sigmoid(pre["i"])
-        f = _sigmoid(pre["f"])
-        o = _sigmoid(pre["o"])
-        g = np.tanh(pre["g"])
-        cs_state = f * cs_state + i * g
-        hs = o * np.tanh(cs_state)
-        if tape is not None:
-            tape.X.append(x)
-            tape.gates.append({"i": i, "f": f, "o": o, "g": g})
-            tape.C.append(cs_state)
-            tape.H.append(hs)
+    # below ~-709 a gate's exp(-x) overflows and its sigmoid is exactly 0
+    with np.errstate(over="ignore"):
+        for t in range(params.chunk_count):
+            x = F[:, t * cs:(t + 1) * cs]
+            pre = {g: x @ params.W[g].T + hs @ params.U[g].T + params.b[g]
+                   for g in GATES}
+            i = _sigmoid(pre["i"])
+            f = _sigmoid(pre["f"])
+            o = _sigmoid(pre["o"])
+            g = np.tanh(pre["g"])
+            cs_state = f * cs_state + i * g
+            hs = o * np.tanh(cs_state)
+            if tape is not None:
+                tape.X.append(x)
+                tape.gates.append({"i": i, "f": f, "o": o, "g": g})
+                tape.C.append(cs_state)
+                tape.H.append(hs)
     s = hs @ params.W_out.T + params.b_out
     return s, tape
 

@@ -186,6 +186,14 @@ def read_embeddings(path) -> EmbeddingSet:
     return es
 
 
+def check_fits_memory(nbytes: int, what: str) -> None:
+    """ConfigError if `what`, nbytes yet to allocate, exceeds physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ConfigError(f"{what} needs {nbytes} bytes, more than the "
+                          f"{memory} bytes of physical memory")
+
+
 @dataclass
 class SynthConfig:
     """Synthetic stand-in for encoder outputs: class prototypes on the unit
@@ -207,6 +215,9 @@ class SynthConfig:
             raise ConfigError("shots and queries_per_class must be >= 1")
         if not all(0 <= x < math.inf for x in (self.sigma, self.text_noise)):
             raise ConfigError("noise scales must be finite and nonnegative")
+        # the float64 prototype, text, support and query rows
+        check_fits_memory(8 * self.num_classes * self.dim * (
+            2 + self.shots + self.queries_per_class), "a synthetic dataset")
 
 
 def _noisy_rows(protos: np.ndarray, per_class: int, scale: float, rng: Rng):

@@ -110,31 +110,12 @@ def visual_rows(model: AtcModel):
     if model.activation != "linear":
         return rows, vnorm, None
     # linear affinities sum per class to one dot product with the class's
-    # summed row; a class without rows sums to 0
-    proto = np.zeros((model.num_classes, rows.shape[1]))
-    labels = cache.labels
-    starts = np.flatnonzero(np.diff(labels, prepend=-1))
-    for start, end in zip(starts, [*starts[1:], labels.size]):
-        proto[labels[start]] += np.add.reduce(rows[start:end], axis=0)
+    # summed row, one class-major run each
+    starts = cache.starts
+    proto = np.zeros((starts.size, rows.shape[1]))
+    for c, (start, end) in enumerate(zip(starts, [*starts[1:], cache.rows])):
+        proto[c] += np.add.reduce(rows[start:end], axis=0)
     return rows, vnorm, proto
-
-
-def _class_sums(a: np.ndarray, labels: np.ndarray,
-                num_classes: int) -> np.ndarray:
-    """Sum the columns of a (B, rows) that share a label: (B, num_classes).
-    Columns are summed in class-major order, gathered through a stable
-    argsort when the labels are not already sorted."""
-    if labels.size > 1 and np.any(labels[1:] < labels[:-1]):
-        order = np.argsort(labels, kind="stable")
-        a, labels = a[:, order], labels[order]
-    starts = np.flatnonzero(np.diff(labels, prepend=-1))
-    present = labels[starts]
-    if present.size == num_classes:
-        return np.add.reduceat(a, starts, axis=1)
-    out = np.zeros((a.shape[0], num_classes))
-    if present.size:
-        out[:, present] = np.add.reduceat(a, starts, axis=1)
-    return out
 
 
 # A pair whose squared shifted norm is at most this fraction of
@@ -226,7 +207,7 @@ def branches(model: AtcModel, F: np.ndarray, self_indices=None, rows=None,
         a_act = np.exp(-model.tip_gamma * (1.0 - F @ rows.T))
         if self_indices is not None:
             a_act[np.arange(B), self_indices] = 0.0
-        f1 = _class_sums(a_act, labels, model.num_classes)
+        f1 = np.add.reduceat(a_act, model.visual.starts, axis=1)
     else:
         f1 = F @ proto.T
         if self_indices is not None:

@@ -150,20 +150,14 @@ def check_types(section: dict, types: dict, name: str) -> None:
 
 
 def model_hyper(model: AtcModel) -> dict:
-    return {
-        "alpha": model.alpha,
-        "beta": model.beta,
-        "logit_scale": model.logit_scale,
-        "activation": model.activation,
-        "tip_gamma": model.tip_gamma,
-        "adaptive_text": model.adaptive_text,
-        "renorm_text": model.textual.renormalize,
-        "renorm_visual": model.visual.renormalize,
-        "visual_mode": model.visual.mode,
-        "dim": model.dim,
-        "chunk_count": model.net.chunk_count,
-        "hidden_size": model.net.hidden_size,
-    }
+    """The model's HYPER values: its caches' and net's settings, else its own
+    attribute of the same name."""
+    parts = {"renorm_text": model.textual.renormalize,
+             "renorm_visual": model.visual.renormalize,
+             "visual_mode": model.visual.mode,
+             "chunk_count": model.net.chunk_count,
+             "hidden_size": model.net.hidden_size}
+    return {k: parts[k] if k in parts else getattr(model, k) for k in HYPER}
 
 
 def checkpoint_tensors(model: AtcModel) -> dict[str, np.ndarray]:

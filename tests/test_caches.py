@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from atc.caches import build_textual_cache, build_visual_cache
+from atc.caches import VisualCache, build_textual_cache, build_visual_cache
 from atc.conditionnet import condition_forward, init_condition_net
-from atc.dataio import SynthConfig, synth_dataset
+from atc.dataio import EmbeddingSet, SynthConfig, synth_dataset
 from atc.errors import ShapeError, ValidationError
 from atc.model import AtcModel, branches, zero_shot_logits
 from atc.numerics import Rng, l2_normalize_rows
@@ -101,6 +101,27 @@ def test_build_visual_cache_missing_class():
     sets = _sets(n=3)
     with pytest.raises(ValidationError, match="missing"):
         build_visual_cache(sets["support"], 4)
+
+
+def test_visual_cache_rejects_unsorted_labels():
+    support = _sets(n=3, k=3)["support"]
+    perm = Rng(3).permutation(9)
+    shuffled = EmbeddingSet(support.features[perm], support.labels[perm],
+                            support.class_names, "support")
+    with pytest.raises(ValidationError, match="class-major"):
+        build_visual_cache(shuffled, 3)
+    with pytest.raises(ValidationError, match="class-major"):
+        VisualCache(shuffled.features, shuffled.labels)
+
+
+def test_visual_cache_rejects_class_without_rows():
+    with pytest.raises(ValidationError, match="class-major"):
+        VisualCache(np.eye(4), np.array([0, 0, 2, 2]), mode="fixed")
+
+
+def test_visual_cache_rejects_no_rows():
+    with pytest.raises(ValidationError, match="class-major"):
+        VisualCache(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
 
 
 def _visual_f1(cache, F):

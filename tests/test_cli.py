@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -969,8 +970,13 @@ def test_train_renorm_off_divergence_exit_4(tmp_path, mode, capsys):
     assert "exceeds 1.34e+154" in captured.err
     assert captured.out == ""
     assert not ckpt.exists()
-    # a large step that stays far below the bound is kept
-    assert run(*argv, "--lr", "1e10") == 0
+    # a large step that stays far below the bound is kept, and its gates'
+    # saturated sigmoids warn of nothing (pytest would catch a warning
+    # before stderr does, so warnings are errors here)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--lr", "1e10") == 0
+    assert capsys.readouterr().err == ""
     assert ckpt.exists()
 
 
@@ -994,6 +1000,67 @@ def test_synth_non_finite_noise_exit_3(tmp_path, flags, capsys):
                "--dim", "8", *flags) == 3
     assert "noise scales must be finite" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+
+
+def test_synth_larger_than_memory_exit_3(tmp_path, capsys):
+    # ~5.4e21 bytes of rows, above 2**63: refused before anything is
+    # allocated
+    assert run("synth", "--out", str(tmp_path / "d"),
+               "--classes", str(10 ** 9), "--dim", str(10 ** 10)) == 3
+    out = capsys.readouterr()
+    assert "error: a synthetic dataset needs 5440000000000000000000 bytes" \
+        in out.err
+    assert out.out == ""
+    assert not (tmp_path / "d").exists()
+
+
+def test_eval_non_finite_fused_logit_exit_4(data_dir, trained, capsys):
+    # alpha 1e308 overflows the fused logits: an argmax over them is no
+    # prediction
+    ckpt, _ = trained
+    assert run("eval", "--ckpt", str(ckpt),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate"),
+               "--alpha", "1e308") == 4
+    captured = capsys.readouterr()
+    assert "numeric error: a fused logit is not finite" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_non_finite_fused_logit_exit_4(data_dir, trained, capsys):
+    ckpt, _ = trained
+    assert run("sweep", "--ckpt", str(ckpt),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate"),
+               "--param", "alpha", "--values", "1e308,1") == 4
+    captured = capsys.readouterr()
+    assert "numeric error: a fused logit is not finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("activation", ["linear", "tip:2"])
+def test_permuted_support_file_trains_and_evals(data_dir, tmp_path,
+                                                activation):
+    # the episode is drawn class-major, so the visual cache never sees the
+    # file's row order
+    from atc.dataio import EmbeddingSet, read_embeddings, write_embeddings
+    s = read_embeddings(data_dir / "support.ate")
+    perm = np.random.default_rng(0).permutation(s.labels.size)
+    assert np.any(np.diff(s.labels[perm]) < 0)
+    support = tmp_path / "permuted.ate"
+    write_embeddings(EmbeddingSet(s.features[perm], s.labels[perm],
+                                  s.class_names, "support"), support)
+    ckpt, report = tmp_path / "m.atck", tmp_path / "r.jsonl"
+    files = ["--text", str(data_dir / "text.ate"), "--support", str(support),
+             "--query", str(data_dir / "query.ate"), "--report", str(report)]
+    assert run("train", *files, "--ckpt", str(ckpt), "--shots", "4",
+               "--epochs", "2", "--activation", activation,
+               "--leave-self-out", "on") == 0
+    assert run("eval", *files, "--ckpt", str(ckpt)) == 0
+    train, evaluated = read_records(report)
+    assert evaluated["accuracy"] == train["eval"]["accuracy"]
 
 
 def test_rebuild_binds_checkpoint_arrays_and_episode_rows(data_dir, trained,

@@ -381,35 +381,6 @@ def test_predict_batch_peak_below_the_condition_net_tape():
     assert peak < B * (h * (4 * T + 2 * (T + 1)) + d) * 8
 
 
-def test_visual_branch_gathers_unsorted_labels():
-    m, sets = _make_model(n=4, dim=8, k=3, seed=2, randomize=True,
-                          activation="tip", gamma=2.0)
-    F, labels = sets["query"].features, sets["query"].labels
-    f1, _, _ = branches(m, F)
-    _, grads = loss_and_grads(m, F, labels, np.arange(F.shape[0]) % 12)
-    perm = Rng(3).permutation(m.visual.rows)
-    m.visual = VisualCache(m.visual.support[perm], m.visual.labels[perm],
-                           biases=m.visual.biases[perm])
-    assert np.max(np.abs(branches(m, F)[0] - f1)) < 1e-12
-    inverse = np.argsort(perm)
-    _, pgrads = loss_and_grads(m, F, labels, inverse[np.arange(F.shape[0])
-                                                     % 12])
-    assert np.max(np.abs(pgrads["visual.biases"][inverse]
-                         - grads["visual.biases"])) < 1e-12
-
-
-def test_visual_class_without_rows_scores_zero():
-    cache = VisualCache(np.eye(3)[[2, 0]], np.array([2, 0]), mode="fixed")
-    m = AtcModel(TextualCache(np.eye(3)), cache,
-                 init_condition_net(3, 1, 2, Rng(0)))
-    F = Rng(4).normal((4, 3))
-    f1 = _f1(m, F)
-    assert np.all(f1[:, 1] == 0.0)
-    for i, f in enumerate(F):
-        expected = visual_scores(f, cache.support, cache.labels, 3)
-        assert np.max(np.abs(f1[i] - expected)) < 1e-12
-
-
 @pytest.mark.parametrize("rows", [1, 65])
 def test_visual_renorm_backward_matches_whole_array_oracle_bitwise(rows):
     raw = Rng(5).normal((rows, 512))
@@ -433,18 +404,23 @@ def _cache_rows(cache, idx):
     return out
 
 
-def _visual_case(mode, activation, leave_self_out, unsorted, empty_class):
+def _visual_case(mode, activation, leave_self_out, shuffled, one_row_class):
     """A randomized model, 7 queries and d_logits for the visual-branch
     oracle comparisons. Under leave-self-out query i masks support row i:
-    queries 1, 3 and 5 are those rows themselves, the others query rows."""
+    queries 1, 3 and 5 are those rows themselves, the others query rows.
+    shuffled permutes the rows within each class; one_row_class keeps one
+    row of class 2 (row 6, which query 6 masks under leave-self-out)."""
     m, sets = _make_model(n=5, dim=16, k=3, seed=9, mode=mode,
                           activation=activation, gamma=2.5, randomize=True)
     m.adaptive_text = False
-    if empty_class:
-        keep = np.flatnonzero(m.visual.labels != 2)
+    if one_row_class:
+        keep = np.flatnonzero((m.visual.labels != 2)
+                              | (np.arange(m.visual.rows) == 6))
         m.visual = _cache_rows(m.visual, keep)
-    if unsorted:
-        m.visual = _cache_rows(m.visual, Rng(10).permutation(m.visual.rows))
+    if shuffled:
+        perm = Rng(10).permutation(m.visual.rows)
+        perm = perm[np.argsort(m.visual.labels[perm], kind="stable")]
+        m.visual = _cache_rows(m.visual, perm)
     F = m.visual.support[:7].copy()
     F[::2] = sets["query"].features[:4]
     self_indices = np.arange(7) if leave_self_out else None
@@ -458,23 +434,21 @@ def _visual_grads(m, F, self_indices, d_logits):
     return f1, {k: v for k, v in grads.items() if k.startswith("visual.")}
 
 
-_VISUAL_CASES = [(mode, lso, unsorted, empty)
+_VISUAL_CASES = [(mode, lso, shuffled, one_row)
                  for mode in ("fixed", "biases", "linear")
-                 for lso in (False, True) for unsorted in (False, True)
-                 for empty in (False, True)]
+                 for lso in (False, True) for shuffled in (False, True)
+                 for one_row in (False, True)]
 
 
-@pytest.mark.parametrize("mode,leave_self_out,unsorted,empty_class",
+@pytest.mark.parametrize("mode,leave_self_out,shuffled,one_row_class",
                          _VISUAL_CASES)
 def test_linear_visual_branch_matches_dense_oracle(mode, leave_self_out,
-                                                   unsorted, empty_class):
+                                                   shuffled, one_row_class):
     m, F, self_indices, d_logits = _visual_case(
-        mode, "linear", leave_self_out, unsorted, empty_class)
+        mode, "linear", leave_self_out, shuffled, one_row_class)
     f1, grads = _visual_grads(m, F, self_indices, d_logits)
     want, _ = dense_visual_scores(m, F, self_indices)
     assert np.max(np.abs(f1 - want)) <= 1e-12 * np.max(np.abs(want))
-    if empty_class:
-        assert np.all(f1[:, 2] == 0.0)
     df1 = m.logit_scale * m.alpha * d_logits
     want_grads = ({} if mode == "fixed"
                   else dense_visual_grads(m, F, df1, self_indices))
@@ -484,14 +458,16 @@ def test_linear_visual_branch_matches_dense_oracle(mode, leave_self_out,
         assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
-@pytest.mark.parametrize("mode,leave_self_out,unsorted,empty_class",
+@pytest.mark.parametrize("mode,leave_self_out,shuffled,one_row_class",
                          _VISUAL_CASES)
 def test_tip_visual_branch_is_the_dense_oracle_bitwise(mode, leave_self_out,
-                                                       unsorted, empty_class):
+                                                       shuffled, one_row_class):
     m, F, self_indices, d_logits = _visual_case(
-        mode, "tip", leave_self_out, unsorted, empty_class)
+        mode, "tip", leave_self_out, shuffled, one_row_class)
     f1, grads = _visual_grads(m, F, self_indices, d_logits)
     assert f1.tobytes() == dense_visual_scores(m, F, self_indices)[0].tobytes()
+    if one_row_class and leave_self_out:
+        assert f1[6, 2] == 0.0
     if mode != "fixed":
         want = dense_visual_grads(m, F, m.logit_scale * m.alpha * d_logits,
                                   self_indices)
