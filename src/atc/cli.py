@@ -274,8 +274,8 @@ def cmd_eval(args) -> int:
     ckpt = trainer.load_checkpoint(args.ckpt)
     m, text = _rebuild_from_checkpoint(ckpt, args.text, args.support,
                                        alpha=args.alpha, beta=args.beta)
-    # the visual rows depend only on the checkpoint: one copy serves every
-    # query file
+    # the visual class sums depend only on the checkpoint: one result serves
+    # every query file
     rows = model_mod.visual_rows(m)
     for qpath in args.query:
         query = _read_like(text, qpath, "query")

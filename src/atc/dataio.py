@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CodecError, ConfigError, InsufficientDataError, ValidationError
-from .numerics import Rng, l2_normalize_rows
+from .numerics import Rng, l2_normalize_rows, seed_child
 
 MAGIC = b"ATCE"
 VERSION = 1
@@ -255,7 +255,8 @@ def sample_episode(labels, shots_per_class: int, seed: int) -> np.ndarray:
     if shots_per_class < 1:
         raise ConfigError("shots_per_class must be >= 1")
     labels = np.asarray(labels, dtype=np.int64)
-    rng = Rng(seed)
+    # class c draws Rng(seed).child(c)'s stream from one re-keyed generator
+    rng, seed = Rng(0), int(seed)
     # one stable sort groups each class's rows in ascending row order
     order = np.argsort(labels, kind="stable")
     classes, starts = np.unique(labels[order], return_index=True)
@@ -264,7 +265,7 @@ def sample_episode(labels, shots_per_class: int, seed: int) -> np.ndarray:
         if rows.size < shots_per_class:
             raise InsufficientDataError(f"class {cls} has {rows.size} rows, "
                                         f"episode needs {shots_per_class}")
-        sel = rng.child(int(cls)).sample_without_replacement(rows.size,
-                                                             shots_per_class)
+        sel = rng.rekey(seed_child(seed, int(cls))).sample_without_replacement(
+            rows.size, shots_per_class)
         picked.append(rows[sel])
     return np.concatenate(picked) if picked else np.zeros(0, dtype=np.int64)

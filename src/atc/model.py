@@ -12,7 +12,7 @@ import numpy as np
 from .caches import TextualCache, VisualCache
 from .conditionnet import ConditionNetParams, condition_backward, condition_forward
 from .errors import EvaluationError, ShapeError, ValidationError
-from .numerics import ZERO_NORM, l2_normalize_rows
+from .numerics import _BLOCK_VALUES, ZERO_NORM, l2_normalize_rows
 
 
 @dataclass
@@ -90,32 +90,44 @@ def _normalize_rows_bwd(d_unit, unit, safe, zero):
     return d_raw
 
 
-def visual_rows(model: AtcModel):
+def _effective_rows(cache: VisualCache, lo: int, hi: int):
+    """Cache rows lo:hi as scored, and their (safe, zero) norms or None."""
+    if cache.mode == "linear":
+        return cache.linear[lo:hi], None
+    rows, fresh = cache.support[lo:hi], None
+    if cache.mode == "biases":  # a fresh sum is renormalized in place
+        rows = fresh = rows + cache.biases[lo:hi]
+    if not cache.renormalize:
+        return rows, None
+    rows, safe, zero = l2_normalize_rows(rows, out=fresh)
+    # an overflowed norm would quietly turn its row into zeros
+    if not np.isfinite(safe).all():
+        raise EvaluationError("a visual cache row norm is not finite")
+    return rows, (safe, zero)
+
+
+def visual_rows(model: AtcModel, *, record: bool = False):
     """The effective cache rows the visual branch scores against, what the
     backward pass needs to undo their renormalization (or None), and, under
-    linear activation, their per-class sums (or None). They depend only on
-    the cache and activation, so one result can serve many query batches."""
+    linear activation, their per-class sums (or None). One result serves
+    many query batches. A linear call without record=True forms the rows a
+    block of whole classes at a time and keeps only the sums."""
     cache = model.visual
-    rows, vnorm = cache.linear, None
-    if cache.mode != "linear":
-        # a fresh sum is renormalized in place
-        fresh = None if cache.mode == "fixed" else cache.support + cache.biases
-        rows = cache.support if fresh is None else fresh
-        if cache.renormalize:
-            rows, safe, zero = l2_normalize_rows(rows, out=fresh)
-            # an overflowed norm would quietly turn its row into zeros
-            if not np.isfinite(safe).all():
-                raise EvaluationError("a visual cache row norm is not finite")
-            vnorm = (safe, zero)
     if model.activation != "linear":
-        return rows, vnorm, None
+        return *_effective_rows(cache, 0, cache.rows), None
+    # a block: the whole classes starting in one window of `step` rows
+    step = cache.rows if record else max(1, _BLOCK_VALUES // max(cache.dim, 1))
+    firsts = np.flatnonzero(np.diff(cache.starts // step, prepend=-1))
+    edges = [*cache.starts, cache.rows]
     # linear affinities sum per class to one dot product with the class's
     # summed row, one class-major run each
-    starts = cache.starts
-    proto = np.zeros((starts.size, rows.shape[1]))
-    for c, (start, end) in enumerate(zip(starts, [*starts[1:], cache.rows])):
-        proto[c] += np.add.reduce(rows[start:end], axis=0)
-    return rows, vnorm, proto
+    proto = np.zeros((cache.starts.size, cache.dim))
+    for first, end in zip(firsts, [*firsts[1:], cache.starts.size]):
+        lo = edges[first]
+        rows, vnorm = _effective_rows(cache, lo, edges[end])
+        for c in range(first, end):
+            proto[c] += np.add.reduce(rows[edges[c] - lo:edges[c + 1] - lo], 0)
+    return (rows, vnorm, proto) if record else (None, None, proto)
 
 
 # A pair whose squared shifted norm is at most this fraction of
@@ -201,7 +213,9 @@ def branches(model: AtcModel, F: np.ndarray, self_indices=None, rows=None,
 
     # visual branch: tip affinities cannot be summed before activating, so
     # they form (B, rows); linear ones are scored against the class sums
-    rows, vnorm, proto = visual_rows(model) if rows is None else rows
+    if rows is None:    # masking a self term reads the rows
+        rows = visual_rows(model, record=record or self_indices is not None)
+    rows, vnorm, proto = rows
     labels, a_act = model.visual.labels, None
     if proto is None:
         a_act = np.exp(-model.tip_gamma * (1.0 - F @ rows.T))
@@ -230,12 +244,13 @@ def branches(model: AtcModel, F: np.ndarray, self_indices=None, rows=None,
 
 def fuse(f1: np.ndarray, f2: np.ndarray, alpha: float, beta: float,
          logit_scale: float) -> np.ndarray:
-    """Fused logits: logit_scale * (alpha * f1 + beta * f2)."""
+    """Fused logits logit_scale * (alpha f1 + beta f2); inf/nan on overflow."""
     f1 = np.asarray(f1, dtype=np.float64)
     f2 = np.asarray(f2, dtype=np.float64)
     if f1.shape != f2.shape:
         raise ShapeError(f"branch shapes differ: {f1.shape} vs {f2.shape}")
-    return logit_scale * (alpha * f1 + beta * f2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return logit_scale * (alpha * f1 + beta * f2)
 
 
 def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarray]:

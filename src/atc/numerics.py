@@ -41,6 +41,15 @@ class Rng:
     def child(self, i: int) -> "Rng":
         return Rng(seed_child(self.seed, i))
 
+    def rekey(self, seed: int) -> "Rng":
+        """Restart as Rng(seed) starts, without constructing a generator."""
+        self.seed = int(seed) & _MASK64
+        self._gen.bit_generator.state = dict(
+            bit_generator="Philox", buffer=[0] * 4, buffer_pos=4,
+            has_uint32=0, uinteger=0,
+            state=dict(counter=[0] * 4, key=[self.seed, 0]))
+        return self
+
     def uniform(self, low: float, high: float, size) -> np.ndarray:
         return self._gen.uniform(low, high, size)
 

@@ -1016,28 +1016,34 @@ def test_synth_larger_than_memory_exit_3(tmp_path, capsys):
 
 def test_eval_non_finite_fused_logit_exit_4(data_dir, trained, capsys):
     # alpha 1e308 overflows the fused logits: an argmax over them is no
-    # prediction
+    # prediction. The overflow itself warns of nothing (pytest would catch a
+    # warning before stderr does, so warnings are errors here)
     ckpt, _ = trained
-    assert run("eval", "--ckpt", str(ckpt),
-               "--text", str(data_dir / "text.ate"),
-               "--support", str(data_dir / "support.ate"),
-               "--query", str(data_dir / "query.ate"),
-               "--alpha", "1e308") == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("eval", "--ckpt", str(ckpt),
+                   "--text", str(data_dir / "text.ate"),
+                   "--support", str(data_dir / "support.ate"),
+                   "--query", str(data_dir / "query.ate"),
+                   "--alpha", "1e308") == 4
     captured = capsys.readouterr()
-    assert "numeric error: a fused logit is not finite" in captured.err
+    assert captured.err == "numeric error: a fused logit is not finite\n"
     assert captured.out == ""
 
 
 def test_sweep_non_finite_fused_logit_exit_4(data_dir, trained, capsys):
     ckpt, _ = trained
-    assert run("sweep", "--ckpt", str(ckpt),
-               "--text", str(data_dir / "text.ate"),
-               "--support", str(data_dir / "support.ate"),
-               "--query", str(data_dir / "query.ate"),
-               "--param", "alpha", "--values", "1e308,1") == 4
-    captured = capsys.readouterr()
-    assert "numeric error: a fused logit is not finite" in captured.err
-    assert captured.out == ""
+    for param in ("alpha", "beta"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("sweep", "--ckpt", str(ckpt),
+                       "--text", str(data_dir / "text.ate"),
+                       "--support", str(data_dir / "support.ate"),
+                       "--query", str(data_dir / "query.ate"),
+                       "--param", param, "--values", "1e308,1") == 4
+        captured = capsys.readouterr()
+        assert captured.err == "numeric error: a fused logit is not finite\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("activation", ["linear", "tip:2"])

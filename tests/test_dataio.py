@@ -6,6 +6,7 @@ import pytest
 import oracles
 from oracles import encode_embeddings
 
+from atc import dataio
 from atc.dataio import (EmbeddingSet, SynthConfig,
                         read_embeddings, sample_episode, synth_dataset,
                         write_embeddings)
@@ -84,6 +85,55 @@ def test_non_finite_row_rejected_at_its_offset(tmp_path, bad):
         read_embeddings(path)
     # 25 header bytes, 5 u32 labels, then rows of 4 float32
     assert exc.value.offset == 25 + 4 * 5 + 4 * 4 * 3
+
+
+def _block_spanning_file(tmp_path, edit):
+    """A support file of 4-dim rows that spans two read blocks (_BLOCK
+    values each), its rows changed by edit(features) before writing."""
+    rows = dataio._BLOCK // 4 + 8
+    es = _small_set(rows=rows, dim=4)
+    es.features = np.array(es.features)
+    edit(es.features)
+    path = tmp_path / "big.ate"
+    write_embeddings(es, path)
+    return path, rows
+
+
+def test_non_finite_rows_in_two_blocks_report_the_first(tmp_path):
+    def edit(f):
+        f[dataio._BLOCK // 4 + 3, 1] = np.inf
+        f[5, 0] = np.nan
+
+    path, rows = _block_spanning_file(tmp_path, edit)
+    with pytest.raises(CodecError, match="feature row 5 is not finite") as exc:
+        read_embeddings(path)
+    assert exc.value.offset == 25 + 4 * rows + 4 * 4 * 5
+
+
+def test_truncated_class_names_win_over_a_non_finite_row(tmp_path):
+    es = _small_set(rows=5, dim=4)
+    es.features = np.array(es.features)
+    es.features[1, 1] = np.nan
+    path = tmp_path / "a.ate"
+    write_embeddings(es, path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(CodecError,
+                       match="truncated file while reading class name"):
+        read_embeddings(path)
+
+
+def test_norm_warnings_count_across_a_block_boundary(tmp_path):
+    edge = dataio._BLOCK // 4
+
+    def edit(f):
+        f[edge - 1] *= 2.0              # off unit norm
+        f[edge] = 0.0                   # zero
+        f[edge + 1] *= 1.0 + 1e-4       # within 1e-3: no warning
+        f[edge + 2] *= 0.5              # off unit norm
+        f[3] = 0.0                      # zero, in the first block
+
+    path, _ = _block_spanning_file(tmp_path, edit)
+    assert read_embeddings(path).norm_warnings == 4
 
 
 def test_norm_warnings_count_off_unit_and_zero_rows(tmp_path):
@@ -232,6 +282,19 @@ def test_sample_episode_matches_per_class_scan(seed):
             sample(labels, 4, seed)
         errors.append(str(info.value))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("uneven", [False, True])
+def test_sample_episode_matches_per_class_scan_at_c1000(uneven):
+    # k = 16 of exactly 16 rows picks every row; uneven classes have 16-40
+    rng = Rng(3)
+    counts = 16 + (rng.permutation(1000) % 25 if uneven else 0)
+    labels = np.repeat(np.arange(1000), counts)
+    labels = labels[rng.child(1).permutation(labels.size)]
+    got = sample_episode(labels, 16, 7)
+    assert got.tobytes() == oracles.sample_episode(labels, 16, 7).tobytes()
+    if not uneven:
+        assert np.array_equal(np.sort(got), np.arange(labels.size))
 
 
 def test_sample_episode_of_no_labels_is_empty():

@@ -9,7 +9,7 @@ from atc.caches import (TextualCache, VisualCache, build_textual_cache,
                         build_visual_cache)
 from atc.conditionnet import init_condition_net
 from atc.dataio import SynthConfig, synth_dataset
-from atc.errors import ShapeError
+from atc.errors import EvaluationError, ShapeError
 from atc.model import (AtcModel, _loss_from_logits, branches, fuse,
                        loss_and_grads, predict_batch, zero_shot_logits)
 from atc.numerics import Rng, l2_normalize_rows
@@ -489,3 +489,84 @@ def test_linear_visual_branch_matches_dense_oracle_at_scale():
                              self_indices)["visual.biases"]
     assert np.max(np.abs(grads["visual.biases"] - ref)) <= (
         1e-12 * np.max(np.abs(ref)))
+
+
+def _blocked_case(counts, mode, renorm, dim=16, shuffled=False):
+    """A linear-activation model whose class c has counts[c] random support
+    rows (permuted within each class when shuffled), with random biases and
+    free rows, and 5 queries."""
+    rng = Rng(20)
+    labels = np.repeat(np.arange(len(counts)), counts)
+    support = l2_normalize_rows(rng.normal((labels.size, dim)))[0]
+    visual = VisualCache(support, labels, mode, renorm)
+    visual.biases = 0.3 * rng.normal(support.shape)
+    visual.linear = support + 0.3 * rng.normal(support.shape)
+    if shuffled:
+        perm = rng.permutation(labels.size)
+        visual = _cache_rows(visual, perm[np.argsort(labels[perm],
+                                                     kind="stable")])
+    textual = TextualCache(l2_normalize_rows(rng.normal((len(counts),
+                                                         dim)))[0], renorm)
+    m = AtcModel(textual, visual, init_condition_net(dim, 2, 4, Rng(21)),
+                 logit_scale=10.0)
+    return m, rng.normal((5, dim))
+
+
+# class sizes against 4-row blocks: a class longer than a block; windows
+# that close exactly on a class boundary; a one-row class between others
+_BLOCK_SHAPES = {"long": ([9, 4, 1, 3, 2], [(0, 9), (9, 13), (13, 17),
+                                             (17, 19)]),
+                 "exact": ([2, 2, 2, 2, 4], [(0, 4), (4, 8), (8, 12)]),
+                 "one_row": ([3, 1, 1, 5, 1], [(0, 4), (4, 10), (10, 11)])}
+
+
+@pytest.mark.parametrize("shape", sorted(_BLOCK_SHAPES))
+@pytest.mark.parametrize("mode", ["fixed", "biases", "linear"])
+@pytest.mark.parametrize("renorm", [True, False])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_blocked_class_sums_are_the_recorded_ones_bitwise(
+        monkeypatch, shape, mode, renorm, shuffled):
+    counts, blocks = _BLOCK_SHAPES[shape]
+    m, F = _blocked_case(counts, mode, renorm, shuffled=shuffled)
+    monkeypatch.setattr(model_mod, "_BLOCK_VALUES", 4 * m.dim)
+    spans = []
+    original = model_mod._effective_rows
+
+    def spied(cache, lo, hi):
+        spans.append((lo, hi))
+        return original(cache, lo, hi)
+
+    monkeypatch.setattr(model_mod, "_effective_rows", spied)
+    rows, vnorm, proto = model_mod.visual_rows(m)
+    assert rows is None and vnorm is None
+    assert spans == blocks
+    f1 = branches(m, F)[0]
+    spans.clear()
+    whole = model_mod.visual_rows(m, record=True)
+    assert spans == [(0, m.visual.rows)]
+    assert whole[0].shape == (m.visual.rows, m.dim)
+    assert (whole[1] is not None) == (renorm and mode != "linear")
+    assert proto.tobytes() == whole[2].tobytes()
+    assert f1.tobytes() == branches(m, F, record=True)[0].tobytes()
+
+
+def test_forward_only_visual_rows_peak_below_one_rows_array():
+    # 4,000 x 512 rows (16.4 MB) in 250 classes: the blocked sums hold a
+    # block of rows, never all of them
+    c, k, d = 250, 16, 512
+    m, _ = _blocked_case([k] * c, "biases", True, dim=d)
+    tracemalloc.start()
+    try:
+        model_mod.visual_rows(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < c * k * d * 8
+
+
+def test_blocked_visual_rows_reject_a_non_finite_row_norm(monkeypatch):
+    m, _ = _blocked_case([9, 4, 1, 3, 2], "biases", True)
+    monkeypatch.setattr(model_mod, "_BLOCK_VALUES", 4 * m.dim)
+    m.visual.biases[15] = 1e300        # in the third of four blocks
+    with pytest.raises(EvaluationError, match="visual cache row norm"):
+        model_mod.visual_rows(m)
