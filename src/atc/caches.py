@@ -43,12 +43,14 @@ def build_textual_cache(text_set: EmbeddingSet,
 
 @dataclass
 class VisualCache:
-    support: np.ndarray              # (n*k, dim) unit-norm rows, frozen
+    support: np.ndarray              # (>= n*k, dim) unit-norm rows, frozen
     labels: np.ndarray               # (n*k,) int class of each row, frozen
     mode: str = "biases"             # fixed | linear | biases
     renormalize: bool = True
     biases: np.ndarray | None = None       # (n*k, dim), zero at init (mode=biases)
     linear: np.ndarray | None = None       # (n*k, dim), copy of support (mode=linear)
+    # (n*k,) or None: cache row i is support[index[i]], not support[i]
+    index: np.ndarray | None = None
 
     def __post_init__(self):
         # class-major labels 0,..,0,1,..,c-1: starts[c] is class c's first row
@@ -59,7 +61,7 @@ class VisualCache:
 
     @property
     def rows(self) -> int:
-        return self.support.shape[0]
+        return self.labels.shape[0]
 
     @property
     def dim(self) -> int:
@@ -67,12 +69,15 @@ class VisualCache:
 
 
 def build_visual_cache(support_set: EmbeddingSet, num_classes: int,
-                       mode: str = "biases",
-                       renormalize: bool = True) -> VisualCache:
+                       mode: str = "biases", renormalize: bool = True,
+                       index=None) -> VisualCache:
+    """The cache over support_set's rows, or over its rows `index` (in that
+    order, e.g. a sample_episode draw) without copying them."""
     if mode not in VISUAL_MODES:
         raise ValidationError(f"unknown visual cache mode {mode!r}")
     support_set.validate()
-    present = np.unique(support_set.labels)
+    labels = support_set.labels if index is None else support_set.labels[index]
+    present = np.unique(labels)
     if not np.array_equal(present, np.arange(num_classes)):
         missing = sorted(set(range(num_classes)) - set(present.tolist()))
         raise ValidationError(
@@ -82,13 +87,13 @@ def build_visual_cache(support_set: EmbeddingSet, num_classes: int,
     # the caller's rows, not a copy; np.zeros pages cost no memory until
     # written, so biases that a checkpoint replaces never become resident
     support = np.asarray(support_set.features, dtype=np.float64)
-    cache = VisualCache(support, np.array(support_set.labels, dtype=np.int64),
-                        mode, renormalize)
+    cache = VisualCache(support, np.array(labels, dtype=np.int64), mode,
+                        renormalize, index=index)
     if mode == "biases":
-        cache.biases = np.zeros(support.shape)
+        cache.biases = np.zeros((cache.rows, cache.dim))
     elif mode == "linear":
         # free weight rows initialized from the support
         # rows, no additive decomposition and no renormalization afterwards.
-        cache.linear = np.array(support)
+        cache.linear = np.array(support) if index is None else support[index]
     return cache
 

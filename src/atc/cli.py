@@ -138,28 +138,22 @@ def _load_pair(text_path, support_path):
     return text, _read_like(text, support_path, "support")
 
 
-def _episode(support: dataio.EmbeddingSet, shots: int,
-             seed: int) -> dataio.EmbeddingSet:
-    idx = dataio.sample_episode(support.labels, shots, seed)
-    return dataio.EmbeddingSet(support.features[idx], support.labels[idx],
-                               support.class_names, support.role)
-
-
 # the checkpoint config keys that rebuild the support episode
 _EPISODE = {"episode_seed": int, "episode_shots": int, "episode_views": int}
 
 
-def _build_model(hyper: dict, text, episode, seed: int) -> AtcModel:
+def _build_model(hyper: dict, text, support, seed, index=None) -> AtcModel:
     """The head that `hyper` (keyed and typed like trainer.HYPER) describes,
-    around the text set and the support episode."""
+    around the text set and the support episode: the support set's rows, or
+    its rows `index` without a copy."""
     trainer.check_types(hyper, trainer.HYPER, "hyper")
     if text.dim != hyper["dim"]:
         raise ValidationError(
             f"checkpoint dim {hyper['dim']} != embedding dim {text.dim}")
     textual = build_textual_cache(text, renormalize=hyper["renorm_text"])
-    visual = build_visual_cache(episode, text.num_classes,
-                                mode=hyper["visual_mode"],
-                                renormalize=hyper["renorm_visual"])
+    visual = build_visual_cache(support, text.num_classes,
+                                hyper["visual_mode"], hyper["renorm_visual"],
+                                index)
     net = init_condition_net(text.dim, hyper["chunk_count"],
                              hyper["hidden_size"], Rng(seed).child(1000))
     return AtcModel(textual, visual, net, **{
@@ -189,7 +183,12 @@ def _train_once(args, adaptive_text: bool):
     """Train (and save); a query file is read and checked before training."""
     text, support = _load_pair(args.text, args.support)
     query = _read_like(text, args.query, "query") if args.query else None
-    episode = _episode(support, args.shots, args.seed)
+    # training's queries are the episode's rows, gathered once; the file's
+    # rows are not held through training
+    idx = dataio.sample_episode(support.labels, args.shots, args.seed)
+    episode = dataio.EmbeddingSet(support.features[idx], support.labels[idx],
+                                  support.class_names, support.role)
+    del support
     activation, gamma = _parse_activation(args.activation)
     renorm = args.renorm == "on"
     hyper = {"alpha": args.alpha, "beta": args.beta, "logit_scale": args.scale,
@@ -222,11 +221,13 @@ def _rebuild_from_checkpoint(ckpt: trainer.Checkpoint, text_path, support_path,
             f"episode_views must be 1, got {config['episode_views']}")
     text, support = _load_pair(text_path, support_path)
     seed = config["episode_seed"]
-    episode = _episode(support, config["episode_shots"], seed)
+    # no episode copy: the cache's blocks gather the file's rows themselves
+    index = dataio.sample_episode(support.labels, config["episode_shots"],
+                                  seed)
     hyper = {**ckpt.hyper,
              "alpha": ckpt.hyper["alpha"] if alpha is None else alpha,
              "beta": ckpt.hyper["beta"] if beta is None else beta}
-    m = _build_model(hyper, text, episode, seed)
+    m = _build_model(hyper, text, support, seed, index)
     trainer.apply_checkpoint(m, ckpt)
     return m, text
 

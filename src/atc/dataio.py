@@ -119,26 +119,32 @@ class _Cursor:
         except UnicodeDecodeError:
             raise CodecError(f"{what} is not UTF-8", at) from None
 
-    def array(self, shape, stored: str, dtype, what: str) -> np.ndarray:
+    def array(self, shape, stored: str, dtype, what: str,
+              nonfinite: str | None = None) -> np.ndarray:
         """A new `dtype` array of `shape` filled from the file's `stored`
-        values. A conversion goes one block at a time, so the stored values
-        never exist as a full-size copy."""
+        values one block at a time, so a conversion never holds the stored
+        values as a full-size copy. With `nonfinite`, a block holding a NaN
+        or inf raises CodecError(nonfinite) at the array's offset, checked
+        while the block is in cache."""
         count = math.prod(shape)
+        at = self.pos
         self._check(np.dtype(stored).itemsize * count, what)
         try:
             out = np.empty(shape, dtype)
         except ValueError:
-            raise CodecError(f"unsupported shape for {what}",
-                             self.pos) from None
-        if out.dtype == np.dtype(stored):
-            self._fill(out, what)
-            return out
+            raise CodecError(f"unsupported shape for {what}", at) from None
         flat = out.reshape(-1)
-        block = np.empty(min(count, _BLOCK), stored)
+        same = out.dtype == np.dtype(stored)
+        block = None if same else np.empty(min(count, _BLOCK), stored)
         for start in range(0, count, _BLOCK):
-            part = block[:count - start]
-            self._fill(part, what)
-            flat[start:start + part.size] = part
+            part = flat[start:start + _BLOCK]
+            if same:
+                self._fill(part, what)
+            else:
+                self._fill(block[:part.size], what)
+                part[...] = block[:part.size]
+            if nonfinite and not np.isfinite(part).all():
+                raise CodecError(nonfinite, at)
         return out
 
     def _fill(self, a: np.ndarray, what: str) -> None:

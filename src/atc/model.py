@@ -94,9 +94,12 @@ def _effective_rows(cache: VisualCache, lo: int, hi: int):
     """Cache rows lo:hi as scored, and their (safe, zero) norms or None."""
     if cache.mode == "linear":
         return cache.linear[lo:hi], None
-    rows, fresh = cache.support[lo:hi], None
+    if cache.index is None:
+        rows, fresh = cache.support[lo:hi], None
+    else:   # a fresh gather, which the biases and the renorm write into
+        rows = fresh = cache.support[cache.index[lo:hi]]
     if cache.mode == "biases":  # a fresh sum is renormalized in place
-        rows = fresh = rows + cache.biases[lo:hi]
+        rows = fresh = np.add(rows, cache.biases[lo:hi], out=fresh)
     if not cache.renormalize:
         return rows, None
     rows, safe, zero = l2_normalize_rows(rows, out=fresh)

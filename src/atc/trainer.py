@@ -28,7 +28,7 @@ from .errors import (CodecError, ContractError, EvaluationError,
 # train's step, with its logits, under the name the benchmark's span wraps
 from .model import (AtcModel, predict_batch, set_tensors, tensors,
                     trainables, _loss_grads_logits as loss_and_grads)
-from .numerics import Rng
+from .numerics import _BLOCK_VALUES, Rng
 
 CKPT_MAGIC = b"ATCK"
 CKPT_VERSION = 1
@@ -73,30 +73,39 @@ def init_adam(params: dict[str, np.ndarray]) -> AdamState:
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, cfg: TrainConfig) -> None:
     """Bias-corrected Adam update in place; decoupled weight decay applies to
-    visual tensors only."""
+    visual tensors only. Each tensor is updated a block of rows at a time
+    while it is in cache. An overflow leaves inf or NaN without a warning:
+    train's loss and trained-tensor checks report it."""
     state.step += 1
     t = state.step
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValidationError(
-                f"grad shape {g.shape} != param shape {p.shape} for {name}")
-        # two scratch buffers, in the textbook formula's order (same bits)
-        m, v = state.m[name], state.v[name]
-        step = np.multiply(g, 1 - b1)
-        m *= b1
-        m += step
-        v *= b2
-        v += np.multiply(np.multiply(g, 1 - b2, out=step), g, out=step)
-        denom = np.divide(v, 1 - b2 ** t)
-        np.sqrt(denom, out=denom)
-        denom += cfg.adam_eps
-        np.divide(m, 1 - b1 ** t, out=step)
-        step *= cfg.learning_rate
-        p -= np.divide(step, denom, out=step)
-        if cfg.weight_decay and name.startswith("visual."):
-            p -= np.multiply(p, cfg.learning_rate * cfg.weight_decay, out=step)
+    b1, b2, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            g, m, v = grads[name], state.m[name], state.v[name]
+            if g.shape != p.shape:
+                raise ValidationError(f"grad shape {g.shape} != param shape "
+                                      f"{p.shape} for {name}")
+            decay = cfg.weight_decay and name.startswith("visual.")
+            rows = max(1, _BLOCK_VALUES * len(p) // max(p.size, 1))
+            # two block-sized scratch buffers, the textbook order (same bits)
+            step = np.empty((min(rows, len(p)), *p.shape[1:]))
+            denom = np.empty_like(step)
+            for lo in range(0, len(p), rows):
+                b = slice(lo, lo + rows)
+                gb, mb, vb, pb = g[b], m[b], v[b], p[b]
+                s, d = step[:len(pb)], denom[:len(pb)]
+                mb *= b1
+                mb += np.multiply(gb, 1 - b1, out=s)
+                vb *= b2
+                vb += np.multiply(np.multiply(gb, 1 - b2, out=s), gb, out=s)
+                np.divide(vb, 1 - b2 ** t, out=d)
+                np.sqrt(d, out=d)
+                d += cfg.adam_eps
+                np.divide(mb, 1 - b1 ** t, out=s)
+                s *= lr
+                pb -= np.divide(s, d, out=s)
+                if decay:
+                    pb -= np.multiply(pb, lr * cfg.weight_decay, out=s)
 
 
 @dataclass
@@ -112,6 +121,8 @@ def _frozen_digest(model: AtcModel) -> str:
     h.update(np.ascontiguousarray(model.textual.class_texts).tobytes())
     h.update(np.ascontiguousarray(model.visual.support).tobytes())
     h.update(np.ascontiguousarray(model.visual.labels, dtype="<i8").tobytes())
+    if model.visual.index is not None:
+        h.update(np.asarray(model.visual.index, dtype="<i8").tobytes())
     h.update(struct.pack("<ddd", model.alpha, model.beta, model.logit_scale))
     return h.hexdigest()
 
@@ -275,11 +286,9 @@ def load_checkpoint(path) -> Checkpoint:
             if dtype != _DTYPE_F64:
                 raise CodecError(f"unknown dtype byte {dtype}", cur.pos - 2)
             dims = cur.unpack(f"<{rank}Q", "tensor dims")
-            at = cur.pos
             arrays[name] = cur.array(dims, "<f8", "<f8",
-                                     f"tensor data for {name}")
-            if not np.isfinite(arrays[name]).all():
-                raise CodecError(f"tensor {name} is not finite", at)
+                                     f"tensor data for {name}",
+                                     f"tensor {name} is not finite")
         (tlen,) = cur.unpack("<I", "trailer length")
         at = cur.pos
         raw = cur.take(tlen, "trailer")

@@ -5,10 +5,11 @@ NumPy's own norm, the scorers work one query at a time with plain loops,
 the dense textual branch forms every shifted text row where the model uses
 a closed form, and the dense visual branch forms every (B, rows) affinity
 where the linear activation scores against per-class row sums. The Adam
-step is the textbook formula, one temporary per operation, and the episode
-sampler scans the labels once per class. `shift_model` builds a model whose
-condition network emits the same bias `s` for every query, so a chosen
-shift goes through the real path. The encoders write the two documented
+step is the textbook formula, one temporary per operation. The episode
+sampler scans the labels once per class, and `gathered_model` rebuilds a
+checkpoint's model around a copy of that episode's rows. `shift_model`
+builds a model whose condition network emits the same bias `s` for every
+query, so a chosen shift goes through the real path. The encoders write the two documented
 file layouts one field at a time with `struct.pack`.
 
 The gradient audit is the exception: `grad_check` differentiates any scalar
@@ -208,6 +209,26 @@ def sample_episode(labels, shots_per_class: int, seed: int) -> np.ndarray:
                                                              shots_per_class)
         picked.append(rows[sel])
     return np.concatenate(picked) if picked else np.zeros(0, dtype=np.int64)
+
+
+def gathered_model(ckpt, text, support) -> AtcModel:
+    """The checkpoint's model around a copy of its episode's support rows,
+    drawn by the per-class scan above and gathered into a cache of their
+    own: the model `eval` and `sweep` score, built without an index."""
+    h, config = ckpt.hyper, ckpt.config
+    idx = sample_episode(support.labels, config["episode_shots"],
+                         config["episode_seed"])
+    visual = VisualCache(support.features[idx], support.labels[idx],
+                         h["visual_mode"], h["renorm_visual"])
+    # placeholders of the right shape, replaced by the checkpoint's arrays
+    visual.biases = visual.linear = np.zeros(visual.support.shape)
+    net = init_condition_net(text.dim, h["chunk_count"], h["hidden_size"],
+                             Rng(0))
+    m = AtcModel(TextualCache(text.features, h["renorm_text"]), visual, net,
+                 h["alpha"], h["beta"], h["logit_scale"], h["activation"],
+                 h["tip_gamma"], h["adaptive_text"])
+    set_tensors(m, ckpt.tensors)
+    return m
 
 
 def shift_model(class_texts, s, renormalize=True) -> AtcModel:

@@ -112,6 +112,11 @@ def test_visual_cache_rejects_unsorted_labels():
         build_visual_cache(shuffled, 3)
     with pytest.raises(ValidationError, match="class-major"):
         VisualCache(shuffled.features, shuffled.labels)
+    # an index must draw the rows class-major too
+    with pytest.raises(ValidationError, match="class-major"):
+        build_visual_cache(support, 3, index=perm)
+    with pytest.raises(ValidationError, match=r"missing classes \[1\]"):
+        build_visual_cache(support, 3, index=np.array([0, 1, 6, 7]))
 
 
 def test_visual_cache_rejects_class_without_rows():

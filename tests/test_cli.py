@@ -943,12 +943,18 @@ def test_eval_renormalizes_visual_rows_once(data_dir, trained, tmp_path,
     (["--lr", "1e306", "--renorm", "off"],
      "trained tensor net.W_i is not finite")])
 def test_train_divergence_exit_4(data_dir, tmp_path, flags, message, capsys):
+    # the overflowing Adam update warns of nothing: the loss and
+    # trained-tensor checks report the divergence (pytest would catch a
+    # warning before stderr does, so warnings are errors here)
     ckpt = tmp_path / "m.atck"
-    assert run("train", "--text", str(data_dir / "text.ate"),
-               "--support", str(data_dir / "support.ate"),
-               "--ckpt", str(ckpt), "--shots", "4", "--epochs", "2",
-               *flags) == 4
-    assert f"numeric error: {message}" in capsys.readouterr().err
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("train", "--text", str(data_dir / "text.ate"),
+                   "--support", str(data_dir / "support.ate"),
+                   "--ckpt", str(ckpt), "--shots", "4", "--epochs", "2",
+                   *flags) == 4
+    assert capsys.readouterr().err == f"numeric error: {message}\n"
     assert not ckpt.exists()
 
 
@@ -1071,17 +1077,21 @@ def test_permuted_support_file_trains_and_evals(data_dir, tmp_path,
 
 def test_rebuild_binds_checkpoint_arrays_and_episode_rows(data_dir, trained,
                                                           monkeypatch):
+    # the cache binds the support file's own rows and the episode's row
+    # index: no episode copy exists
     import atc.cli
+    from atc.dataio import sample_episode
     from atc.model import tensors
     from atc.trainer import load_checkpoint
-    episodes = []
-    original = atc.cli._episode
+    supports = []
+    original = atc.cli._load_pair
 
     def kept(*args):
-        episodes.append(original(*args))
-        return episodes[-1]
+        pair = original(*args)
+        supports.append(pair[1])
+        return pair
 
-    monkeypatch.setattr(atc.cli, "_episode", kept)
+    monkeypatch.setattr(atc.cli, "_load_pair", kept)
     ckpt = load_checkpoint(trained[0])
     m, _ = atc.cli._rebuild_from_checkpoint(ckpt, data_dir / "text.ate",
                                             data_dir / "support.ate")
@@ -1089,5 +1099,141 @@ def test_rebuild_binds_checkpoint_arrays_and_episode_rows(data_dir, trained,
     assert sorted(live) == sorted(ckpt.tensors)
     for name, value in live.items():
         assert np.shares_memory(value, ckpt.tensors[name]), name
-    assert len(episodes) == 1
-    assert m.visual.support is episodes[0].features
+    (support,) = supports
+    assert m.visual.support is support.features
+    want = sample_episode(support.labels, ckpt.config["episode_shots"],
+                          ckpt.config["episode_seed"])
+    assert m.visual.index.tobytes() == want.tobytes()
+    assert m.visual.labels.tobytes() == support.labels[want].tobytes()
+
+
+def _shuffled_support(data_dir, path):
+    """The support file in shuffled row order, written to `path`."""
+    from atc.dataio import EmbeddingSet, read_embeddings, write_embeddings
+    from atc.numerics import Rng
+    s = read_embeddings(data_dir / "support.ate")
+    perm = Rng(8).permutation(s.labels.size)
+    write_embeddings(EmbeddingSet(s.features[perm], s.labels[perm],
+                                  s.class_names, "support"), path)
+    return read_embeddings(path)
+
+
+def _counts(logits, labels):
+    correct = int(np.sum(np.argmax(logits, axis=1) == labels))
+    return {"accuracy": correct / labels.size, "correct": correct,
+            "total": int(labels.size)}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--visual-mode", "biases"],
+    ["--visual-mode", "fixed", "--renorm", "off"],
+    ["--visual-mode", "linear", "--activation", "tip:2",
+     "--leave-self-out", "on"]])
+def test_eval_and_sweep_score_the_gathered_episode(data_dir, tmp_path, flags):
+    # a shuffled support file with 4 rows per class, 3 of them per episode:
+    # the cache over the file's rows and the episode index scores what a
+    # gathered copy of the episode scores
+    import oracles
+    from atc.dataio import read_embeddings
+    from atc.model import branches, fuse
+    from atc.trainer import load_checkpoint
+    support = _shuffled_support(data_dir, tmp_path / "shuffled.ate")
+    ckpt, report = tmp_path / "m.atck", tmp_path / "r.jsonl"
+    query = str(data_dir / "query.ate")
+    files = ["--text", str(data_dir / "text.ate"),
+             "--support", str(tmp_path / "shuffled.ate"),
+             "--ckpt", str(ckpt), "--report", str(report)]
+    assert run("train", *files, "--shots", "3", "--epochs", "2", "--lr",
+               "1e-2", "--seed", "5", *flags) == 0
+    assert run("eval", *files, "--query", query, "--query", query,
+               "--alpha", "0.5") == 0
+    for param in ("alpha", "beta"):
+        assert run("sweep", *files, "--query", query, "--param", param,
+                   "--values", "0,0.5,2") == 0
+    got = read_records(report)[1:]
+    for rec in got[:2]:
+        rec.pop("wall_clock")
+
+    m = oracles.gathered_model(load_checkpoint(ckpt),
+                               read_embeddings(data_dir / "text.ate"),
+                               support)
+    q = read_embeddings(query)
+    f1, f2, _ = branches(m, q.features)
+    want = [{"command": "eval", "ckpt": str(ckpt), "query": query,
+             "alpha": 0.5, "beta": m.beta,
+             **_counts(fuse(f1, f2, 0.5, m.beta, m.logit_scale), q.labels)}
+            ] * 2
+    for param in ("alpha", "beta"):
+        sweep = []
+        for value in (0.0, 0.5, 2.0):
+            alpha, beta = (value, 1.0) if param == "alpha" else (1.0, value)
+            sweep.append({"command": "sweep", "param": param,
+                          "value": value, "alpha": alpha, "beta": beta,
+                          **_counts(fuse(f1, f2, alpha, beta, m.logit_scale),
+                                    q.labels)})
+        best = max(sweep, key=lambda r: r["accuracy"])["value"]
+        want += [{**r, "best": r["value"] == best} for r in sweep]
+    assert got == want
+
+
+def test_rebuild_peak_holds_no_second_copy_of_the_support_rows(tmp_path):
+    # 4,000 x 512 support rows (16.4 MB) in 250 classes. The rebuild holds
+    # the file's rows and the zero biases the checkpoint replaces, but no
+    # gathered copy of the episode; the blocked class sums hold a block
+    import tracemalloc
+    import atc.cli
+    from atc import model as model_mod, trainer
+    from atc.caches import build_textual_cache, build_visual_cache
+    from atc.conditionnet import init_condition_net
+    from atc.dataio import SynthConfig, synth_dataset, write_embeddings
+    from atc.numerics import Rng
+    c, k, d = 250, 16, 512
+    sets = synth_dataset(SynthConfig(num_classes=c, dim=d, shots=k,
+                                     queries_per_class=1, seed=3))
+    for role in ("text", "support"):
+        write_embeddings(sets[role], tmp_path / f"{role}.ate")
+    m = model_mod.AtcModel(build_textual_cache(sets["text"]),
+                           build_visual_cache(sets["support"], c),
+                           init_condition_net(d, 8, 64, Rng(1)))
+    m.visual.biases += 0.01
+    ckpt = trainer.Checkpoint(trainer.checkpoint_tensors(m),
+                              trainer.model_hyper(m),
+                              {"episode_shots": k, "episode_seed": 2}, [])
+    del m, sets
+    tracemalloc.start()
+    try:
+        m, _ = atc.cli._rebuild_from_checkpoint(
+            ckpt, tmp_path / "text.ate", tmp_path / "support.ate")
+        model_mod.visual_rows(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured: 2.17 rows arrays; a gathered episode copy makes it 3.17
+    assert peak < 2.5 * c * k * d * 8
+
+
+def test_train_holds_the_episode_not_the_support_file_rows(data_dir,
+                                                          tmp_path,
+                                                          monkeypatch):
+    import weakref
+    import atc.cli
+    import atc.trainer
+    rows, trained = [], []
+    load, train = atc.cli._load_pair, atc.trainer.train
+
+    def loaded(*args):
+        pair = load(*args)
+        rows.append(weakref.ref(pair[1].features))
+        return pair
+
+    def training(*args):
+        trained.append(rows[0]() is None)
+        return train(*args)
+
+    monkeypatch.setattr(atc.cli, "_load_pair", loaded)
+    monkeypatch.setattr(atc.trainer, "train", training)
+    assert run("train", "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--ckpt", str(tmp_path / "m.atck"), "--shots", "3",
+               "--epochs", "1") == 0
+    assert trained == [True]

@@ -8,7 +8,7 @@ from atc import model as model_mod
 from atc.caches import (TextualCache, VisualCache, build_textual_cache,
                         build_visual_cache)
 from atc.conditionnet import init_condition_net
-from atc.dataio import SynthConfig, synth_dataset
+from atc.dataio import EmbeddingSet, SynthConfig, sample_episode, synth_dataset
 from atc.errors import EvaluationError, ShapeError
 from atc.model import (AtcModel, _loss_from_logits, branches, fuse,
                        loss_and_grads, predict_batch, zero_shot_logits)
@@ -570,3 +570,57 @@ def test_blocked_visual_rows_reject_a_non_finite_row_norm(monkeypatch):
     m.visual.biases[15] = 1e300        # in the third of four blocks
     with pytest.raises(EvaluationError, match="visual cache row norm"):
         model_mod.visual_rows(m)
+
+
+def _indexed_pair(mode, activation, renorm, shots):
+    """Two models that differ only in their visual cache: one over a
+    gathered copy of an episode's rows, one over the support set's rows
+    plus the episode's row index. The set has 5 rows per class in shuffled
+    order; the caches share random biases or free rows."""
+    sets = synth_dataset(SynthConfig(num_classes=6, dim=16, shots=5,
+                                     queries_per_class=2, seed=4))
+    s = sets["support"]
+    perm = Rng(5).permutation(s.labels.size)
+    support = EmbeddingSet(s.features[perm], s.labels[perm], s.class_names,
+                           "support")
+    idx = sample_episode(support.labels, shots, 6)
+    episode = EmbeddingSet(support.features[idx], support.labels[idx],
+                           s.class_names, "support")
+    trained = 0.3 * Rng(7).normal((idx.size, 16))
+    models = []
+    for visual in (build_visual_cache(episode, 6, mode, renorm),
+                   build_visual_cache(support, 6, mode, renorm, index=idx)):
+        if mode == "biases":
+            visual.biases = trained.copy()
+        elif mode == "linear":
+            visual.linear += trained
+        net = init_condition_net(16, 2, 4, Rng(8))
+        np.copyto(net.W_out, 0.1 * Rng(9).normal(net.W_out.shape))
+        models.append(AtcModel(build_textual_cache(sets["text"], renorm),
+                               visual, net, logit_scale=10.0,
+                               activation=activation, tip_gamma=2.0))
+    return models, sets["query"].features
+
+
+@pytest.mark.parametrize("mode", ["fixed", "biases", "linear"])
+@pytest.mark.parametrize("activation", ["linear", "tip"])
+@pytest.mark.parametrize("renorm", [True, False])
+@pytest.mark.parametrize("shots", [5, 3])
+def test_indexed_cache_scores_its_gathered_episode_bitwise(
+        monkeypatch, mode, activation, renorm, shots):
+    monkeypatch.setattr(model_mod, "_BLOCK_VALUES", 4 * 16)
+    (gathered, indexed), F = _indexed_pair(mode, activation, renorm, shots)
+    assert indexed.visual.support.shape[0] == 30
+    assert gathered.visual.rows == indexed.visual.rows == 6 * shots
+    assert gathered.visual.labels.tobytes() == indexed.visual.labels.tobytes()
+    def parts(m, record):   # rows, class sums, safe norms, zero mask
+        rows, vnorm, proto = model_mod.visual_rows(m, record=record)
+        return [rows, proto, *(vnorm or (None, None))]
+
+    for record in (False, True):
+        for a, b in zip(parts(gathered, record), parts(indexed, record)):
+            assert (a is None) == (b is None)
+            assert a is None or a.tobytes() == b.tobytes()
+        for a, b in zip(branches(gathered, F, record=record)[:2],
+                        branches(indexed, F, record=record)[:2]):
+            assert a.tobytes() == b.tobytes()

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from atc.dataio import SynthConfig, synth_dataset
 from atc.errors import CodecError, ValidationError
 from atc.model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
                        tensors, trainables)
+from atc.dataio import _BLOCK
 from atc.numerics import Rng
 from atc.trainer import (AdamState, Checkpoint, TrainConfig, adam_step,
                          apply_checkpoint, init_adam, load_checkpoint,
@@ -64,8 +66,10 @@ def test_adam_state_shapes_mirror_params():
 def test_adam_step_is_the_textbook_formula_bitwise(weight_decay):
     cfg = TrainConfig(learning_rate=3e-3, weight_decay=weight_decay)
     rng = Rng(7)
+    # (300, 512) spans four 64-row blocks and ends in a partial one
     start = {"visual.biases": rng.child(0).normal((40, 16)),
-             "net.W_i": rng.child(1).normal((6, 4))}
+             "net.W_i": rng.child(1).normal((6, 4)),
+             "visual.linear": rng.child(2).normal((300, 512))}
     runs = []
     for step in (adam_step, oracles.adam_step):
         params = {k: v.copy() for k, v in start.items()}
@@ -452,3 +456,55 @@ def test_non_finite_tensor_rejected_at_its_data(tmp_path, value):
                                          "finite") as err:
         load_checkpoint(path)
     assert err.value.offset == data_at
+
+
+def _wide_checkpoint(tmp_path, shape):
+    """A saved checkpoint whose visual.biases has `shape`, and its path and
+    the offset of that tensor's data."""
+    m, _ = _model()
+    tensors = atc.trainer.checkpoint_tensors(m)
+    tensors["visual.biases"] = Rng(4).normal(shape)
+    ckpt = Checkpoint(tensors, atc.trainer.model_hyper(m), {}, [])
+    path = tmp_path / "wide.atck"
+    save_checkpoint(ckpt, path)
+    blob = path.read_bytes()
+    at = blob.index(b"visual.biases") + len(b"visual.biases") + 2 + 8 * 2
+    return ckpt, path, at
+
+
+def test_load_checkpoint_peak_is_the_tensors_plus_one_block(tmp_path):
+    # each tensor's finiteness is checked a block at a time as it is read,
+    # not by a second full-size pass with a bool temporary
+    ckpt, path, _ = _wide_checkpoint(tmp_path, (1024, 1024))
+    nbytes = sum(v.nbytes for v in ckpt.tensors.values())
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nbytes + 8 * _BLOCK
+    for name, value in ckpt.tensors.items():
+        assert loaded.tensors[name].tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("flat", [3, _BLOCK - 1, _BLOCK, 300 * 512 - 1])
+def test_non_finite_value_in_any_block_rejected_at_the_tensor(tmp_path, flat):
+    # (300, 512) values: two full blocks and a partial one; a bad value in
+    # the first block, on either side of a boundary or in the partial block
+    ckpt, path, at = _wide_checkpoint(tmp_path, (300, 512))
+    ckpt.tensors["visual.biases"].reshape(-1)[flat] = np.nan
+    save_checkpoint(ckpt, path)
+    with pytest.raises(CodecError, match="tensor visual.biases is not "
+                                         "finite") as err:
+        load_checkpoint(path)
+    assert err.value.offset == at
+
+
+def test_frozen_digest_covers_the_episode_index():
+    m, sets = _model(k=4)
+    index = np.arange(12)
+    m.visual = build_visual_cache(sets["support"], 3, index=index)
+    before = atc.trainer._frozen_digest(m)
+    index[[0, 1]] = index[[1, 0]]      # same class: still class-major
+    assert atc.trainer._frozen_digest(m) != before
