@@ -288,8 +288,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.values:
-        raise UsageError("sweep needs at least one value")
     if not all(abs(v) <= sys.float_info.max for v in args.values):
         raise UsageError("sweep values must be finite")
     ckpt = trainer.load_checkpoint(args.ckpt)

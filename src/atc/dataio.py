@@ -22,16 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CodecError, ConfigError, InsufficientDataError, ValidationError
-from .numerics import Rng, l2_normalize_rows, seed_child
+from .numerics import _BLOCK_VALUES, Rng, l2_normalize_rows, seed_child
 
 MAGIC = b"ATCE"
 VERSION = 1
 
 ROLE_CODES = {"text": 0, "support": 1, "query": 2}
 ROLE_NAMES = {v: k for k, v in ROLE_CODES.items()}
-
-# values per read when a stored array is converted on load
-_BLOCK = 1 << 16
 
 
 @dataclass
@@ -135,9 +132,9 @@ class _Cursor:
             raise CodecError(f"unsupported shape for {what}", at) from None
         flat = out.reshape(-1)
         same = out.dtype == np.dtype(stored)
-        block = None if same else np.empty(min(count, _BLOCK), stored)
-        for start in range(0, count, _BLOCK):
-            part = flat[start:start + _BLOCK]
+        block = None if same else np.empty(min(count, _BLOCK_VALUES), stored)
+        for start in range(0, count, _BLOCK_VALUES):
+            part = flat[start:start + _BLOCK_VALUES]
             if same:
                 self._fill(part, what)
             else:

@@ -143,32 +143,26 @@ def _text_scores(F, T, S, renormalize: bool):
     """Textual scores f2[b, c] = F_b . (t_c + S_b), divided by
     |t_c + S_b| when renormalizing, without forming the (B, c, dim) shifted
     rows: |t_c + S_b|^2 = |t_c|^2 + 2 S_b . t_c + |S_b|^2. A row whose norm
-    is at most ZERO_NORM passes through unnormalized. S = None (a frozen
-    net) drops the three S terms, giving the bits S = 0 gives: F . t_c, over
-    |t_c| when renormalizing.
+    is at most ZERO_NORM passes through unnormalized. A frozen net's S = 0
+    adds exact zeros, so its scores are F . t_c, over |t_c| when
+    renormalizing.
 
     Returns f2 and what _text_shift_grad needs: None without renorm, else
-    (safe norms, zero mask, the cancellation-prone pairs (b, c) and rows);
-    with S = None the norms and mask are one row shared by every query."""
+    (safe norms, zero mask, the cancellation-prone pairs (b, c) and rows)."""
     f2 = F @ T.T
-    if S is not None:
-        f2 += np.einsum("bd,bd->b", F, S)[:, None]
+    f2 += np.einsum("bd,bd->b", F, S)[:, None]
     if not renormalize:
         return f2, None
     tt = np.einsum("cd,cd->c", T, T)
-    if S is None:
-        n2, ss = tt[None, :], 0.0
-    else:
-        ss = np.einsum("bd,bd->b", S, S)[:, None]
-        n2 = tt + 2.0 * (S @ T.T) + ss
+    ss = np.einsum("bd,bd->b", S, S)[:, None]
+    n2 = tt + 2.0 * (S @ T.T) + ss
     norm = np.sqrt(np.maximum(n2, 0.0))
     if not np.isfinite(norm).all():
         raise EvaluationError("a shifted text row norm is not finite")
     close = None
-    b, c = np.nonzero(np.broadcast_to(n2 <= _CANCEL * (tt + ss), f2.shape))
+    b, c = np.nonzero(n2 <= _CANCEL * (tt + ss))
     if b.size:
-        V = T[c] if S is None else T[c] + S[b]
-        norm = np.broadcast_to(norm, f2.shape).copy()
+        V = T[c] + S[b]
         norm[b, c] = np.linalg.norm(V, axis=1)
         f2[b, c] = np.einsum("kd,kd->k", F[b], V)
         close = (b, c, V)
@@ -221,7 +215,8 @@ def branches(model: AtcModel, F: np.ndarray, self_indices=None, rows=None,
     rows, vnorm, proto = rows
     labels, a_act = model.visual.labels, None
     if proto is None:
-        a_act = np.exp(-model.tip_gamma * (1.0 - F @ rows.T))
+        with np.errstate(over="ignore"):   # inf reaches the loss check
+            a_act = np.exp(-model.tip_gamma * (1.0 - F @ rows.T))
         if self_indices is not None:
             a_act[np.arange(B), self_indices] = 0.0
         f1 = np.add.reduceat(a_act, model.visual.starts, axis=1)
@@ -231,11 +226,11 @@ def branches(model: AtcModel, F: np.ndarray, self_indices=None, rows=None,
             f1[np.arange(B), labels[self_indices]] -= np.einsum(
                 "bd,bd->b", F, rows[self_indices])
 
-    # textual branch
+    # textual branch: a frozen net's shift is s = 0
     if model.adaptive_text:
         S, tape = condition_forward(model.net, F, record=record)
     else:
-        S, tape = None, None
+        S, tape = np.zeros_like(F), None
     f2, tsaved = _text_scores(F, model.textual.class_texts, S,
                               model.textual.renormalize)
 
@@ -298,16 +293,19 @@ def _loss_from_logits(logits: np.ndarray, targets: np.ndarray):
     # a negative target would index from the end instead of failing
     if targets.size and (targets.min() < 0 or targets.max() >= c):
         raise IndexError(f"label out of range for {c} classes")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    idx = np.arange(logits.shape[0])
-    losses = logz - shifted[idx, targets]
-    probs = np.exp(shifted - logz[:, None])
+    # overflowed logits give a NaN loss, which train reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logz = np.log(np.exp(shifted).sum(axis=1))
+        losses = logz - shifted[np.arange(logits.shape[0]), targets]
+        probs = np.exp(shifted - logz[:, None])
     return float(losses.mean()), probs
 
 
-def _loss_grads_logits(model: AtcModel, queries: np.ndarray, targets,
-                       self_indices=None):
+def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
+                   self_indices=None):
+    """Mean cross-entropy, exact gradients for every trainable group
+    (averaged over the batch), and the logits both were taken at."""
     F = np.asarray(queries, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
     f1, f2, ctx = branches(model, F, self_indices, record=True)
@@ -318,13 +316,6 @@ def _loss_grads_logits(model: AtcModel, queries: np.ndarray, targets,
     probs[np.arange(F.shape[0]), targets] -= 1.0
     probs /= F.shape[0]
     return loss, _backward(model, ctx, probs), logits
-
-
-def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
-                   self_indices=None):
-    """Mean cross-entropy plus exact gradients for every trainable group,
-    averaged over the batch."""
-    return _loss_grads_logits(model, queries, targets, self_indices)[:2]
 
 
 def predict_batch(model: AtcModel, queries: np.ndarray) -> np.ndarray:

@@ -25,9 +25,8 @@ from .caches import VISUAL_MODES
 from .dataio import _Cursor
 from .errors import (CodecError, ContractError, EvaluationError,
                      ValidationError)
-# train's step, with its logits, under the name the benchmark's span wraps
-from .model import (AtcModel, predict_batch, set_tensors, tensors,
-                    trainables, _loss_grads_logits as loss_and_grads)
+from .model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
+                    tensors, trainables)
 from .numerics import _BLOCK_VALUES, Rng
 
 CKPT_MAGIC = b"ATCK"

@@ -356,7 +356,7 @@ def check_gradients(model: AtcModel, queries, targets, eps: float = 1e-4,
     """Check every trainable tensor's loss_and_grads gradient against finite
     differences of batch_loss. The model's tensors are restored after."""
     params = {k: v.copy() for k, v in trainables(model).items()}
-    _, analytic = loss_and_grads(model, queries, targets)
+    _, analytic, _ = loss_and_grads(model, queries, targets)
 
     def fn(p):
         set_tensors(model, p)

@@ -130,8 +130,8 @@ def test_a4_degeneracy_law():
     net = init_condition_net(16, 4, 8, Rng(5).child(9))
     np.copyto(net.W_out, 0.1 * Rng(8).normal(net.W_out.shape))
     m = AtcModel(textual, visual, net)
-    _, grads = loss_and_grads(m, sets["query"].features,
-                              sets["query"].labels)
+    _, grads, _ = loss_and_grads(m, sets["query"].features,
+                                 sets["query"].labels)
     net_grad = max(float(np.max(np.abs(g))) for k, g in grads.items()
                    if k.startswith("net."))
 

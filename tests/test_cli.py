@@ -941,7 +941,12 @@ def test_eval_renormalizes_visual_rows_once(data_dir, trained, tmp_path,
     (["--lr", "1e306", "--renorm", "off", "--epochs", "3"],
      "training loss is nan in epoch 2"),
     (["--lr", "1e306", "--renorm", "off"],
-     "trained tensor net.W_i is not finite")])
+     "trained tensor net.W_i is not finite"),
+    # overflowed logits: a NaN loss, without the softmax's own warnings
+    (["--scale", "1e308"], "training loss is nan in epoch 0"),
+    (["--alpha", "1e308", "--beta", "1e308"],
+     "training loss is nan in epoch 0"),
+    (["--activation", "tip:1e308"], "training loss is nan in epoch 0")])
 def test_train_divergence_exit_4(data_dir, tmp_path, flags, message, capsys):
     # the overflowing Adam update warns of nothing: the loss and
     # trained-tensor checks report the divergence (pytest would catch a

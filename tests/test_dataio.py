@@ -6,13 +6,12 @@ import pytest
 import oracles
 from oracles import encode_embeddings
 
-from atc import dataio
 from atc.dataio import (EmbeddingSet, SynthConfig,
                         read_embeddings, sample_episode, synth_dataset,
                         write_embeddings)
 from atc.errors import (CodecError, ConfigError, InsufficientDataError,
                         ValidationError)
-from atc.numerics import Rng, l2_normalize_rows
+from atc.numerics import _BLOCK_VALUES, Rng, l2_normalize_rows
 
 
 def _small_set(role="support", rows=3, dim=4, c=2, seed=1):
@@ -88,9 +87,9 @@ def test_non_finite_row_rejected_at_its_offset(tmp_path, bad):
 
 
 def _block_spanning_file(tmp_path, edit):
-    """A support file of 4-dim rows that spans two read blocks (_BLOCK
+    """A support file of 4-dim rows that spans two read blocks (_BLOCK_VALUES
     values each), its rows changed by edit(features) before writing."""
-    rows = dataio._BLOCK // 4 + 8
+    rows = _BLOCK_VALUES // 4 + 8
     es = _small_set(rows=rows, dim=4)
     es.features = np.array(es.features)
     edit(es.features)
@@ -101,7 +100,7 @@ def _block_spanning_file(tmp_path, edit):
 
 def test_non_finite_rows_in_two_blocks_report_the_first(tmp_path):
     def edit(f):
-        f[dataio._BLOCK // 4 + 3, 1] = np.inf
+        f[_BLOCK_VALUES // 4 + 3, 1] = np.inf
         f[5, 0] = np.nan
 
     path, rows = _block_spanning_file(tmp_path, edit)
@@ -123,7 +122,7 @@ def test_truncated_class_names_win_over_a_non_finite_row(tmp_path):
 
 
 def test_norm_warnings_count_across_a_block_boundary(tmp_path):
-    edge = dataio._BLOCK // 4
+    edge = _BLOCK_VALUES // 4
 
     def edit(f):
         f[edge - 1] *= 2.0              # off unit norm

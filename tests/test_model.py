@@ -216,10 +216,24 @@ def test_loss_and_grads_rejects_targets_out_of_range():
             loss_and_grads(m, q, np.array([0, bad]))
 
 
+@pytest.mark.parametrize("adaptive", [True, False])
+@pytest.mark.parametrize("leave_self_out", [False, True])
+def test_step_logits_are_the_scored_ones(adaptive, leave_self_out):
+    # train reads an epoch's accuracy off the logits its loss was taken at
+    m, sets = _make_model(randomize=True)
+    m.adaptive_text = adaptive
+    F, labels = sets["support"].features, sets["support"].labels
+    s = np.arange(len(F)) if leave_self_out else None
+    logits = loss_and_grads(m, F, labels, s)[2]
+    want = fuse(*branches(m, F, s, record=True)[:2], m.alpha, m.beta,
+                m.logit_scale)
+    assert logits.tobytes() == want.tobytes()
+
+
 def test_renorm_off_kills_condition_net_gradients():
     m, sets = _make_model(renorm=False, randomize=True)
     q = sets["query"].features
-    _, grads = loss_and_grads(m, q, sets["query"].labels)
+    _, grads, _ = loss_and_grads(m, q, sets["query"].labels)
     for name, g in grads.items():
         if name.startswith("net."):
             assert np.max(np.abs(g)) <= 1e-10, name
@@ -227,8 +241,8 @@ def test_renorm_off_kills_condition_net_gradients():
 
 def test_alpha_zero_gives_exactly_zero_visual_gradient():
     m, sets = _make_model(alpha=0.0, randomize=True)
-    _, grads = loss_and_grads(m, sets["query"].features,
-                              sets["query"].labels)
+    _, grads, _ = loss_and_grads(m, sets["query"].features,
+                                 sets["query"].labels)
     assert np.all(grads["visual.biases"] == 0.0)
 
 
@@ -309,7 +323,7 @@ def test_cancelled_text_row_passes_through(excess):
     if excess == 0.0:
         assert np.all(f2[:, 2] == 0.0)
     assert np.max(np.abs(f2 - want)) < 1e-12
-    loss, grads = loss_and_grads(m, F, labels)
+    loss, grads, _ = loss_and_grads(m, F, labels)
     assert np.isfinite(loss)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
     # near cancellation dS grows like 1/|t_c + S_b|^2, so compare relatively

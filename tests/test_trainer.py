@@ -14,8 +14,7 @@ from atc.dataio import SynthConfig, synth_dataset
 from atc.errors import CodecError, ValidationError
 from atc.model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
                        tensors, trainables)
-from atc.dataio import _BLOCK
-from atc.numerics import Rng
+from atc.numerics import _BLOCK_VALUES, Rng
 from atc.trainer import (AdamState, Checkpoint, TrainConfig, adam_step,
                          apply_checkpoint, init_adam, load_checkpoint,
                          save_checkpoint, train)
@@ -141,7 +140,7 @@ def _replayed_accuracy(m, q, y, cfg):
     accuracy = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(y)) if cfg.shuffle else np.arange(len(y))
-        _, grads = loss_and_grads(m, q[order], y[order])
+        _, grads, _ = loss_and_grads(m, q[order], y[order])
         adam_step(params, grads, state, cfg)
         accuracy.append(float(np.mean(predict_batch(m, q) == y)))
     return accuracy
@@ -483,14 +482,15 @@ def test_load_checkpoint_peak_is_the_tensors_plus_one_block(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < nbytes + 8 * _BLOCK
+    assert peak < nbytes + 8 * _BLOCK_VALUES
     for name, value in ckpt.tensors.items():
         assert loaded.tensors[name].tobytes() == value.tobytes(), name
 
 
-@pytest.mark.parametrize("flat", [3, _BLOCK - 1, _BLOCK, 300 * 512 - 1])
+@pytest.mark.parametrize("flat", [3, 2 * _BLOCK_VALUES - 1, 2 * _BLOCK_VALUES,
+                                  300 * 512 - 1])
 def test_non_finite_value_in_any_block_rejected_at_the_tensor(tmp_path, flat):
-    # (300, 512) values: two full blocks and a partial one; a bad value in
+    # (300, 512) values: four full blocks and a partial one; a bad value in
     # the first block, on either side of a boundary or in the partial block
     ckpt, path, at = _wide_checkpoint(tmp_path, (300, 512))
     ckpt.tensors["visual.biases"].reshape(-1)[flat] = np.nan
