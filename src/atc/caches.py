@@ -24,14 +24,6 @@ class TextualCache:
     class_texts: np.ndarray         # (c, dim) unit-norm rows, class order
     renormalize: bool = True
 
-    @property
-    def num_classes(self) -> int:
-        return self.class_texts.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.class_texts.shape[1]
-
 
 def build_textual_cache(text_set: EmbeddingSet,
                         renormalize: bool = True) -> TextualCache:

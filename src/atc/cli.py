@@ -92,8 +92,6 @@ def _emit(record: dict, report_path) -> None:
 
 def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict:
     total = int(labels.size)
-    if total == 0:
-        raise ValidationError("query set has no rows")
     if not np.isfinite(logits).all():
         raise EvaluationError("a fused logit is not finite")
     correct = int(np.sum(np.argmax(logits, axis=1) == labels))
@@ -109,20 +107,16 @@ def evaluate_queries(m: AtcModel, queries: np.ndarray,
                      labels)
 
 
-def _read_role(path, role: str) -> dataio.EmbeddingSet:
-    """Read an embedding file, which must carry the `role` tag."""
+def _read_input(path, role: str, text=None) -> dataio.EmbeddingSet:
+    """Read an embedding file, which must carry the `role` tag. A support or
+    query file must also have the `text` set's dim and class names (a label
+    means the same class in both), and a query file at least one row."""
     es = dataio.read_embeddings(path)
     if es.role != role:
         raise ValidationError(f"{path}: role tag is {es.role!r}, expected "
                               f"{role!r}")
-    return es
-
-
-def _read_like(text: dataio.EmbeddingSet, path, role: str):
-    """Read a support or query file, which must carry the `role` tag and have
-    the text file's dim and class names: a label means the same class in
-    both."""
-    es = _read_role(path, role)
+    if text is None:
+        return es
     if es.dim != text.dim:
         raise ValidationError(f"dim mismatch: text {text.dim} vs {role} "
                               f"{es.dim}")
@@ -130,12 +124,14 @@ def _read_like(text: dataio.EmbeddingSet, path, role: str):
         raise ValidationError(
             f"{path}: class names differ from the text file's "
             f"({es.num_classes} classes vs {text.num_classes})")
+    if role == "query" and not es.labels.size:
+        raise ValidationError("query set has no rows")
     return es
 
 
 def _load_pair(text_path, support_path):
-    text = _read_role(text_path, "text")
-    return text, _read_like(text, support_path, "support")
+    text = _read_input(text_path, "text")
+    return text, _read_input(support_path, "support", text)
 
 
 # the checkpoint config keys that rebuild the support episode
@@ -182,7 +178,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 def _train_once(args, adaptive_text: bool):
     """Train (and save); a query file is read and checked before training."""
     text, support = _load_pair(args.text, args.support)
-    query = _read_like(text, args.query, "query") if args.query else None
+    query = _read_input(args.query, "query", text) if args.query else None
     # training's queries are the episode's rows, gathered once; the file's
     # rows are not held through training
     idx = dataio.sample_episode(support.labels, args.shots, args.seed)
@@ -249,8 +245,8 @@ def cmd_synth(args) -> int:
 
 def cmd_zeroshot(args) -> int:
     start = time.time()
-    text = _read_role(args.text, "text")
-    query = _read_like(text, args.query, "query")
+    text = _read_input(args.text, "text")
+    query = _read_input(args.query, "query", text)
     logits = model_mod.zero_shot_logits(text.features, query.features)
     _emit({"command": "zeroshot", "text": args.text, "query": args.query,
            **_accuracy(logits, query.labels),
@@ -279,7 +275,7 @@ def cmd_eval(args) -> int:
     # every query file
     rows = model_mod.visual_rows(m)
     for qpath in args.query:
-        query = _read_like(text, qpath, "query")
+        query = _read_input(qpath, "query", text)
         result = evaluate_queries(m, query.features, query.labels, rows)
         _emit({"command": "eval", "ckpt": args.ckpt, "query": qpath,
                "alpha": m.alpha, "beta": m.beta, **result,
@@ -292,7 +288,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep values must be finite")
     ckpt = trainer.load_checkpoint(args.ckpt)
     m, text = _rebuild_from_checkpoint(ckpt, args.text, args.support)
-    query = _read_like(text, args.query, "query")
+    query = _read_input(args.query, "query", text)
     # alpha and beta only scale the branch scores, so one scoring pass
     # serves every value
     f1, f2, _ = model_mod.branches(m, query.features)

@@ -26,9 +26,9 @@ class ConditionNetParams:
     dim: int
     chunk_count: int            # T
     hidden_size: int            # h
-    W: dict[str, np.ndarray]    # gate input weights, (h, dim/T) each
-    U: dict[str, np.ndarray]    # gate recurrent weights, (h, h) each
-    b: dict[str, np.ndarray]    # gate biases, (h,) each
+    # W_<gate> (h, dim/T) input, U_<gate> (h, h) recurrent and b_<gate> (h,)
+    # bias of each gate, keyed by their checkpoint names
+    gates: dict[str, np.ndarray]
     W_out: np.ndarray           # (dim, h), zero at init
     b_out: np.ndarray           # (dim,), zero at init
 
@@ -37,20 +37,12 @@ class ConditionNetParams:
         return self.dim // self.chunk_count
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        for g in GATES:
-            out[f"W_{g}"] = self.W[g]
-            out[f"U_{g}"] = self.U[g]
-            out[f"b_{g}"] = self.b[g]
-        out["W_out"] = self.W_out
-        out["b_out"] = self.b_out
-        return out
+        return {**self.gates, "W_out": self.W_out, "b_out": self.b_out}
 
     def bind(self, name: str, value: np.ndarray) -> None:
         """Make `value` itself the tensor that tensors() calls `name`."""
-        head, _, gate = name.rpartition("_")
-        if gate in GATES:
-            getattr(self, head)[gate] = value
+        if name in self.gates:
+            self.gates[name] = value
         else:
             setattr(self, name, value)
 
@@ -70,10 +62,12 @@ def init_condition_net(dim: int, chunk_count: int, hidden_size: int,
     bound = 1.0 / np.sqrt(h)
     W = {g: rng.uniform(-bound, bound, (h, cs)) for g in GATES}
     U = {g: rng.uniform(-bound, bound, (h, h)) for g in GATES}
-    b = {g: np.zeros(h) for g in GATES}
-    b["f"] = np.ones(h)
-    return ConditionNetParams(dim, chunk_count, h, W, U, b,
-                              np.zeros((dim, h)), np.zeros(dim))
+    gates = {}
+    for g in GATES:     # W_i, U_i, b_i, W_f, ..: the order train checks them in
+        gates.update({f"W_{g}": W[g], f"U_{g}": U[g],
+                      f"b_{g}": np.ones(h) if g == "f" else np.zeros(h)})
+    return ConditionNetParams(dim, chunk_count, h, gates, np.zeros((dim, h)),
+                              np.zeros(dim))
 
 
 def _sigmoid(x):
@@ -103,6 +97,7 @@ def condition_forward(params: ConditionNetParams, f_test: np.ndarray, *,
     B = F.shape[0]
     h = params.hidden_size
     cs = params.chunk_size
+    p = params.gates
 
     hs = np.zeros((B, h))
     cs_state = np.zeros((B, h))
@@ -111,7 +106,7 @@ def condition_forward(params: ConditionNetParams, f_test: np.ndarray, *,
     with np.errstate(over="ignore"):
         for t in range(params.chunk_count):
             x = F[:, t * cs:(t + 1) * cs]
-            pre = {g: x @ params.W[g].T + hs @ params.U[g].T + params.b[g]
+            pre = {g: x @ p[f"W_{g}"].T + hs @ p[f"U_{g}"].T + p[f"b_{g}"]
                    for g in GATES}
             i = _sigmoid(pre["i"])
             f = _sigmoid(pre["f"])
@@ -175,5 +170,5 @@ def condition_backward(params: ConditionNetParams, tape: NetTape,
             grads[f"W_{name}"] += dz[name].T @ tape.X[t]
             grads[f"U_{name}"] += dz[name].T @ h_prev
             grads[f"b_{name}"] += dz[name].sum(axis=0)
-            dh += dz[name] @ params.U[name]
+            dh += dz[name] @ params.gates[f"U_{name}"]
     return grads

@@ -52,6 +52,8 @@ class EmbeddingSet:
             raise ValidationError(f"unknown role {self.role!r}")
         if self.features.ndim != 2:
             raise ValidationError("features must be a 2-D matrix")
+        if not self.features.shape[1]:
+            raise ValidationError("features must have at least one column")
         if self.labels.shape[0] != self.features.shape[0]:
             raise ValidationError("labels length must equal feature rows")
         c = self.num_classes

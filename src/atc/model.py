@@ -28,12 +28,8 @@ class AtcModel:
     adaptive_text: bool = True      # False freezes the bias network (s = 0)
 
     @property
-    def num_classes(self) -> int:
-        return self.textual.num_classes
-
-    @property
     def dim(self) -> int:
-        return self.textual.dim
+        return self.textual.class_texts.shape[1]
 
 
 def tensors(model: AtcModel) -> dict[str, np.ndarray]:

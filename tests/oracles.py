@@ -151,7 +151,7 @@ def dense_visual_scores(model: AtcModel, F, self_indices=None):
     if self_indices is not None:
         a[np.arange(F.shape[0]), self_indices] = 0.0
     return _sum_columns_per_class(a, model.visual.labels,
-                                  model.num_classes), a
+                                  model.textual.class_texts.shape[0]), a
 
 
 def dense_visual_grads(model: AtcModel, F, df1, self_indices=None):

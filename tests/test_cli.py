@@ -314,6 +314,39 @@ def test_zeroshot_empty_query_exit_3(data_dir, empty_query, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["train"],
+                                     ["ablate", "--mode", "fixed-text"]])
+def test_train_empty_query_exit_3_before_training(data_dir, empty_query,
+                                                  tmp_path, command, capsys):
+    ckpt = tmp_path / "m.atck"
+    assert run(*command, "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--ckpt", str(ckpt), "--shots", "4", "--epochs", "2",
+               "--query", str(empty_query)) == 3
+    assert "no rows" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "zeroshot"])
+def test_zero_dim_files_exit_3(tmp_path, command, capsys):
+    from oracles import encode_embeddings
+    files = {}
+    for code, role, labels in ((0, "text", [0, 1]),
+                               (1, "support", [0, 0, 1, 1]),
+                               (2, "query", [0, 1])):
+        files[role] = tmp_path / f"{role}.ate"
+        files[role].write_bytes(encode_embeddings(
+            code, 0, labels, [[] for _ in labels], ["a", "b"]))
+    ckpt = tmp_path / "m.atck"
+    argv = (["train", "--support", str(files["support"]), "--ckpt", str(ckpt),
+             "--shots", "2", "--epochs", "2"] if command == "train"
+            else ["zeroshot"])
+    assert run(*argv, "--text", str(files["text"]),
+               "--query", str(files["query"])) == 3
+    assert "features must have at least one column" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_eval_empty_query_exit_3(data_dir, trained, empty_query, capsys):
     ckpt, _ = trained
     assert run("eval", "--ckpt", str(ckpt),

@@ -46,8 +46,8 @@ def test_init_deterministic():
 
 def test_forget_bias_is_one():
     net = _net()
-    assert np.all(net.b["f"] == 1.0)
-    assert np.all(net.b["i"] == 0.0)
+    assert np.all(net.gates["b_f"] == 1.0)
+    assert np.all(net.gates["b_i"] == 0.0)
 
 
 def test_indivisible_dim_rejected():
@@ -80,11 +80,11 @@ def test_forward_matches_scalar_oracle():
         for r in range(3):
             pre = {}
             for g in ("i", "f", "o", "g"):
-                acc = float(net.b[g][r])
+                acc = float(net.gates[f"b_{g}"][r])
                 for j in range(cs):
-                    acc += float(net.W[g][r, j]) * chunk[j]
+                    acc += float(net.gates[f"W_{g}"][r, j]) * chunk[j]
                 for j in range(3):
-                    acc += float(net.U[g][r, j]) * h_prev[j]
+                    acc += float(net.gates[f"U_{g}"][r, j]) * h_prev[j]
                 pre[g] = acc
             i = _scalar_sigmoid(pre["i"])
             f = _scalar_sigmoid(pre["f"])
@@ -117,10 +117,8 @@ def test_backward_matches_finite_differences():
         analytic = condition_backward(net, tape, w)
 
         def fn(p):
-            for g in ("i", "f", "o", "g"):
-                np.copyto(net.W[g], p[f"W_{g}"])
-                np.copyto(net.U[g], p[f"U_{g}"])
-                np.copyto(net.b[g], p[f"b_{g}"])
+            for k, v in net.gates.items():
+                np.copyto(v, p[k])
             np.copyto(net.W_out, p["W_out"])
             np.copyto(net.b_out, p["b_out"])
             out, _ = condition_forward(net, x)

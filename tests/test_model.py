@@ -211,7 +211,7 @@ def test_loss_and_grads_rejects_targets_out_of_range():
     # a target of -1 would otherwise index class c - 1
     m, sets = _make_model()
     q = sets["query"].features[:2]
-    for bad in (-1, m.num_classes):
+    for bad in (-1, sets["text"].num_classes):
         with pytest.raises(IndexError, match="label out of range for 3"):
             loss_and_grads(m, q, np.array([0, bad]))
 
