@@ -41,7 +41,7 @@ def _parse_activation(value: str) -> tuple[str, float]:
 
 def _read_config_file(path) -> dict[str, str]:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             text = f.read()
     except UnicodeDecodeError as exc:
         raise UsageError(
@@ -129,11 +129,6 @@ def _read_input(path, role: str, text=None) -> dataio.EmbeddingSet:
     return es
 
 
-def _load_pair(text_path, support_path):
-    text = _read_input(text_path, "text")
-    return text, _read_input(support_path, "support", text)
-
-
 # the checkpoint config keys that rebuild the support episode
 _EPISODE = {"episode_seed": int, "episode_shots": int, "episode_views": int}
 
@@ -173,11 +168,16 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--leave-self-out", choices=["on", "off"], default="off")
     p.add_argument("--chunk-count", type=int, default=8)
     p.add_argument("--hidden-size", type=int, default=64)
+    p.set_defaults(adaptive_text=True)
 
 
-def _train_once(args, adaptive_text: bool):
-    """Train (and save); a query file is read and checked before training."""
-    text, support = _load_pair(args.text, args.support)
+def _train_once(args, keys) -> int:
+    """Train (and save), then emit the run's record, with `keys(ckpt)` the
+    command's own keys and the query file's scores. That file is read and
+    checked before training."""
+    start = time.time()
+    text = _read_input(args.text, "text")
+    support = _read_input(args.support, "support", text)
     query = _read_input(args.query, "query", text) if args.query else None
     # training's queries are the episode's rows, gathered once; the file's
     # rows are not held through training
@@ -189,7 +189,7 @@ def _train_once(args, adaptive_text: bool):
     renorm = args.renorm == "on"
     hyper = {"alpha": args.alpha, "beta": args.beta, "logit_scale": args.scale,
              "activation": activation, "tip_gamma": gamma,
-             "adaptive_text": adaptive_text, "renorm_text": renorm,
+             "adaptive_text": args.adaptive_text, "renorm_text": renorm,
              "renorm_visual": renorm, "visual_mode": args.visual_mode,
              "dim": text.dim, "chunk_count": args.chunk_count,
              "hidden_size": args.hidden_size}
@@ -204,7 +204,13 @@ def _train_once(args, adaptive_text: bool):
                        episode_views=1)
     if args.ckpt:
         trainer.save_checkpoint(ckpt, args.ckpt)
-    return m, ckpt, query
+    del text, episode   # held to the record, they leave the heap ~4 MB higher
+    record = {**keys(ckpt), "seed": args.seed, "epochs": ckpt.metrics,
+              "wall_clock": time.time() - start}
+    if query is not None:
+        record["eval"] = evaluate_queries(m, query.features, query.labels)
+    _emit(record, args.report)
+    return 0
 
 
 def _rebuild_from_checkpoint(ckpt: trainer.Checkpoint, text_path, support_path,
@@ -215,7 +221,8 @@ def _rebuild_from_checkpoint(ckpt: trainer.Checkpoint, text_path, support_path,
     if config["episode_views"] != 1:
         raise ValidationError(
             f"episode_views must be 1, got {config['episode_views']}")
-    text, support = _load_pair(text_path, support_path)
+    text = _read_input(text_path, "text")
+    support = _read_input(support_path, "support", text)
     seed = config["episode_seed"]
     # no episode copy: the cache's blocks gather the file's rows themselves
     index = dataio.sample_episode(support.labels, config["episode_shots"],
@@ -255,15 +262,8 @@ def cmd_zeroshot(args) -> int:
 
 
 def cmd_train(args) -> int:
-    start = time.time()
-    m, ckpt, query = _train_once(args, adaptive_text=True)
-    record = {"command": "train", "ckpt": args.ckpt, "seed": args.seed,
-              "config": ckpt.config, "epochs": ckpt.metrics,
-              "wall_clock": time.time() - start}
-    if query is not None:
-        record["eval"] = evaluate_queries(m, query.features, query.labels)
-    _emit(record, args.report)
-    return 0
+    return _train_once(args, lambda ckpt: {
+        "command": "train", "ckpt": args.ckpt, "config": ckpt.config})
 
 
 def cmd_eval(args) -> int:
@@ -316,21 +316,11 @@ _ABLATE_MODES = {"fixed-text": ("adaptive_text", False),
 
 
 def cmd_ablate(args) -> int:
-    start = time.time()
-    args.adaptive_text = True
     for mode in args.mode:
-        if mode not in _ABLATE_MODES:
-            raise UsageError(f"unknown ablation mode {mode!r}")
         setattr(args, *_ABLATE_MODES[mode])
-    m, ckpt, query = _train_once(args, adaptive_text=args.adaptive_text)
-    record = {"command": "ablate", "modes": args.mode, "seed": args.seed,
-              "adaptive_text": args.adaptive_text,
-              "visual_mode": args.visual_mode,
-              "epochs": ckpt.metrics, "wall_clock": time.time() - start}
-    if query is not None:
-        record["eval"] = evaluate_queries(m, query.features, query.labels)
-    _emit(record, args.report)
-    return 0
+    return _train_once(args, lambda ckpt: {
+        "command": "ablate", "modes": args.mode,
+        "adaptive_text": args.adaptive_text, "visual_mode": args.visual_mode})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", required=True)
     p.add_argument("--query")
     p.add_argument("--ckpt")
-    p.add_argument("--mode", action="append", required=True)
+    p.add_argument("--mode", action="append", choices=_ABLATE_MODES,
+                   required=True)
     _add_train_flags(p)
     common(p)
     p.set_defaults(func=cmd_ablate)

@@ -39,13 +39,6 @@ class ConditionNetParams:
     def tensors(self) -> dict[str, np.ndarray]:
         return {**self.gates, "W_out": self.W_out, "b_out": self.b_out}
 
-    def bind(self, name: str, value: np.ndarray) -> None:
-        """Make `value` itself the tensor that tensors() calls `name`."""
-        if name in self.gates:
-            self.gates[name] = value
-        else:
-            setattr(self, name, value)
-
 
 def init_condition_net(dim: int, chunk_count: int, hidden_size: int,
                        rng: Rng) -> ConditionNetParams:

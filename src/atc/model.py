@@ -66,10 +66,10 @@ def set_tensors(model: AtcModel, values: dict[str, np.ndarray]) -> None:
         bound[k] = v
     for k, v in bound.items():
         group, _, name = k.partition(".")
-        if group == "visual":
-            setattr(model.visual, name, v)
+        if name in model.net.gates:
+            model.net.gates[name] = v
         else:
-            model.net.bind(name, v)
+            setattr(getattr(model, group), name, v)
 
 
 def _normalize_rows_bwd(d_unit, unit, safe, zero):

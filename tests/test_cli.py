@@ -193,10 +193,47 @@ def test_ablate_full_reduction_equals_zeroshot(data_dir, tmp_path):
     assert rec["eval"]["accuracy"] == read_records(zs_report)[0]["accuracy"]
 
 
-def test_ablate_unknown_mode_exit_2(data_dir):
+# the keys of each training command's record, less the optional "eval"
+_RECORD_KEYS = {
+    "train": {"command", "ckpt", "config", "seed", "epochs", "wall_clock"},
+    "ablate": {"command", "modes", "adaptive_text", "visual_mode", "seed",
+               "epochs", "wall_clock"},
+}
+
+
+@pytest.mark.parametrize("command,ckpt", [("train", True), ("ablate", False),
+                                          ("ablate", True)])
+@pytest.mark.parametrize("query", [False, True])
+def test_training_record_keys(data_dir, tmp_path, command, ckpt, query):
+    report = tmp_path / "r.jsonl"
+    argv = [command, "--text", str(data_dir / "text.ate"),
+            "--support", str(data_dir / "support.ate"), "--shots", "4",
+            "--epochs", "1", "--report", str(report)]
+    if command == "ablate":
+        argv += ["--mode", "fixed-text", "--mode", "linear-visual"]
+    if ckpt:
+        argv += ["--ckpt", str(tmp_path / "m.atck")]
+    if query:
+        argv += ["--query", str(data_dir / "query.ate")]
+    assert run(*argv) == 0
+    (rec,) = read_records(report)
+    assert set(rec) == _RECORD_KEYS[command] | ({"eval"} if query else set())
+    assert rec["command"] == command
+    assert (tmp_path / "m.atck").exists() == ckpt
+    if command == "ablate":
+        assert (rec["modes"], rec["adaptive_text"], rec["visual_mode"]) == \
+            (["fixed-text", "linear-visual"], False, "linear")
+    else:
+        assert rec["ckpt"] == str(tmp_path / "m.atck")
+        assert rec["config"]["episode_shots"] == 4
+
+
+def test_ablate_unknown_mode_exit_2(data_dir, capsys):
     assert run("ablate", "--text", str(data_dir / "text.ate"),
                "--support", str(data_dir / "support.ate"),
                "--mode", "bogus", "--shots", "4") == 2
+    assert "argument --mode: invalid choice: 'bogus'" in \
+        capsys.readouterr().err
 
 
 def test_gradcheck_command_removed_exit_2(capsys):
@@ -287,6 +324,16 @@ def test_config_file_not_utf8_exit_2(data_dir, tmp_path, capsys):
                "--ckpt", str(tmp_path / "m.atck"), "--config", str(cfg)) == 2
     assert f"usage error: {cfg}: not UTF-8 text (byte 10)" in \
         capsys.readouterr().err
+
+
+def test_config_file_with_utf8_bom_applies_its_first_key(tmp_path):
+    # editors that save "UTF-8 with BOM" put U+FEFF before the first key
+    from atc.cli import _parse, build_parser
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfepochs = 2\nlr = 5e-2\n")
+    args = _parse(build_parser(),
+                  ["train", *_REQUIRED["train"], "--config", str(cfg)])
+    assert (args.epochs, args.lr) == (2, 0.05)
 
 
 def test_config_file_bad_number_exit_2(data_dir, tmp_path, capsys):
@@ -1122,14 +1169,15 @@ def test_rebuild_binds_checkpoint_arrays_and_episode_rows(data_dir, trained,
     from atc.model import tensors
     from atc.trainer import load_checkpoint
     supports = []
-    original = atc.cli._load_pair
+    original = atc.cli._read_input
 
-    def kept(*args):
-        pair = original(*args)
-        supports.append(pair[1])
-        return pair
+    def kept(path, role, text=None):
+        es = original(path, role, text)
+        if role == "support":
+            supports.append(es)
+        return es
 
-    monkeypatch.setattr(atc.cli, "_load_pair", kept)
+    monkeypatch.setattr(atc.cli, "_read_input", kept)
     ckpt = load_checkpoint(trained[0])
     m, _ = atc.cli._rebuild_from_checkpoint(ckpt, data_dir / "text.ate",
                                             data_dir / "support.ate")
@@ -1257,18 +1305,19 @@ def test_train_holds_the_episode_not_the_support_file_rows(data_dir,
     import atc.cli
     import atc.trainer
     rows, trained = [], []
-    load, train = atc.cli._load_pair, atc.trainer.train
+    load, train = atc.cli._read_input, atc.trainer.train
 
-    def loaded(*args):
-        pair = load(*args)
-        rows.append(weakref.ref(pair[1].features))
-        return pair
+    def loaded(path, role, text=None):
+        es = load(path, role, text)
+        if role == "support":
+            rows.append(weakref.ref(es.features))
+        return es
 
     def training(*args):
         trained.append(rows[0]() is None)
         return train(*args)
 
-    monkeypatch.setattr(atc.cli, "_load_pair", loaded)
+    monkeypatch.setattr(atc.cli, "_read_input", loaded)
     monkeypatch.setattr(atc.trainer, "train", training)
     assert run("train", "--text", str(data_dir / "text.ate"),
                "--support", str(data_dir / "support.ate"),
