@@ -99,10 +99,9 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict:
 
 
 def evaluate_queries(m: AtcModel, queries: np.ndarray,
-                     labels: np.ndarray, rows=None) -> dict:
-    """Accuracy of the fused head over a query set; `rows` is a
-    model.visual_rows result to reuse, or None to compute it."""
-    f1, f2, _ = model_mod.branches(m, queries, rows=rows)
+                     labels: np.ndarray) -> dict:
+    """Accuracy of the fused head over a query set."""
+    f1, f2, _ = model_mod.branches(m, queries)
     return _accuracy(model_mod.fuse(f1, f2, m.alpha, m.beta, m.logit_scale),
                      labels)
 
@@ -271,14 +270,14 @@ def cmd_eval(args) -> int:
     ckpt = trainer.load_checkpoint(args.ckpt)
     m, text = _rebuild_from_checkpoint(ckpt, args.text, args.support,
                                        alpha=args.alpha, beta=args.beta)
-    # the visual class sums depend only on the checkpoint: one result serves
-    # every query file
-    rows = model_mod.visual_rows(m)
-    for qpath in args.query:
-        query = _read_input(qpath, "query", text)
-        result = evaluate_queries(m, query.features, query.labels, rows)
+    # every file is read and checked before one walk scores all their rows
+    qs = [_read_input(qpath, "query", text) for qpath in args.query]
+    f1, f2, _ = model_mod.branches(m, np.concatenate([q.features for q in qs]))
+    logits = model_mod.fuse(f1, f2, m.alpha, m.beta, m.logit_scale)
+    ends = np.cumsum([q.labels.size for q in qs])
+    for qpath, q, part in zip(args.query, qs, np.split(logits, ends[:-1])):
         _emit({"command": "eval", "ckpt": args.ckpt, "query": qpath,
-               "alpha": m.alpha, "beta": m.beta, **result,
+               "alpha": m.alpha, "beta": m.beta, **_accuracy(part, q.labels),
                "wall_clock": time.time() - start}, args.report)
     return 0
 

@@ -5,9 +5,9 @@ Embedding file layout (little-endian):
   dim u32 | rows u64 | num_classes u32 |
   rows x u32 labels | rows x dim float32 row-major |
   num_classes class names (u16 byte length + UTF-8 bytes).
-Trailing bytes and a feature row with a NaN or inf entry are errors. Storage
-is 32-bit; everything after load is 64-bit and rows are L2-normalized at the
-boundary.
+Trailing bytes and a feature row with a NaN or inf entry or a zero norm are
+errors. Storage is 32-bit; everything after load is 64-bit and rows are
+L2-normalized at the boundary.
 """
 
 from __future__ import annotations
@@ -177,17 +177,17 @@ def read_embeddings(path) -> EmbeddingSet:
             names.append(cur.text(nlen, "class name"))
         cur.check_end("class names")
 
-    with np.errstate(invalid="ignore"):     # inf / inf; rejected below
-        features, safe, zero = l2_normalize_rows(features, out=features)
-    # a NaN or inf entry makes its row's norm non-finite
-    bad = np.flatnonzero(~np.isfinite(safe))
-    if bad.size:
-        raise CodecError(f"feature row {bad[0]} is not finite",
-                         feats_at + 4 * dim * int(bad[0]))
-    warnings = int(np.count_nonzero(zero | (np.abs(safe - 1.0) > 1e-3)))
-    es = EmbeddingSet(features, labels, names, ROLE_NAMES[role_code],
-                      norm_warnings=warnings)
+    es = EmbeddingSet(features, labels, names, ROLE_NAMES[role_code])
     es.validate()
+    with np.errstate(invalid="ignore"):     # inf / inf; rejected below
+        _, safe, zero = l2_normalize_rows(features, out=features)
+    # the first row with a NaN or inf entry (a non-finite norm) or a zero norm
+    bad = np.flatnonzero(zero | ~np.isfinite(safe))
+    if bad.size:
+        row = int(bad[0])
+        what = "has zero norm" if zero[row, 0] else "is not finite"
+        raise CodecError(f"feature row {row} {what}", feats_at + 4 * dim * row)
+    es.norm_warnings = int(np.count_nonzero(np.abs(safe - 1.0) > 1e-3))
     return es
 
 

@@ -105,28 +105,40 @@ def _effective_rows(cache: VisualCache, lo: int, hi: int):
     return rows, (safe, zero)
 
 
-def visual_rows(model: AtcModel, *, record: bool = False):
-    """The effective cache rows the visual branch scores against, what the
-    backward pass needs to undo their renormalization (or None), and, under
-    linear activation, their per-class sums (or None). One result serves
-    many query batches. A linear call without record=True forms the rows a
-    block of whole classes at a time and keeps only the sums."""
-    cache = model.visual
-    if model.activation != "linear":
-        return *_effective_rows(cache, 0, cache.rows), None
+def _visual_scores(model: AtcModel, F: np.ndarray, self_indices, keep: bool):
+    """f1 (B, c) from one walk over the effective cache rows, a block of whole
+    classes at a time, and the rows, norms and tip affinities for _backward:
+    None unless kept, and then (or to mask a self term) in one block."""
+    cache, B, n = model.visual, F.shape[0], model.visual.starts.size
+    keep = keep or self_indices is not None
+    step = cache.rows if keep else max(1, _BLOCK_VALUES // max(cache.dim, 1))
     # a block: the whole classes starting in one window of `step` rows
-    step = cache.rows if record else max(1, _BLOCK_VALUES // max(cache.dim, 1))
     firsts = np.flatnonzero(np.diff(cache.starts // step, prepend=-1))
     edges = [*cache.starts, cache.rows]
     # linear affinities sum per class to one dot product with the class's
-    # summed row, one class-major run each
-    proto = np.zeros((cache.starts.size, cache.dim))
-    for first, end in zip(firsts, [*firsts[1:], cache.starts.size]):
+    # summed row; tip ones are activated, then summed per class, in cache
+    tip, a_act = model.activation != "linear", None
+    f1 = np.empty((B, n)) if tip else None
+    proto = None if tip else np.zeros((n, cache.dim))
+    for first, end in zip(firsts, [*firsts[1:], n]):
         lo = edges[first]
         rows, vnorm = _effective_rows(cache, lo, edges[end])
+        if tip:
+            with np.errstate(over="ignore"):   # inf reaches the loss check
+                a_act = np.exp(-model.tip_gamma * (1.0 - F @ rows.T))
+            if self_indices is not None:
+                a_act[np.arange(B), self_indices] = 0.0
+            np.add.reduceat(a_act, cache.starts[first:end] - lo, axis=1,
+                            out=f1[:, first:end])
+            continue
         for c in range(first, end):
             proto[c] += np.add.reduce(rows[edges[c] - lo:edges[c + 1] - lo], 0)
-    return (rows, vnorm, proto) if record else (None, None, proto)
+    if not tip:
+        f1 = F @ proto.T
+        if self_indices is not None:
+            f1[np.arange(B), cache.labels[self_indices]] -= np.einsum(
+                "bd,bd->b", F, rows[self_indices])
+    return f1, (rows, vnorm, a_act) if keep else (None, None, None)
 
 
 # A pair whose squared shifted norm is at most this fraction of
@@ -189,38 +201,19 @@ def _text_shift_grad(F, T, S, df2, f2, saved):
     return dS
 
 
-def branches(model: AtcModel, F: np.ndarray, self_indices=None, rows=None,
-             *, record: bool = False):
+def branches(model: AtcModel, F: np.ndarray, self_indices=None, *,
+             record: bool = False):
     """Both branch scores for queries F (B, dim), before fusion.
 
     Returns (f1, f2, ctx): the visual and textual scores, each (B, c), and
-    the intermediates the backward pass needs. The condition net's tape is
-    recorded only with record=True; without it ctx["tape"] is None and
-    _backward raises ContractError. With self_indices, query i's
-    affinity to support row self_indices[i] is masked out. `rows` is a
-    visual_rows(model) result to reuse instead of recomputing it.
+    the intermediates the backward pass needs. The condition net's tape and
+    the visual rows are kept only with record=True; without it ctx["tape"]
+    is None and _backward raises ContractError. With self_indices, query
+    i's affinity to support row self_indices[i] is masked out.
     """
     if F.ndim != 2 or F.shape[1] != model.dim:
         raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
-    B = F.shape[0]
-
-    # visual branch: tip affinities cannot be summed before activating, so
-    # they form (B, rows); linear ones are scored against the class sums
-    if rows is None:    # masking a self term reads the rows
-        rows = visual_rows(model, record=record or self_indices is not None)
-    rows, vnorm, proto = rows
-    labels, a_act = model.visual.labels, None
-    if proto is None:
-        with np.errstate(over="ignore"):   # inf reaches the loss check
-            a_act = np.exp(-model.tip_gamma * (1.0 - F @ rows.T))
-        if self_indices is not None:
-            a_act[np.arange(B), self_indices] = 0.0
-        f1 = np.add.reduceat(a_act, model.visual.starts, axis=1)
-    else:
-        f1 = F @ proto.T
-        if self_indices is not None:
-            f1[np.arange(B), labels[self_indices]] -= np.einsum(
-                "bd,bd->b", F, rows[self_indices])
+    f1, (rows, vnorm, a_act) = _visual_scores(model, F, self_indices, record)
 
     # textual branch: a frozen net's shift is s = 0
     if model.adaptive_text:

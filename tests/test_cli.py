@@ -905,6 +905,22 @@ def test_non_finite_query_row_exit_3(data_dir, trained, tmp_path, command,
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("role", ["text", "support", "query"])
+def test_zero_norm_row_exit_3(data_dir, tmp_path, role, capsys):
+    files = {r: data_dir / f"{r}.ate" for r in ("text", "support", "query")}
+    src, files[role] = files[role], tmp_path / f"{role}.ate"
+    at = _poison_row(src, files[role], 2, 0.0)
+    blob = bytearray(files[role].read_bytes())
+    blob[at:at + 4 * 16] = bytes(4 * 16)      # the whole row: 16 zeros
+    files[role].write_bytes(bytes(blob))
+    assert run("train", *[a for r, path in files.items()
+                          for a in (f"--{r}", str(path))],
+               "--ckpt", str(tmp_path / "m.atck"), "--epochs", "1") == 3
+    err = capsys.readouterr().err
+    assert f"feature row 2 has zero norm (at byte offset {at})" in err
+    assert not (tmp_path / "m.atck").exists()
+
+
 def test_readme_cli_block_shows_every_command():
     from pathlib import Path
     from atc.cli import build_parser
@@ -996,22 +1012,74 @@ def test_eval_renormalizes_visual_rows_once(data_dir, trained, tmp_path,
         singles += read_records(report)
 
     calls = []
-    original = atc.model.visual_rows
+    original = atc.model._visual_scores
 
-    def counted(cache):
-        calls.append(cache)
-        return original(cache)
+    def counted(m, F, *args):
+        calls.append(F.shape[0])
+        return original(m, F, *args)
 
-    monkeypatch.setattr(atc.model, "visual_rows", counted)
+    monkeypatch.setattr(atc.model, "_visual_scores", counted)
     report = tmp_path / "all.jsonl"
     assert run("eval", *files,
                *[a for q in queries for a in ("--query", str(q))],
                "--report", str(report)) == 0
-    assert len(calls) == 1
+    # one walk over the cache rows scores every file's rows
+    assert calls == [sum(rec["total"] for rec in singles)]
     together = read_records(report)
     for rec in singles + together:
         rec.pop("wall_clock")
     assert together == singles
+
+
+def test_eval_bad_second_query_file_exit_3_before_any_record(
+        data_dir, trained, tmp_path, capsys):
+    ckpt, _ = trained
+    bad = tmp_path / "query.ate"
+    _poison_row(data_dir / "query.ate", bad, 3, np.nan)
+    report = tmp_path / "r.jsonl"
+    assert run("eval", "--ckpt", str(ckpt),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate"), "--query", str(bad),
+               "--report", str(report)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and not report.exists()
+    assert "feature row 3 is not finite" in err
+
+
+def test_eval_non_finite_logit_in_second_file_exit_4_after_first_record(
+        data_dir, trained, tmp_path, capsys):
+    import atc.cli
+    from atc import model as model_mod, trainer
+    from atc.dataio import EmbeddingSet, read_embeddings, write_embeddings
+    ckpt, _ = trained
+    text, support = data_dir / "text.ate", data_dir / "support.ate"
+    m, _ = atc.cli._rebuild_from_checkpoint(trainer.load_checkpoint(ckpt),
+                                            text, support)
+    # the first file's rows are orthogonal to every class's summed cache
+    # row, so their visual scores are ~0; the second file's are the support
+    # rows, which score high against their own cache
+    sums = model_mod.branches(m, np.eye(16))[0].T
+    rows = read_embeddings(support)
+    queries = [tmp_path / "far.ate", tmp_path / "near.ate"]
+    far = np.linalg.svd(sums)[2][sums.shape[0]:]
+    for q, F, labels in ((queries[0], far, np.arange(far.shape[0]) % 5),
+                         (queries[1], rows.features, rows.labels)):
+        write_embeddings(EmbeddingSet(F, labels, rows.class_names, "query"), q)
+    top = [np.abs(model_mod.branches(m, read_embeddings(q).features)[0]).max()
+           for q in queries]
+    assert top[1] > 2 * top[0]
+    # an alpha whose fused logits overflow in the second file only
+    alpha = np.finfo(float).max / m.logit_scale / ((top[0] + top[1]) / 2)
+    report = tmp_path / "r.jsonl"
+    assert run("eval", "--ckpt", str(ckpt), "--text", str(text),
+               "--support", str(support), "--alpha", repr(float(alpha)),
+               *[a for q in queries for a in ("--query", str(q))],
+               "--report", str(report)) == 4
+    out, err = capsys.readouterr()
+    (record,) = read_records(report)
+    assert record["query"] == str(queries[0]) and json.loads(out) == record
+    assert "numeric error: a fused logit is not finite" in err
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -1290,7 +1358,7 @@ def test_rebuild_peak_holds_no_second_copy_of_the_support_rows(tmp_path):
     try:
         m, _ = atc.cli._rebuild_from_checkpoint(
             ckpt, tmp_path / "text.ate", tmp_path / "support.ate")
-        model_mod.visual_rows(m)
+        model_mod.branches(m, m.visual.support[:4])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -126,26 +126,40 @@ def test_norm_warnings_count_across_a_block_boundary(tmp_path):
 
     def edit(f):
         f[edge - 1] *= 2.0              # off unit norm
-        f[edge] = 0.0                   # zero
+        f[edge] *= 3.0                  # off unit norm
         f[edge + 1] *= 1.0 + 1e-4       # within 1e-3: no warning
         f[edge + 2] *= 0.5              # off unit norm
-        f[3] = 0.0                      # zero, in the first block
+        f[3] *= 0.1                     # off unit norm, in the first block
 
     path, _ = _block_spanning_file(tmp_path, edit)
     assert read_embeddings(path).norm_warnings == 4
 
+    def zero(f):
+        f[edge + 2] = 0.0               # zero, past the block boundary
+        f[edge - 1] *= 1e-13            # below 1e-12: zero too, and first
+
+    path, rows = _block_spanning_file(tmp_path, zero)
+    with pytest.raises(CodecError, match=f"feature row {edge - 1} has zero "
+                                         "norm") as exc:
+        read_embeddings(path)
+    assert exc.value.offset == 25 + 4 * rows + 4 * 4 * (edge - 1)
+
 
 def test_norm_warnings_count_off_unit_and_zero_rows(tmp_path):
+    # off-unit rows are counted; a zero row has no direction and is refused
     es = _small_set(rows=5, dim=4)
     es.features = np.array(es.features)
     es.features[1] *= 2.0
     es.features[2] *= 1.0 + 1e-4
-    es.features[4] = 0.0
+    es.features[4] *= 0.5
     path = tmp_path / "a.ate"
     write_embeddings(es, path)
-    back = read_embeddings(path)
-    assert back.norm_warnings == 2
-    assert np.array_equal(back.features[4], np.zeros(4))
+    assert read_embeddings(path).norm_warnings == 2
+    es.features[4] = 0.0
+    write_embeddings(es, path)
+    with pytest.raises(CodecError, match="feature row 4 has zero norm") as exc:
+        read_embeddings(path)
+    assert exc.value.offset == 25 + 4 * 5 + 4 * 4 * 4
 
 
 @pytest.mark.parametrize("rows", [0, 1, 7])

@@ -505,10 +505,12 @@ def test_linear_visual_branch_matches_dense_oracle_at_scale():
         1e-12 * np.max(np.abs(ref)))
 
 
-def _blocked_case(counts, mode, renorm, dim=16, shuffled=False):
-    """A linear-activation model whose class c has counts[c] random support
-    rows (permuted within each class when shuffled), with random biases and
-    free rows, and 5 queries."""
+def _blocked_case(counts, mode, renorm, dim=16, shuffled=False,
+                  activation="linear"):
+    """A model whose class c has counts[c] random support rows (permuted
+    within each class when shuffled), with random biases and free rows, and
+    5 random queries plus the dim identity rows, whose linear visual scores
+    are the class sums themselves."""
     rng = Rng(20)
     labels = np.repeat(np.arange(len(counts)), counts)
     support = l2_normalize_rows(rng.normal((labels.size, dim)))[0]
@@ -522,8 +524,23 @@ def _blocked_case(counts, mode, renorm, dim=16, shuffled=False):
     textual = TextualCache(l2_normalize_rows(rng.normal((len(counts),
                                                          dim)))[0], renorm)
     m = AtcModel(textual, visual, init_condition_net(dim, 2, 4, Rng(21)),
-                 logit_scale=10.0)
-    return m, rng.normal((5, dim))
+                 logit_scale=10.0, activation=activation, tip_gamma=2.0)
+    return m, np.vstack([rng.normal((5, dim)), np.eye(dim)])
+
+
+def _spy_blocks(monkeypatch, block_values):
+    """The (lo, hi) row spans the visual walk forms, in order, with blocks
+    of block_values values."""
+    monkeypatch.setattr(model_mod, "_BLOCK_VALUES", block_values)
+    spans = []
+    original = model_mod._effective_rows
+
+    def spied(cache, lo, hi):
+        spans.append((lo, hi))
+        return original(cache, lo, hi)
+
+    monkeypatch.setattr(model_mod, "_effective_rows", spied)
+    return spans
 
 
 # class sizes against 4-row blocks: a class longer than a block; windows
@@ -542,48 +559,85 @@ def test_blocked_class_sums_are_the_recorded_ones_bitwise(
         monkeypatch, shape, mode, renorm, shuffled):
     counts, blocks = _BLOCK_SHAPES[shape]
     m, F = _blocked_case(counts, mode, renorm, shuffled=shuffled)
-    monkeypatch.setattr(model_mod, "_BLOCK_VALUES", 4 * m.dim)
-    spans = []
-    original = model_mod._effective_rows
-
-    def spied(cache, lo, hi):
-        spans.append((lo, hi))
-        return original(cache, lo, hi)
-
-    monkeypatch.setattr(model_mod, "_effective_rows", spied)
-    rows, vnorm, proto = model_mod.visual_rows(m)
-    assert rows is None and vnorm is None
+    spans = _spy_blocks(monkeypatch, 4 * m.dim)
+    f1, _, bare = branches(m, F)
+    assert bare["rows"] is None and bare["vnorm"] is None
     assert spans == blocks
-    f1 = branches(m, F)[0]
     spans.clear()
-    whole = model_mod.visual_rows(m, record=True)
+    g1, _, ctx = branches(m, F, record=True)
     assert spans == [(0, m.visual.rows)]
-    assert whole[0].shape == (m.visual.rows, m.dim)
-    assert (whole[1] is not None) == (renorm and mode != "linear")
-    assert proto.tobytes() == whole[2].tobytes()
-    assert f1.tobytes() == branches(m, F, record=True)[0].tobytes()
+    assert ctx["rows"].shape == (m.visual.rows, m.dim)
+    assert (ctx["vnorm"] is not None) == (renorm and mode != "linear")
+    # the identity queries' scores are the class sums, bit for bit
+    assert f1.tobytes() == g1.tobytes()
 
 
-def test_forward_only_visual_rows_peak_below_one_rows_array():
-    # 4,000 x 512 rows (16.4 MB) in 250 classes: the blocked sums hold a
-    # block of rows, never all of them
+@pytest.mark.parametrize("shape", sorted(_BLOCK_SHAPES))
+@pytest.mark.parametrize("mode", ["fixed", "biases", "linear"])
+def test_blocked_tip_scores_are_the_recorded_ones_to_rounding(
+        monkeypatch, shape, mode):
+    # forward-only tip scores each class-aligned block with its own GEMM,
+    # which a BLAS may round apart from one GEMM over every row when the
+    # block widths differ; the recorded pass is that one GEMM
+    counts, blocks = _BLOCK_SHAPES[shape]
+    m, F = _blocked_case(counts, mode, True, activation="tip")
+    spans = _spy_blocks(monkeypatch, 4 * m.dim)
+    f1, _, bare = branches(m, F)
+    assert spans == blocks and bare["a_act"] is None
+    g1, _, ctx = branches(m, F, record=True)
+    assert ctx["a_act"].shape == (F.shape[0], m.visual.rows)
+    np.testing.assert_allclose(f1, g1, rtol=1e-12, atol=0)
+
+
+def test_blocked_tip_scores_at_d512_match_to_rounding():
+    # uneven classes of 1-30 rows against the default 64-row blocks at
+    # d=512: measured within 5e-16 relative, rarely bitwise
+    rng = Rng(30)
+    counts = 1 + (30 * rng.uniform(0, 1, 60)).astype(int)
+    m, _ = _blocked_case(counts, "biases", True, dim=512, activation="tip")
+    F = l2_normalize_rows(rng.normal((64, 512)))[0]
+    np.testing.assert_allclose(branches(m, F)[0],
+                               branches(m, F, record=True)[0],
+                               rtol=1e-12, atol=0)
+
+
+def _forward_only_peak(activation):
+    """tracemalloc peak of one forward-only branches call over 4,000 x 512
+    cache rows (16.4 MB) in 250 classes, and the size of those rows."""
     c, k, d = 250, 16, 512
-    m, _ = _blocked_case([k] * c, "biases", True, dim=d)
+    m, F = _blocked_case([k] * c, "biases", True, dim=d,
+                         activation=activation)
     tracemalloc.start()
     try:
-        model_mod.visual_rows(m)
+        branches(m, F[:5])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < c * k * d * 8
+    return peak, c * k * d * 8
+
+
+def test_forward_only_visual_rows_peak_below_one_rows_array():
+    # the blocked class sums hold a block of rows, never all of them
+    peak, rows = _forward_only_peak("linear")
+    assert peak < rows
+
+
+def test_forward_only_tip_peak_below_one_rows_array():
+    # tip affinities are activated and summed a block at a time too
+    peak, rows = _forward_only_peak("tip")
+    assert peak < rows
 
 
 def test_blocked_visual_rows_reject_a_non_finite_row_norm(monkeypatch):
-    m, _ = _blocked_case([9, 4, 1, 3, 2], "biases", True)
-    monkeypatch.setattr(model_mod, "_BLOCK_VALUES", 4 * m.dim)
-    m.visual.biases[15] = 1e300        # in the third of four blocks
-    with pytest.raises(EvaluationError, match="visual cache row norm"):
-        model_mod.visual_rows(m)
+    spans = _spy_blocks(monkeypatch, 4 * 16)
+    for activation in ("linear", "tip"):
+        m, F = _blocked_case([9, 4, 1, 3, 2], "biases", True,
+                             activation=activation)
+        m.visual.biases[15] = 1e300        # in the third of four blocks
+        spans.clear()
+        with pytest.raises(EvaluationError, match="visual cache row norm"):
+            branches(m, F)
+        assert spans == _BLOCK_SHAPES["long"][1][:3]
 
 
 def _indexed_pair(mode, activation, renorm, shots):
@@ -627,14 +681,12 @@ def test_indexed_cache_scores_its_gathered_episode_bitwise(
     assert indexed.visual.support.shape[0] == 30
     assert gathered.visual.rows == indexed.visual.rows == 6 * shots
     assert gathered.visual.labels.tobytes() == indexed.visual.labels.tobytes()
-    def parts(m, record):   # rows, class sums, safe norms, zero mask
-        rows, vnorm, proto = model_mod.visual_rows(m, record=record)
-        return [rows, proto, *(vnorm or (None, None))]
-
+    F = np.vstack([F, np.eye(16)])     # linear f1 rows are the class sums
     for record in (False, True):
-        for a, b in zip(parts(gathered, record), parts(indexed, record)):
-            assert (a is None) == (b is None)
-            assert a is None or a.tobytes() == b.tobytes()
-        for a, b in zip(branches(gathered, F, record=record)[:2],
-                        branches(indexed, F, record=record)[:2]):
+        got = [branches(m, F, record=record) for m in (gathered, indexed)]
+        for a, b in zip(got[0][:2], got[1][:2]):
             assert a.tobytes() == b.tobytes()
+        for key in ("rows", "vnorm", "a_act"):   # vnorm: (safe, zero)
+            a, b = (ctx[key] for _, _, ctx in got)
+            assert (a is None) == (b is None)
+            assert a is None or np.array(a).tobytes() == np.array(b).tobytes()
