@@ -19,10 +19,20 @@ from .errors import ValidationError
 VISUAL_MODES = ("fixed", "linear", "biases")
 
 
+def _read_only(a) -> np.ndarray:
+    """A view of `a` that refuses writes; `a` itself stays writable."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class TextualCache:
     class_texts: np.ndarray         # (c, dim) unit-norm rows, class order
     renormalize: bool = True
+
+    def __post_init__(self):
+        self.class_texts = _read_only(self.class_texts)
 
 
 def build_textual_cache(text_set: EmbeddingSet,
@@ -45,6 +55,10 @@ class VisualCache:
     index: np.ndarray | None = None
 
     def __post_init__(self):
+        # the frozen arrays, as views that refuse a write through the model
+        self.support, self.labels = map(_read_only, (self.support, self.labels))
+        if self.index is not None:
+            self.index = _read_only(self.index)
         # class-major labels 0,..,0,1,..,c-1: starts[c] is class c's first row
         self.starts = np.flatnonzero(np.diff(self.labels, prepend=-1))
         if not self.starts.size or not np.array_equal(

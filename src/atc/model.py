@@ -11,7 +11,7 @@ import numpy as np
 
 from .caches import TextualCache, VisualCache
 from .conditionnet import ConditionNetParams, condition_backward, condition_forward
-from .errors import EvaluationError, ShapeError, ValidationError
+from .errors import ContractError, EvaluationError, ShapeError, ValidationError
 from .numerics import _BLOCK_VALUES, ZERO_NORM, l2_normalize_rows
 
 
@@ -207,8 +207,8 @@ def branches(model: AtcModel, F: np.ndarray, self_indices=None, *,
 
     Returns (f1, f2, ctx): the visual and textual scores, each (B, c), and
     the intermediates the backward pass needs. The condition net's tape and
-    the visual rows are kept only with record=True; without it ctx["tape"]
-    is None and _backward raises ContractError. With self_indices, query
+    the visual rows are kept only with record=True; _backward raises
+    ContractError for a ctx made without it. With self_indices, query
     i's affinity to support row self_indices[i] is masked out.
     """
     if F.ndim != 2 or F.shape[1] != model.dim:
@@ -223,7 +223,7 @@ def branches(model: AtcModel, F: np.ndarray, self_indices=None, *,
     f2, tsaved = _text_scores(F, model.textual.class_texts, S,
                               model.textual.renormalize)
 
-    ctx = dict(F=F, rows=rows, vnorm=vnorm, a_act=a_act,
+    ctx = dict(F=F, record=record, rows=rows, vnorm=vnorm, a_act=a_act,
                self_indices=self_indices, S=S, tape=tape,
                f2=f2, tsaved=tsaved)
     return f1, f2, ctx
@@ -241,16 +241,19 @@ def fuse(f1: np.ndarray, f2: np.ndarray, alpha: float, beta: float,
 
 
 def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarray]:
+    if not ctx["record"]:
+        raise ContractError("no backward state: branches ran without record")
     F = ctx["F"]
     B = F.shape[0]
     grads: dict[str, np.ndarray] = {}
     df1 = model.logit_scale * model.alpha * d_logits
     df2 = model.logit_scale * model.beta * d_logits
 
-    if model.visual.mode in ("biases", "linear"):
+    mode = model.visual.mode
+    if mode != "fixed":
         labels = model.visual.labels
         s = ctx["self_indices"]
-        if ctx["a_act"] is None:
+        if model.activation == "linear":
             d_rows = (df1.T @ F)[labels]
             if s is not None:
                 np.subtract.at(d_rows, s,
@@ -261,13 +264,10 @@ def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarra
                 da_act[np.arange(B), s] = 0.0
             da_raw = da_act * model.tip_gamma * ctx["a_act"]
             d_rows = da_raw.T @ F
-        if model.visual.mode == "linear":
-            grads["visual.linear"] = d_rows
-        else:
-            if ctx["vnorm"] is not None:
-                safe, zero = ctx["vnorm"]
-                d_rows = _normalize_rows_bwd(d_rows, ctx["rows"], safe, zero)
-            grads["visual.biases"] = d_rows
+        if mode == "biases" and model.visual.renormalize:
+            safe, zero = ctx["vnorm"]
+            d_rows = _normalize_rows_bwd(d_rows, ctx["rows"], safe, zero)
+        grads[f"visual.{mode}"] = d_rows
 
     if model.adaptive_text:
         dS = _text_shift_grad(F, model.textual.class_texts, ctx["S"], df2,

@@ -12,7 +12,6 @@ repeated tensor name at the offset of the repeat.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -23,8 +22,7 @@ import numpy as np
 
 from .caches import VISUAL_MODES
 from .dataio import _Cursor
-from .errors import (CodecError, ContractError, EvaluationError,
-                     ValidationError)
+from .errors import CodecError, EvaluationError, ValidationError
 from .model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
                     tensors, trainables)
 from .numerics import _BLOCK_VALUES, Rng
@@ -115,17 +113,6 @@ class Checkpoint:
     metrics: list[dict] = field(default_factory=list)
 
 
-def _frozen_digest(model: AtcModel) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(model.textual.class_texts).tobytes())
-    h.update(np.ascontiguousarray(model.visual.support).tobytes())
-    h.update(np.ascontiguousarray(model.visual.labels, dtype="<i8").tobytes())
-    if model.visual.index is not None:
-        h.update(np.asarray(model.visual.index, dtype="<i8").tobytes())
-    h.update(struct.pack("<ddd", model.alpha, model.beta, model.logit_scale))
-    return h.hexdigest()
-
-
 # every model_hyper key, in its order, and the type of each value (a tuple
 # lists the allowed strings)
 HYPER = {"alpha": float, "beta": float, "logit_scale": float,
@@ -182,7 +169,7 @@ def train(model: AtcModel, queries: np.ndarray, labels,
 
     Queries default to the support embeddings themselves at the call site;
     with leave_self_out each query's own support row is masked out of its
-    visual affinities. Frozen tensors are checksummed before and after.
+    visual affinities. The caches' frozen arrays are read-only views.
     An epoch's accuracy is after its update: with one batch and no
     leave_self_out it is read off the next epoch's training logits.
     """
@@ -195,7 +182,6 @@ def train(model: AtcModel, queries: np.ndarray, labels,
     batch = cfg.batch_size or min(256, n)
     reuse = batch >= n and not cfg.leave_self_out
 
-    before = _frozen_digest(model)
     params = trainables(model)
     state = init_adam(params)
     rng = Rng(cfg.seed)
@@ -222,8 +208,6 @@ def train(model: AtcModel, queries: np.ndarray, labels,
         if not reuse or epoch == cfg.epochs - 1:
             preds = predict_batch(model, queries)
             metrics[-1]["accuracy"] = float(np.mean(preds == labels))
-    if _frozen_digest(model) != before:
-        raise ContractError("frozen tensors changed during training")
     # load_checkpoint refuses a non-finite value, so none is saved
     for name, value in params.items():
         if not np.isfinite(value).all():

@@ -501,10 +501,44 @@ def test_non_finite_value_in_any_block_rejected_at_the_tensor(tmp_path, flat):
     assert err.value.offset == at
 
 
-def test_frozen_digest_covers_the_episode_index():
+@pytest.mark.parametrize("indexed", [False, True])
+def test_frozen_arrays_refuse_writes(indexed):
     m, sets = _model(k=4)
-    index = np.arange(12)
-    m.visual = build_visual_cache(sets["support"], 3, index=index)
-    before = atc.trainer._frozen_digest(m)
-    index[[0, 1]] = index[[1, 0]]      # same class: still class-major
-    assert atc.trainer._frozen_digest(m) != before
+    features, index = sets["support"].features, np.arange(12)
+    m.visual = build_visual_cache(sets["support"], 3,
+                                  index=index if indexed else None)
+    frozen = [m.textual.class_texts, m.visual.support, m.visual.labels]
+    for a in frozen + ([m.visual.index] if indexed else []):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    # the caller's arrays stay writable, and the cache views them
+    features[0] = features[0]
+    index[0] = index[0]
+    assert np.shares_memory(m.visual.support, features)
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+@pytest.mark.parametrize("leave_self_out", [False, True])
+@pytest.mark.parametrize("activation", ["linear", "tip"])
+@pytest.mark.parametrize("mode", ["fixed", "biases", "linear"])
+def test_train_leaves_frozen_arrays_unchanged(mode, activation,
+                                              leave_self_out, indexed):
+    # the training queries are the support rows themselves, in the cache's
+    # order: a write through them would reach the cache's rows
+    m, sets = _model(k=4)
+    support = sets["support"]
+    m.visual = build_visual_cache(support, 3, mode,
+                                  index=np.arange(12) if indexed else None)
+    m.activation = activation
+
+    def frozen():
+        arrays = (m.textual.class_texts, m.visual.support, m.visual.labels,
+                  m.visual.index)
+        return ([None if a is None else a.tobytes() for a in arrays],
+                (m.alpha, m.beta, m.logit_scale))
+
+    before = frozen()
+    train(m, support.features, support.labels,
+          TrainConfig(epochs=3, learning_rate=1e-2, seed=2,
+                      leave_self_out=leave_self_out))
+    assert frozen() == before
