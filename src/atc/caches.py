@@ -40,7 +40,8 @@ def build_textual_cache(text_set: EmbeddingSet,
     if text_set.role != "text":
         raise ValidationError(f"expected a text set, got role {text_set.role!r}")
     text_set.validate()
-    return TextualCache(np.array(text_set.features), renormalize)
+    return TextualCache(np.asarray(text_set.features, dtype=np.float64),
+                        renormalize)
 
 
 @dataclass

@@ -73,27 +73,27 @@ def set_tensors(model: AtcModel, values: dict[str, np.ndarray]) -> None:
 
 
 def _normalize_rows_bwd(d_unit, unit, safe, zero):
-    """(d_unit - <unit, d_unit> unit) / safe, in one new array, with the
-    rows that passed through the renormalization (zero) passing d_unit
-    back unchanged."""
-    d_raw = np.multiply(unit, d_unit)
-    inner = np.add.reduce(d_raw, axis=-1, keepdims=True)
-    np.multiply(inner, unit, out=d_raw)
-    np.subtract(d_unit, d_raw, out=d_raw)
-    d_raw /= safe
-    rows = np.flatnonzero(zero)
-    d_raw[rows] = d_unit[rows]
-    return d_raw
+    """(d_unit - <unit, d_unit> unit) / safe, written over unit (whose rows
+    are then spent), with the rows that passed through the renormalization
+    (zero) passing d_unit back unchanged."""
+    t = np.multiply(unit, d_unit)
+    np.multiply(np.add.reduce(t, axis=-1, keepdims=True), unit, out=t)
+    np.subtract(d_unit, t, out=unit)
+    unit /= safe
+    np.copyto(unit, d_unit, where=zero)
+    return unit
 
 
-def _effective_rows(cache: VisualCache, lo: int, hi: int):
-    """Cache rows lo:hi as scored, and their (safe, zero) norms or None."""
+def _effective_rows(cache: VisualCache, lo: int, hi: int, out=None):
+    """Cache rows lo:hi as scored, and their (safe, zero) norms or None; a
+    fresh array of rows is written into out (hi - lo rows) when given."""
     if cache.mode == "linear":
         return cache.linear[lo:hi], None
     if cache.index is None:
-        rows, fresh = cache.support[lo:hi], None
-    else:   # a fresh gather, which the biases and the renorm write into
-        rows = fresh = cache.support[cache.index[lo:hi]]
+        rows, fresh = cache.support[lo:hi], out
+    else:   # a fresh gather, unbuffered ("wrap"; the index is in range)
+        rows = fresh = np.take(cache.support, cache.index[lo:hi], axis=0,
+                               out=out, mode="wrap")
     if cache.mode == "biases":  # a fresh sum is renormalized in place
         rows = fresh = np.add(rows, cache.biases[lo:hi], out=fresh)
     if not cache.renormalize:
@@ -105,10 +105,11 @@ def _effective_rows(cache: VisualCache, lo: int, hi: int):
     return rows, (safe, zero)
 
 
-def _visual_scores(model: AtcModel, F: np.ndarray, self_indices, keep: bool):
+def _visual_scores(model: AtcModel, F: np.ndarray, self_indices, keep: bool,
+                   out=None):
     """f1 (B, c) from one walk over the effective cache rows, a block of whole
     classes at a time, and the rows, norms and tip affinities for _backward:
-    None unless kept, and then (or to mask a self term) in one block."""
+    None unless kept, and then (or to mask a self term) one block (in out)."""
     cache, B, n = model.visual, F.shape[0], model.visual.starts.size
     keep = keep or self_indices is not None
     step = cache.rows if keep else max(1, _BLOCK_VALUES // max(cache.dim, 1))
@@ -122,7 +123,7 @@ def _visual_scores(model: AtcModel, F: np.ndarray, self_indices, keep: bool):
     proto = None if tip else np.zeros((n, cache.dim))
     for first, end in zip(firsts, [*firsts[1:], n]):
         lo = edges[first]
-        rows, vnorm = _effective_rows(cache, lo, edges[end])
+        rows, vnorm = _effective_rows(cache, lo, edges[end], out)
         if tip:
             with np.errstate(over="ignore"):   # inf reaches the loss check
                 a_act = np.exp(-model.tip_gamma * (1.0 - F @ rows.T))
@@ -147,7 +148,7 @@ def _visual_scores(model: AtcModel, F: np.ndarray, self_indices, keep: bool):
 _CANCEL = 1e-2
 
 
-def _text_scores(F, T, S, renormalize: bool):
+def _text_scores(F, T, S, renormalize: bool, out=None):
     """Textual scores f2[b, c] = F_b . (t_c + S_b), divided by
     |t_c + S_b| when renormalizing, without forming the (B, c, dim) shifted
     rows: |t_c + S_b|^2 = |t_c|^2 + 2 S_b . t_c + |S_b|^2. A row whose norm
@@ -155,9 +156,10 @@ def _text_scores(F, T, S, renormalize: bool):
     adds exact zeros, so its scores are F . t_c, over |t_c| when
     renormalizing.
 
-    Returns f2 and what _text_shift_grad needs: None without renorm, else
-    (safe norms, zero mask, the cancellation-prone pairs (b, c) and rows)."""
-    f2 = F @ T.T
+    Returns f2 (in out, if given) and what _text_shift_grad needs: None
+    without renorm, else (safe norms, zero mask, the cancellation-prone
+    pairs (b, c) and rows)."""
+    f2 = np.matmul(F, T.T, out=out)
     f2 += np.einsum("bd,bd->b", F, S)[:, None]
     if not renormalize:
         return f2, None
@@ -202,26 +204,34 @@ def _text_shift_grad(F, T, S, df2, f2, saved):
 
 
 def branches(model: AtcModel, F: np.ndarray, self_indices=None, *,
-             record: bool = False):
+             record: bool = False, rows_out=None):
     """Both branch scores for queries F (B, dim), before fusion.
 
     Returns (f1, f2, ctx): the visual and textual scores, each (B, c), and
-    the intermediates the backward pass needs. The condition net's tape and
-    the visual rows are kept only with record=True; _backward raises
-    ContractError for a ctx made without it. With self_indices, query
-    i's affinity to support row self_indices[i] is masked out.
+    the intermediates the backward pass needs. The condition net's tape, its
+    shift S and the visual rows are kept only with record=True; _backward
+    raises ContractError for a ctx made without it. With self_indices, query
+    i's affinity to support row self_indices[i] is masked out. rows_out
+    (with record=True), a spent (rows, dim) float64 array, receives the kept
+    visual rows when they are a fresh array.
     """
     if F.ndim != 2 or F.shape[1] != model.dim:
         raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
-    f1, (rows, vnorm, a_act) = _visual_scores(model, F, self_indices, record)
-
-    # textual branch: a frozen net's shift is s = 0
-    if model.adaptive_text:
-        S, tape = condition_forward(model.net, F, record=record)
-    else:
-        S, tape = np.zeros_like(F), None
-    f2, tsaved = _text_scores(F, model.textual.class_texts, S,
-                              model.textual.renormalize)
+    f1, (rows, vnorm, a_act) = _visual_scores(model, F, self_indices, record,
+                                              rows_out)
+    # textual branch (a frozen net's s = 0): equal chunks of <= 256 queries
+    # (one to record), none a lone row of several: NumPy rounds those apart
+    T, B = model.textual.class_texts, F.shape[0]
+    n = 1 if record else max(1, -(-B // 256))
+    edges = B * np.arange(n + 1) // n
+    f2 = np.empty((B, T.shape[0]))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        S, tape = (condition_forward(model.net, F[lo:hi], record=record)
+                   if model.adaptive_text else (np.zeros_like(F[lo:hi]), None))
+        tsaved = _text_scores(F[lo:hi], T, S, model.textual.renormalize,
+                              f2[lo:hi])[1]
+    if not record:   # these are the last chunk's alone
+        S = tsaved = None
 
     ctx = dict(F=F, record=record, rows=rows, vnorm=vnorm, a_act=a_act,
                self_indices=self_indices, S=S, tape=tape,
@@ -240,34 +250,49 @@ def fuse(f1: np.ndarray, f2: np.ndarray, alpha: float, beta: float,
         return logit_scale * (alpha * f1 + beta * f2)
 
 
+def _visual_grad(model: AtcModel, ctx, df1: np.ndarray) -> np.ndarray:
+    """Gradient of sum(df1 * f1) with respect to the visual cache's trainable
+    rows, a block of rows at a time; in biases mode it is written over the
+    kept effective rows, a fresh array of the forward's."""
+    cache, F, s = model.visual, ctx["F"], ctx["self_indices"]
+    labels, linear = cache.labels, model.activation == "linear"
+    if linear:  # a row's gradient is its class's, less its masked self terms
+        G = df1.T @ F
+    else:
+        da_act = df1[:, labels]
+        if s is not None:
+            da_act[np.arange(F.shape[0]), s] = 0.0
+        G = (da_act * model.tip_gamma * ctx["a_act"]).T @ F
+    out = (ctx["rows"] if cache.mode == "biases" else
+           np.empty((cache.rows, cache.dim)) if linear else G)
+    step = max(1, _BLOCK_VALUES // max(cache.dim, 1))
+    for lo in range(0, cache.rows, step):
+        hi = lo + step
+        d_rows = G[labels[lo:hi]] if linear else G[lo:hi]
+        if linear and s is not None:   # in np.subtract.at's order per row
+            i = np.flatnonzero((s >= lo) & (s < hi))
+            np.subtract.at(d_rows, s[i] - lo,
+                           df1[i, labels[s[i]]][:, None] * F[i])
+        if ctx["vnorm"] is None:
+            out[lo:hi] = d_rows
+        else:
+            _normalize_rows_bwd(d_rows, out[lo:hi],
+                                *(v[lo:hi] for v in ctx["vnorm"]))
+    return out
+
+
 def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarray]:
     if not ctx["record"]:
-        raise ContractError("no backward state: branches ran without record")
+        raise ContractError("no backward state (not recorded, or spent)")
+    ctx["record"] = False   # the kept visual rows become a gradient
     F = ctx["F"]
-    B = F.shape[0]
     grads: dict[str, np.ndarray] = {}
     df1 = model.logit_scale * model.alpha * d_logits
     df2 = model.logit_scale * model.beta * d_logits
 
     mode = model.visual.mode
     if mode != "fixed":
-        labels = model.visual.labels
-        s = ctx["self_indices"]
-        if model.activation == "linear":
-            d_rows = (df1.T @ F)[labels]
-            if s is not None:
-                np.subtract.at(d_rows, s,
-                               df1[np.arange(B), labels[s]][:, None] * F)
-        else:
-            da_act = df1[:, labels]
-            if s is not None:
-                da_act[np.arange(B), s] = 0.0
-            da_raw = da_act * model.tip_gamma * ctx["a_act"]
-            d_rows = da_raw.T @ F
-        if mode == "biases" and model.visual.renormalize:
-            safe, zero = ctx["vnorm"]
-            d_rows = _normalize_rows_bwd(d_rows, ctx["rows"], safe, zero)
-        grads[f"visual.{mode}"] = d_rows
+        grads[f"visual.{mode}"] = _visual_grad(model, ctx, df1)
 
     if model.adaptive_text:
         dS = _text_shift_grad(F, model.textual.class_texts, ctx["S"], df2,
@@ -292,12 +317,14 @@ def _loss_from_logits(logits: np.ndarray, targets: np.ndarray):
 
 
 def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
-                   self_indices=None):
+                   self_indices=None, rows_out=None):
     """Mean cross-entropy, exact gradients for every trainable group
-    (averaged over the batch), and the logits both were taken at."""
+    (averaged over the batch), and the logits both were taken at. rows_out
+    (see branches) may be the last step's spent visual.biases gradient."""
     F = np.asarray(queries, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    f1, f2, ctx = branches(model, F, self_indices, record=True)
+    f1, f2, ctx = branches(model, F, self_indices, record=True,
+                           rows_out=rows_out)
     logits = fuse(f1, f2, model.alpha, model.beta, model.logit_scale)
     loss, probs = _loss_from_logits(logits, targets)
     # the gradient with respect to the logits: softmax minus the one-hot

@@ -185,15 +185,17 @@ def train(model: AtcModel, queries: np.ndarray, labels,
     params = trainables(model)
     state = init_adam(params)
     rng = Rng(cfg.seed)
-    metrics = []
+    metrics, grads = [], {}
     for epoch in range(cfg.epochs):
         order = rng.permutation(n) if cfg.shuffle else np.arange(n)
         total = 0.0
         for start in range(0, n, batch):
             sel = order[start:start + batch]
             sub_self = sel if cfg.leave_self_out else None
-            loss, grads, logits = loss_and_grads(model, queries[sel],
-                                                 labels[sel], sub_self)
+            # its rows go over the spent visual gradient (freeing it re-faults)
+            loss, grads, logits = loss_and_grads(
+                model, queries[sel], labels[sel], sub_self,
+                grads.get("visual.biases"))
             if not math.isfinite(loss):
                 raise EvaluationError(f"training loss is {loss} in epoch "
                                       f"{epoch}")

@@ -27,6 +27,12 @@ def test_build_textual_cache_shape():
     assert cache.class_texts.shape == (10, 64)
 
 
+def test_build_textual_cache_keeps_a_view_of_the_rows():
+    sets = _sets(n=10, dim=64)
+    cache = build_textual_cache(sets["text"])
+    assert np.shares_memory(cache.class_texts, sets["text"].features)
+
+
 def _f2(m, F):
     return branches(m, np.atleast_2d(F))[1]
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from atc import model as model_mod
 from atc.caches import (TextualCache, VisualCache, build_textual_cache,
                         build_visual_cache)
-from atc.conditionnet import init_condition_net
+from atc.conditionnet import condition_forward, init_condition_net
 from atc.dataio import EmbeddingSet, SynthConfig, sample_episode, synth_dataset
-from atc.errors import EvaluationError, ShapeError
+from atc.errors import ContractError, EvaluationError, ShapeError
 from atc.model import (AtcModel, _loss_from_logits, branches, fuse,
                        loss_and_grads, predict_batch, zero_shot_logits)
 from atc.numerics import Rng, l2_normalize_rows
@@ -106,7 +106,7 @@ def test_unshifted_textual_branch_is_exact(renorm, adaptive):
     if renorm:
         want = want / np.sqrt(np.einsum("cd,cd->c", T, T))
     f2 = _f2(m, F)
-    assert not np.any(branches(m, F)[2]["S"])
+    assert not np.any(branches(m, F, record=True)[2]["S"])
     assert np.array_equal(f2, want)
 
 
@@ -178,9 +178,10 @@ def test_predict_noiseless_is_perfect():
 def test_predict_deterministic_and_exposes_intermediates():
     m, sets = _make_model(randomize=True)
     F = sets["query"].features[:1]
-    f1a, f2a, ctx = branches(m, F)
-    f1b, f2b, _ = branches(m, F)
+    f1a, f2a, bare = branches(m, F)
+    f1b, f2b, ctx = branches(m, F, record=True)
     assert np.array_equal(f1a, f1b) and np.array_equal(f2a, f2b)
+    assert bare["S"] is None      # a forward-only pass keeps no shift
     logits = fuse(f1a, f2a, m.alpha, m.beta, m.logit_scale)
     _, probs = _loss_from_logits(logits, np.zeros(1, dtype=np.int64))
     assert abs(probs.sum() - 1.0) < 1e-12
@@ -302,7 +303,7 @@ def test_closed_form_textual_branch_matches_dense_oracle(seed, renorm, tip,
     np.copyto(m.net.W_out, size * rng.normal(m.net.W_out.shape))
     np.copyto(m.net.b_out, size * rng.normal(m.net.b_out.shape))
     F, labels = sets["query"].features, sets["query"].labels
-    f1, f2, ctx = branches(m, F)
+    f1, f2, ctx = branches(m, F, record=True)
     want, saved = dense_text_scores(F, m.textual.class_texts, ctx["S"],
                                     renorm)
     assert np.max(np.abs(f2 - want)) < 1e-12
@@ -318,7 +319,7 @@ def test_cancelled_text_row_passes_through(excess):
     s = -(1.0 + excess) * texts[2]
     m = shift_model(texts, s)
     F, labels = sets["query"].features, sets["query"].labels
-    f1, f2, ctx = branches(m, F)
+    f1, f2, ctx = branches(m, F, record=True)
     want, saved = dense_text_scores(F, texts, ctx["S"])
     if excess == 0.0:
         assert np.all(f2[:, 2] == 0.0)
@@ -365,11 +366,12 @@ def test_branches_without_tape_are_bitwise_the_recorded_ones(
     self_indices = np.arange(F.shape[0]) if leave_self_out else None
     f1, f2, ctx = branches(m, F, self_indices, record=True)
     g1, g2, bare = branches(m, F, self_indices)
-    assert bare["tape"] is None
+    assert bare["tape"] is None and bare["S"] is None
     assert (ctx["tape"] is not None) == adaptive
     assert f1.tobytes() == g1.tobytes() and f2.tobytes() == g2.tobytes()
     if adaptive:
-        assert np.any(ctx["S"]) and ctx["S"].tobytes() == bare["S"].tobytes()
+        assert np.any(ctx["S"]) and ctx["S"].tobytes() == condition_forward(
+            m.net, F)[0].tobytes()
 
 
 def test_predict_batch_peak_below_the_condition_net_tape():
@@ -401,9 +403,120 @@ def test_visual_renorm_backward_matches_whole_array_oracle_bitwise(rows):
     raw[::4] *= 1e-13          # rows that pass through unnormalized
     unit, safe, zero = l2_normalize_rows(raw)
     d_unit = Rng(6).normal((rows, 512))
+    want = normalize_rows_bwd(d_unit, unit, safe, zero)
     got = model_mod._normalize_rows_bwd(d_unit, unit, safe, zero)
-    assert got.tobytes() == normalize_rows_bwd(d_unit, unit, safe,
-                                               zero).tobytes()
+    assert got is unit and got.tobytes() == want.tobytes()
+
+
+def _mid_train_model(adaptive=True):
+    """The c=100, d=512 model over a 1,600-row episode (16 shots) and the
+    episode's rows as its training queries, with a nonzero shift."""
+    c, d = 100, 512
+    sets = synth_dataset(SynthConfig(num_classes=c, dim=d, shots=16,
+                                     queries_per_class=1, seed=1))
+    net = init_condition_net(d, 8, 64, Rng(1))
+    np.copyto(net.W_out, 0.01 * Rng(2).normal(net.W_out.shape))
+    m = AtcModel(build_textual_cache(sets["text"]),
+                 build_visual_cache(sets["support"], c), net,
+                 adaptive_text=adaptive)
+    return m, sets["support"]
+
+
+def test_spent_gradient_step_holds_two_rows_arrays_less():
+    # a leave-self-out step used to hold its effective rows, the gathered
+    # class gradient and the renormalization backward's result (4.4 rows
+    # arrays at its peak, net tape included) on top of the last step's
+    # gradient. Now the rows are written over that spent gradient and
+    # become this step's, so the step holds the tape and less than one
+    # rows array of its own: at least two rows arrays less.
+    B, T, h, d = 256, 8, 64, 512
+    m, episode = _mid_train_model()
+    sel = np.arange(B)
+    F, labels = episode.features[sel], episode.labels[sel]
+    spent = loss_and_grads(m, F, labels, sel)[1]["visual.biases"]
+    tracemalloc.start()
+    try:
+        grads = loss_and_grads(m, F, labels, sel, rows_out=spent)[1]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = m.visual.rows * d * 8
+    assert grads["visual.biases"] is spent
+    assert peak < B * (h * (4 * T + 2 * (T + 1)) + d) * 8 + rows
+    assert peak < (4.4 - 2) * rows
+
+
+def test_forward_only_scores_hold_under_25_bytes_per_row_per_class():
+    # was 45 bytes: the textual branch's (rows, c) temporaries now span one
+    # 256-row chunk, beside the (rows, c) f1 and f2 themselves
+    c, d, B = 1000, 512, 2000
+    sets = synth_dataset(SynthConfig(num_classes=c, dim=d, shots=2,
+                                     queries_per_class=2, seed=1))
+    net = init_condition_net(d, 8, 64, Rng(1))
+    np.copyto(net.W_out, 0.01 * Rng(2).normal(net.W_out.shape))
+    m = AtcModel(build_textual_cache(sets["text"]),
+                 build_visual_cache(sets["support"], c), net)
+    F = sets["query"].features[:B]
+    tracemalloc.start()
+    try:
+        branches(m, F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * B * c
+
+
+@pytest.mark.parametrize("activation", ["linear", "tip"])
+def test_in_place_visual_gradient_is_the_gathered_one_bitwise(monkeypatch,
+                                                             activation):
+    # 4-row blocks over 18 rows; query i masks row s[i]: row 1 three times
+    # and rows 0-3 all in the first block, masked rows in every block, and
+    # row 6, whose bias cancels its support row to a zero-norm row
+    monkeypatch.setattr(model_mod, "_BLOCK_VALUES", 4 * 16)
+    m, F = _blocked_case([5, 4, 6, 3], "biases", True, activation=activation)
+    m.visual.biases[6] = -m.visual.support[6]
+    s = np.array([1, 2, 1, 3, 9, 10, 17, 1, 0, 5, 6,
+                  6, 12, 13, 14, 15, 16, 11, 4, 7, 8])
+    d_logits = Rng(12).normal((F.shape[0], 4))
+    f1, _, ctx = branches(m, F, s, record=True)
+    unit, (safe, zero) = ctx["rows"].copy(), ctx["vnorm"]
+    assert zero[6] and zero.sum() == 1
+    # the gathered gradient the backward pass used to form
+    labels, df1 = m.visual.labels, m.logit_scale * m.alpha * d_logits
+    if activation == "linear":
+        d_rows = (df1.T @ F)[labels]
+        np.subtract.at(d_rows, s, df1[np.arange(F.shape[0]), labels[s]][:, None]
+                       * F)
+    else:
+        da_act = df1[:, labels]
+        da_act[np.arange(F.shape[0]), s] = 0.0
+        d_rows = (da_act * m.tip_gamma * ctx["a_act"]).T @ F
+    want = normalize_rows_bwd(d_rows, unit, safe, zero)
+    got = model_mod._backward(m, ctx, d_logits)["visual.biases"]
+    assert got is ctx["rows"] and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("B", [255, 256, 257, 1600])
+def test_chunked_text_scores_are_the_one_pass_ones_bitwise(B):
+    m, sets = _make_model(n=20, dim=32, k=2, randomize=True)
+    F = Rng(13).normal((B, 32))
+    f1, f2, _ = branches(m, F)
+    g1, g2, ctx = branches(m, F, record=True)    # one pass over every row
+    assert np.any(ctx["S"])
+    assert f1.tobytes() == g1.tobytes() and f2.tobytes() == g2.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["fixed", "biases", "linear"])
+@pytest.mark.parametrize("activation", ["linear", "tip"])
+def test_a_second_backward_on_one_ctx_is_rejected(mode, activation):
+    # the first pass writes the visual gradient over the kept rows
+    m, sets = _make_model(mode=mode, activation=activation, randomize=True)
+    F = sets["query"].features
+    _, _, ctx = branches(m, F, record=True)
+    d_logits = Rng(14).normal((F.shape[0], 3))
+    model_mod._backward(m, ctx, d_logits)
+    with pytest.raises(ContractError, match="spent"):
+        model_mod._backward(m, ctx, d_logits)
 
 
 def _cache_rows(cache, idx):
@@ -535,9 +648,9 @@ def _spy_blocks(monkeypatch, block_values):
     spans = []
     original = model_mod._effective_rows
 
-    def spied(cache, lo, hi):
+    def spied(cache, lo, hi, *out):
         spans.append((lo, hi))
-        return original(cache, lo, hi)
+        return original(cache, lo, hi, *out)
 
     monkeypatch.setattr(model_mod, "_effective_rows", spied)
     return spans

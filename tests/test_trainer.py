@@ -542,3 +542,25 @@ def test_train_leaves_frozen_arrays_unchanged(mode, activation,
           TrainConfig(epochs=3, learning_rate=1e-2, seed=2,
                       leave_self_out=leave_self_out))
     assert frozen() == before
+
+
+@pytest.mark.parametrize("activation", ["linear", "tip"])
+def test_each_step_writes_its_rows_over_the_spent_gradient(monkeypatch,
+                                                           activation):
+    # train hands each step the last step's visual.biases gradient, which
+    # Adam has spent, and the step's gradient is that same array again
+    m, sets = _model(k=6)
+    m.activation = activation
+    calls = []
+
+    def spied(model, queries, targets, self_indices, rows_out):
+        out = loss_and_grads(model, queries, targets, self_indices, rows_out)
+        calls.append((rows_out, out[1]["visual.biases"]))
+        return out
+
+    monkeypatch.setattr(atc.trainer, "loss_and_grads", spied)
+    train(m, sets["support"].features, sets["support"].labels,
+          TrainConfig(epochs=2, batch_size=5, leave_self_out=True))
+    assert len(calls) == 2 * 4 and calls[0][0] is None
+    assert all(rows_out is calls[0][1] and grad is rows_out
+               for rows_out, grad in calls[1:])
