@@ -3,8 +3,8 @@ support-image rows with learnable offsets (or a free linear layer).
 
 Renormalization after bias addition defaults ON for both caches. Without it
 the textual branch is degenerate: adding the same bias vector to every text
-row shifts every class logit by one identical scalar, so the probabilities,
-the argmax, and the gradient into the bias are all unchanged.
+row shifts every class logit by one identical scalar, so the probabilities
+and the argmax are unchanged and the bias gradient is zero up to rounding.
 """
 
 from __future__ import annotations

@@ -59,26 +59,20 @@ def _read_config_file(path) -> dict[str, str]:
 
 
 def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Parse argv. A --config file's pairs become defaults of the invoked
-    subcommand's optional flags, then argv is parsed again, so argparse
-    converts them with each flag's type and explicit flags still win."""
+    """Parse argv. Each --config pair naming an optional flag of the subcommand
+    is parsed as `--flag=value` ahead of argv's own flags, so argparse converts
+    and checks it as typed, and an explicit flag, parsed later, wins."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.config:
         cfg = _read_config_file(args.config)
         (commands,) = [a for a in parser._actions if a.dest == "command"]
-        sub = commands.choices[args.command]
-        flags = [a for a in sub._actions
-                 if a.option_strings and not a.required and a.dest in cfg]
-        sub.set_defaults(**{a.dest: cfg[a.dest] for a in flags})
-        args = parser.parse_args(argv)
-        # argparse checks choices on the command line only, not on defaults
-        for a in flags:
-            value = getattr(args, a.dest)
-            if a.choices is not None and value not in a.choices:
-                raise UsageError(
-                    f"argument {'/'.join(a.option_strings)}: invalid choice: "
-                    f"{value!r} (choose from "
-                    f"{', '.join(map(repr, a.choices))})")
+        flags = [f"{a.option_strings[0]}={cfg[a.dest]}"
+                 for a in commands.choices[args.command]._actions
+                 if a.option_strings and not a.required and a.nargs != 0
+                 and a.dest in cfg]
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     return args
 
 
@@ -161,7 +155,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--scale", type=float, default=100.0)
     p.add_argument("--renorm", choices=["on", "off"], default="on")
-    p.add_argument("--activation", default="linear")
+    p.add_argument("--activation", type=_parse_activation, default="linear")
     p.add_argument("--visual-mode", choices=VISUAL_MODES, default="biases")
     p.add_argument("--shuffle", choices=["on", "off"], default="on")
     p.add_argument("--leave-self-out", choices=["on", "off"], default="off")
@@ -184,7 +178,7 @@ def _train_once(args, keys) -> int:
     episode = dataio.EmbeddingSet(support.features[idx], support.labels[idx],
                                   support.class_names, support.role)
     del support
-    activation, gamma = _parse_activation(args.activation)
+    activation, gamma = args.activation
     renorm = args.renorm == "on"
     hyper = {"alpha": args.alpha, "beta": args.beta, "logit_scale": args.scale,
              "activation": activation, "tip_gamma": gamma,

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CodecError, ConfigError, InsufficientDataError, ValidationError
+from .errors import (CodecError, ConfigError, EvaluationError,
+                     InsufficientDataError, ValidationError)
 from .numerics import _BLOCK_VALUES, Rng, l2_normalize_rows, seed_child
 
 MAGIC = b"ATCE"
@@ -228,11 +229,14 @@ class SynthConfig:
 def _noisy_rows(protos: np.ndarray, per_class: int, scale: float, rng: Rng):
     n, dim = protos.shape
     rows = np.repeat(protos, per_class, axis=0)
-    if scale > 0:
-        rows = rows + scale * rng.normal((n * per_class, dim))
-    rows = l2_normalize_rows(rows)[0]
-    labels = np.repeat(np.arange(n), per_class)
-    return rows, labels
+    # a noisy row past ~1e154 overflows its norm (past ~1e308, its entries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scale > 0:
+            rows = rows + scale * rng.normal((n * per_class, dim))
+        rows, safe, _ = l2_normalize_rows(rows)
+    if not np.isfinite(safe).all():
+        raise EvaluationError("a synthetic row norm is not finite")
+    return rows, np.repeat(np.arange(n), per_class)
 
 
 def synth_dataset(cfg: SynthConfig) -> dict[str, EmbeddingSet]:

@@ -89,13 +89,11 @@ def l2_normalize_rows(m: np.ndarray, out=None):
     rows = m.reshape(math.prod(m.shape[:-1]), dim)
     step = max(1, _BLOCK_VALUES // max(dim, 1))
     norms = np.empty((rows.shape[0], 1))
-    buf = np.empty((min(step, rows.shape[0]), dim))
     # a row past ~1e154 overflows to an inf norm, which callers check for
     with np.errstate(over="ignore"):
         for i in range(0, rows.shape[0], step):
             block = rows[i:i + step]
-            squares = np.multiply(block, block, out=buf[:block.shape[0]])
-            np.add.reduce(squares, axis=-1, keepdims=True,
+            np.add.reduce(block * block, axis=-1, keepdims=True,
                           out=norms[i:i + step])
     norms = np.sqrt(norms, out=norms).reshape(m.shape[:-1] + (1,))
     zero = norms <= ZERO_NORM

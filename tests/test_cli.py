@@ -316,6 +316,16 @@ def test_unknown_activation_exit_2(data_dir, tmp_path, activation, capsys):
     assert not ckpt.exists()
 
 
+def test_bad_activation_exit_2_before_any_file_is_read(tmp_path, capsys):
+    missing = tmp_path / "missing.ate"
+    assert run("train", "--text", str(missing), "--support", str(missing),
+               "--ckpt", str(tmp_path / "m.atck"),
+               "--activation", "tipsy") == 2
+    err = capsys.readouterr().err
+    assert "usage error: unknown activation 'tipsy'" in err
+    assert "io error" not in err
+
+
 def test_config_file_not_utf8_exit_2(data_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"shots = 4\n\xff\xfe = 2\n")
@@ -425,9 +435,10 @@ _CONFIG_CASES = [
     ("train", "shots", "3", 3), ("train", "seed", "4", 4),
     ("train", "epochs", "2", 2), ("train", "lr", "5e-2", 0.05),
     ("train", "batch-size", "7", 7), ("train", "weight-decay", "0.25", 0.25),
+    ("train", "weight-decay", "-1e-3", -0.001),
     ("train", "alpha", "0.5", 0.5), ("train", "beta", "2.5", 2.5),
     ("train", "scale", "30", 30.0), ("train", "renorm", "off", "off"),
-    ("train", "activation", "tip:2", "tip:2"),
+    ("train", "activation", "tip:2", ("tip", 2.0)),
     ("train", "visual-mode", "linear", "linear"),
     ("train", "shuffle", "off", "off"),
     ("train", "leave-self-out", "on", "on"),
@@ -460,6 +471,16 @@ def test_config_cases_cover_every_optional_flag(command):
     covered = {k.replace("-", "_") for c, k, _, _ in _CONFIG_CASES
                if c == command}
     assert optional == covered
+
+
+def test_parse_leaves_the_parser_unchanged(tmp_path):
+    from atc.cli import _parse, build_parser
+    parser = build_parser()
+    cfg = _write_config(tmp_path, "epochs = 2\nrenorm = off\n")
+    args = _parse(parser, ["train", *_REQUIRED["train"], "--config", cfg])
+    assert (args.epochs, args.renorm) == (2, "off")
+    args = _parse(parser, ["train", *_REQUIRED["train"]])
+    assert (args.epochs, args.renorm) == (20, "on")
 
 
 def test_config_ignores_keys_that_name_no_optional_flag(tmp_path):
@@ -1158,6 +1179,19 @@ def test_synth_non_finite_noise_exit_3(tmp_path, flags, capsys):
     assert run("synth", "--out", str(tmp_path / "d"), "--classes", "3",
                "--dim", "8", *flags) == 3
     assert "noise scales must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("flags", [["--sigma", "1e200"],
+                                   ["--text-noise", "1e200"],
+                                   ["--sigma", "1e308"]])
+def test_synth_overflowing_noise_exit_4(tmp_path, flags, capsys):
+    # finite noise scales whose rows' norms overflow: nothing is written
+    assert run("synth", "--out", str(tmp_path / "d"), "--classes", "3",
+               "--dim", "8", *flags) == 4
+    out = capsys.readouterr()
+    assert "numeric error: a synthetic row norm is not finite" in out.err
+    assert out.out == ""
     assert not (tmp_path / "d").exists()
 
 

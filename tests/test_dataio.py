@@ -4,13 +4,14 @@ import struct
 import numpy as np
 import pytest
 import oracles
+from hypothesis import given, settings, strategies as st
 from oracles import encode_embeddings
 
 from atc.dataio import (EmbeddingSet, SynthConfig,
                         read_embeddings, sample_episode, synth_dataset,
                         write_embeddings)
-from atc.errors import (CodecError, ConfigError, InsufficientDataError,
-                        ValidationError)
+from atc.errors import (CodecError, ConfigError, EvaluationError,
+                        InsufficientDataError, ValidationError)
 from atc.numerics import _BLOCK_VALUES, Rng, l2_normalize_rows
 
 
@@ -234,6 +235,24 @@ def test_synth_noiseless_is_separable():
                                      text_noise=0.0, seed=9))
     logits = sets["query"].features @ sets["text"].features.T
     assert np.all(np.argmax(logits, axis=1) == sets["query"].labels)
+
+
+_NOISE = st.floats(0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sigma=_NOISE, text_noise=_NOISE)
+def test_synth_rows_are_finite_and_unit_or_refused(sigma, text_noise):
+    cfg = SynthConfig(num_classes=3, dim=4, shots=2, queries_per_class=2,
+                      sigma=sigma, text_noise=text_noise, seed=5)
+    try:
+        sets = synth_dataset(cfg)
+    except EvaluationError:
+        return
+    for es in sets.values():
+        assert np.isfinite(es.features).all()
+        np.testing.assert_allclose(np.linalg.norm(es.features, axis=1), 1.0,
+                                   rtol=1e-12)
 
 
 def test_synth_deterministic(tmp_path):
