@@ -8,7 +8,7 @@ from .conditionnet import (ConditionNetParams, condition_backward,
 from .dataio import (EmbeddingSet, SynthConfig, read_embeddings,
                      sample_episode, synth_dataset, write_embeddings)
 from .model import (AtcModel, branches, fuse, loss_and_grads, predict_batch,
-                    zero_shot_logits)
+                    predictions, zero_shot_logits)
 from .numerics import Rng, l2_normalize_rows, seed_child
 from .trainer import (Checkpoint, TrainConfig, adam_step, load_checkpoint,
                       save_checkpoint, train)

@@ -84,19 +84,17 @@ def _emit(record: dict, report_path) -> None:
     print(line)
 
 
-def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict:
-    total = int(labels.size)
-    if not np.isfinite(logits).all():
+def _accuracy(preds: np.ndarray, labels: np.ndarray) -> dict:
+    if (preds < 0).any():
         raise EvaluationError("a fused logit is not finite")
-    correct = int(np.sum(np.argmax(logits, axis=1) == labels))
+    correct, total = int(np.sum(preds == labels)), int(labels.size)
     return {"accuracy": correct / total, "correct": correct, "total": total}
 
 
 def evaluate_queries(m: AtcModel, queries: np.ndarray,
                      labels: np.ndarray) -> dict:
     """Accuracy of the fused head over a query set."""
-    f1, f2, _ = model_mod.branches(m, queries)
-    return _accuracy(model_mod.fuse(f1, f2, m.alpha, m.beta, m.logit_scale),
+    return _accuracy(model_mod.predictions(m, queries, [(m.alpha, m.beta)])[0],
                      labels)
 
 
@@ -248,8 +246,9 @@ def cmd_zeroshot(args) -> int:
     text = _read_input(args.text, "text")
     query = _read_input(args.query, "query", text)
     logits = model_mod.zero_shot_logits(text.features, query.features)
+    # the rows are unit after load, so every logit is a finite cosine
     _emit({"command": "zeroshot", "text": args.text, "query": args.query,
-           **_accuracy(logits, query.labels),
+           **_accuracy(np.argmax(logits, axis=1), query.labels),
            "wall_clock": time.time() - start}, args.report)
     return 0
 
@@ -264,12 +263,12 @@ def cmd_eval(args) -> int:
     ckpt = trainer.load_checkpoint(args.ckpt)
     m, text = _rebuild_from_checkpoint(ckpt, args.text, args.support,
                                        alpha=args.alpha, beta=args.beta)
-    # every file is read and checked before one walk scores all their rows
+    # every file is read and checked before one call scores all their rows
     qs = [_read_input(qpath, "query", text) for qpath in args.query]
-    f1, f2, _ = model_mod.branches(m, np.concatenate([q.features for q in qs]))
-    logits = model_mod.fuse(f1, f2, m.alpha, m.beta, m.logit_scale)
+    preds = model_mod.predictions(m, np.concatenate([q.features for q in qs]),
+                                  [(m.alpha, m.beta)])[0]
     ends = np.cumsum([q.labels.size for q in qs])
-    for qpath, q, part in zip(args.query, qs, np.split(logits, ends[:-1])):
+    for qpath, q, part in zip(args.query, qs, np.split(preds, ends[:-1])):
         _emit({"command": "eval", "ckpt": args.ckpt, "query": qpath,
                "alpha": m.alpha, "beta": m.beta, **_accuracy(part, q.labels),
                "wall_clock": time.time() - start}, args.report)
@@ -282,18 +281,13 @@ def cmd_sweep(args) -> int:
     ckpt = trainer.load_checkpoint(args.ckpt)
     m, text = _rebuild_from_checkpoint(ckpt, args.text, args.support)
     query = _read_input(args.query, "query", text)
-    # alpha and beta only scale the branch scores, so one scoring pass
-    # serves every value
-    f1, f2, _ = model_mod.branches(m, query.features)
-    results = []
-    for value in args.values:
-        alpha = value if args.param == "alpha" else 1.0
-        beta = value if args.param == "beta" else 1.0
-        logits = model_mod.fuse(f1, f2, alpha, beta, m.logit_scale)
-        results.append((value, alpha, beta,
-                        _accuracy(logits, query.labels)))
-    best = max(results, key=lambda r: r[3]["accuracy"])[0]
-    for value, alpha, beta, result in results:
+    # alpha and beta only scale the branch scores: one pass serves them all
+    fusions = [(v, 1.0) if args.param == "alpha" else (1.0, v)
+               for v in args.values]
+    counts = [_accuracy(p, query.labels)
+              for p in model_mod.predictions(m, query.features, fusions)]
+    best = max(zip(args.values, counts), key=lambda r: r[1]["accuracy"])[0]
+    for value, (alpha, beta), result in zip(args.values, fusions, counts):
         _emit({"command": "sweep", "param": args.param, "value": value,
                "alpha": alpha, "beta": beta, "best": value == best,
                **result}, args.report)
@@ -322,12 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-branch few-shot head over precomputed embeddings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def paths(p, *flags):   # the required path flags, in usage order
+        for flag in flags:
+            p.add_argument(flag, required=True)
+
+    def common(p, func):
         p.add_argument("--report")
         p.add_argument("--config")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("synth", help="generate synthetic embedding files")
-    p.add_argument("--out", required=True)
+    paths(p, "--out")
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--shots", type=int, default=16)
@@ -335,55 +334,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.35)
     p.add_argument("--text-noise", type=float, default=0.15)
     p.add_argument("--seed", type=int, default=7)
-    common(p)
-    p.set_defaults(func=cmd_synth)
+    common(p, cmd_synth)
 
     p = sub.add_parser("zeroshot", help="cosine argmax baseline")
-    p.add_argument("--text", required=True)
-    p.add_argument("--query", required=True)
-    common(p)
-    p.set_defaults(func=cmd_zeroshot)
+    paths(p, "--text", "--query")
+    common(p, cmd_zeroshot)
 
     p = sub.add_parser("train", help="train the two-branch head")
-    p.add_argument("--text", required=True)
-    p.add_argument("--support", required=True)
-    p.add_argument("--ckpt", required=True)
+    paths(p, "--text", "--support", "--ckpt")
     p.add_argument("--query")
     _add_train_flags(p)
-    common(p)
-    p.set_defaults(func=cmd_train)
+    common(p, cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--text", required=True)
-    p.add_argument("--support", required=True)
+    paths(p, "--ckpt", "--text", "--support")
     p.add_argument("--query", action="append", required=True)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
-    common(p)
-    p.set_defaults(func=cmd_eval)
+    common(p, cmd_eval)
 
     p = sub.add_parser("sweep", help="sweep alpha or beta, other pinned at 1")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--text", required=True)
-    p.add_argument("--support", required=True)
-    p.add_argument("--query", required=True)
+    paths(p, "--ckpt", "--text", "--support", "--query")
     p.add_argument("--param", choices=["alpha", "beta"], required=True)
     p.add_argument("--values", type=lambda s: [float(v) for v in s.split(",")],
                    required=True)
-    common(p)
-    p.set_defaults(func=cmd_sweep)
+    common(p, cmd_sweep)
 
     p = sub.add_parser("ablate", help="train and evaluate a cache variant")
-    p.add_argument("--text", required=True)
-    p.add_argument("--support", required=True)
+    paths(p, "--text", "--support")
     p.add_argument("--query")
     p.add_argument("--ckpt")
     p.add_argument("--mode", action="append", choices=_ABLATE_MODES,
                    required=True)
     _add_train_flags(p)
-    common(p)
-    p.set_defaults(func=cmd_ablate)
+    common(p, cmd_ablate)
 
     return parser
 

@@ -5,7 +5,7 @@ reverse-mode gradients for all trainable tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,10 +36,9 @@ def tensors(model: AtcModel) -> dict[str, np.ndarray]:
     """Live references to every tensor a checkpoint stores: the bias network
     (even when frozen) and the visual cache's learnable rows, if any."""
     out = {f"net.{k}": v for k, v in model.net.tensors().items()}
-    if model.visual.mode == "biases":
-        out["visual.biases"] = model.visual.biases
-    elif model.visual.mode == "linear":
-        out["visual.linear"] = model.visual.linear
+    mode = model.visual.mode
+    if mode != "fixed":
+        out[f"visual.{mode}"] = getattr(model.visual, mode)
     return out
 
 
@@ -106,10 +105,13 @@ def _effective_rows(cache: VisualCache, lo: int, hi: int, out=None):
 
 
 def _visual_scores(model: AtcModel, F: np.ndarray, self_indices, keep: bool,
-                   out=None):
+                   out=None, sums=None):
     """f1 (B, c) from one walk over the effective cache rows, a block of whole
     classes at a time, and the rows, norms and tip affinities for _backward:
-    None unless kept, and then (or to mask a self term) one block (in out)."""
+    None unless kept, and then (or to mask a self term) one block (in out).
+    Linear also returns the class sums the walk adds; given sums skip it."""
+    if sums is not None:
+        return F @ sums.T, (None, None, None), sums
     cache, B, n = model.visual, F.shape[0], model.visual.starts.size
     keep = keep or self_indices is not None
     step = cache.rows if keep else max(1, _BLOCK_VALUES // max(cache.dim, 1))
@@ -120,7 +122,7 @@ def _visual_scores(model: AtcModel, F: np.ndarray, self_indices, keep: bool,
     # summed row; tip ones are activated, then summed per class, in cache
     tip, a_act = model.activation != "linear", None
     f1 = np.empty((B, n)) if tip else None
-    proto = None if tip else np.zeros((n, cache.dim))
+    sums = None if tip else np.zeros((n, cache.dim))
     for first, end in zip(firsts, [*firsts[1:], n]):
         lo = edges[first]
         rows, vnorm = _effective_rows(cache, lo, edges[end], out)
@@ -133,13 +135,13 @@ def _visual_scores(model: AtcModel, F: np.ndarray, self_indices, keep: bool,
                             out=f1[:, first:end])
             continue
         for c in range(first, end):
-            proto[c] += np.add.reduce(rows[edges[c] - lo:edges[c + 1] - lo], 0)
+            sums[c] += np.add.reduce(rows[edges[c] - lo:edges[c + 1] - lo], 0)
     if not tip:
-        f1 = F @ proto.T
+        f1 = F @ sums.T
         if self_indices is not None:
             f1[np.arange(B), cache.labels[self_indices]] -= np.einsum(
                 "bd,bd->b", F, rows[self_indices])
-    return f1, (rows, vnorm, a_act) if keep else (None, None, None)
+    return f1, (rows, vnorm, a_act) if keep else (None, None, None), sums
 
 
 # A pair whose squared shifted norm is at most this fraction of
@@ -148,7 +150,7 @@ def _visual_scores(model: AtcModel, F: np.ndarray, self_indices, keep: bool,
 _CANCEL = 1e-2
 
 
-def _text_scores(F, T, S, renormalize: bool, out=None):
+def _text_scores(F, T, S, renormalize: bool):
     """Textual scores f2[b, c] = F_b . (t_c + S_b), divided by
     |t_c + S_b| when renormalizing, without forming the (B, c, dim) shifted
     rows: |t_c + S_b|^2 = |t_c|^2 + 2 S_b . t_c + |S_b|^2. A row whose norm
@@ -156,10 +158,9 @@ def _text_scores(F, T, S, renormalize: bool, out=None):
     adds exact zeros, so its scores are F . t_c, over |t_c| when
     renormalizing.
 
-    Returns f2 (in out, if given) and what _text_shift_grad needs: None
-    without renorm, else (safe norms, zero mask, the cancellation-prone
-    pairs (b, c) and rows)."""
-    f2 = np.matmul(F, T.T, out=out)
+    Returns f2 and what _text_shift_grad needs: None without renorm, else
+    (safe norms, zero mask, the cancellation-prone pairs (b, c) and rows)."""
+    f2 = F @ T.T
     f2 += np.einsum("bd,bd->b", F, S)[:, None]
     if not renormalize:
         return f2, None
@@ -204,7 +205,7 @@ def _text_shift_grad(F, T, S, df2, f2, saved):
 
 
 def branches(model: AtcModel, F: np.ndarray, self_indices=None, *,
-             record: bool = False, rows_out=None):
+             record: bool = False, rows_out=None, sums=None):
     """Both branch scores for queries F (B, dim), before fusion.
 
     Returns (f1, f2, ctx): the visual and textual scores, each (B, c), and
@@ -213,37 +214,30 @@ def branches(model: AtcModel, F: np.ndarray, self_indices=None, *,
     raises ContractError for a ctx made without it. With self_indices, query
     i's affinity to support row self_indices[i] is masked out. rows_out
     (with record=True), a spent (rows, dim) float64 array, receives the kept
-    visual rows when they are a fresh array.
+    visual rows when they are a fresh array. sums, a linear ctx["sums"],
+    scores F against those class sums without a walk (no self_indices).
     """
     if F.ndim != 2 or F.shape[1] != model.dim:
         raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
-    f1, (rows, vnorm, a_act) = _visual_scores(model, F, self_indices, record,
-                                              rows_out)
-    # textual branch (a frozen net's s = 0): equal chunks of <= 256 queries
-    # (one to record), none a lone row of several: NumPy rounds those apart
-    T, B = model.textual.class_texts, F.shape[0]
-    n = 1 if record else max(1, -(-B // 256))
-    edges = B * np.arange(n + 1) // n
-    f2 = np.empty((B, T.shape[0]))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        S, tape = (condition_forward(model.net, F[lo:hi], record=record)
-                   if model.adaptive_text else (np.zeros_like(F[lo:hi]), None))
-        tsaved = _text_scores(F[lo:hi], T, S, model.textual.renormalize,
-                              f2[lo:hi])[1]
-    if not record:   # these are the last chunk's alone
+    f1, (rows, vnorm, a_act), sums = _visual_scores(
+        model, F, self_indices, record, rows_out, sums)
+    # textual branch (a frozen net's s = 0)
+    S, tape = (condition_forward(model.net, F, record=record)
+               if model.adaptive_text else (np.zeros_like(F), None))
+    f2, tsaved = _text_scores(F, model.textual.class_texts, S,
+                              model.textual.renormalize)
+    if not record:
         S = tsaved = None
 
     ctx = dict(F=F, record=record, rows=rows, vnorm=vnorm, a_act=a_act,
                self_indices=self_indices, S=S, tape=tape,
-               f2=f2, tsaved=tsaved)
+               f2=f2, tsaved=tsaved, sums=sums)
     return f1, f2, ctx
 
 
 def fuse(f1: np.ndarray, f2: np.ndarray, alpha: float, beta: float,
          logit_scale: float) -> np.ndarray:
     """Fused logits logit_scale * (alpha f1 + beta f2); inf/nan on overflow."""
-    f1 = np.asarray(f1, dtype=np.float64)
-    f2 = np.asarray(f2, dtype=np.float64)
     if f1.shape != f2.shape:
         raise ShapeError(f"branch shapes differ: {f1.shape} vs {f2.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -334,11 +328,33 @@ def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
     return loss, _backward(model, ctx, probs), logits
 
 
+def predictions(model: AtcModel, queries: np.ndarray, fusions) -> np.ndarray:
+    """Predicted class per query row under each (alpha, beta) of fusions,
+    (len(fusions), rows), or -1 where a row's fused logits are not finite.
+    Equal chunks of at most 256 rows, none a lone row of several (NumPy
+    rounds those apart), are scored and reduced one at a time."""
+    F = np.asarray(queries, dtype=np.float64)
+    n = max(1, -(-F.shape[0] // 256))
+    edges = F.shape[0] * np.arange(n + 1) // n
+    preds = np.empty((len(fusions), F.shape[0]), dtype=np.int64)
+    if model.activation != "linear" and n > 1:
+        # tip: the chunks share one gather and renormalization of the rows
+        rows = _effective_rows(model.visual, 0, model.visual.rows)[0]
+        model = replace(model, visual=VisualCache(rows, model.visual.labels,
+                                                  "fixed", False))
+    ctx = {"sums": None}    # linear: the first chunk's walk sums the classes
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        f1, f2, ctx = branches(model, F[lo:hi], sums=ctx["sums"])
+        for (alpha, beta), out in zip(fusions, preds):
+            logits = fuse(f1, f2, alpha, beta, model.logit_scale)
+            out[lo:hi] = np.where(np.isfinite(logits).all(axis=1),
+                                  np.argmax(logits, axis=1), -1)
+    return preds
+
+
 def predict_batch(model: AtcModel, queries: np.ndarray) -> np.ndarray:
-    """Predicted class per query row."""
-    f1, f2, _ = branches(model, np.asarray(queries, dtype=np.float64))
-    return np.argmax(fuse(f1, f2, model.alpha, model.beta, model.logit_scale),
-                     axis=1)
+    """Predicted class per query row (see predictions)."""
+    return predictions(model, queries, [(model.alpha, model.beta)])[0]
 
 
 def zero_shot_logits(class_texts: np.ndarray, queries: np.ndarray) -> np.ndarray:

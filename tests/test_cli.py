@@ -297,6 +297,34 @@ def test_sweep_matches_eval_at_every_value(data_dir, trained, tmp_path, param):
     assert len({r["correct"] for r in recs}) > 1
 
 
+@pytest.mark.parametrize("activation", ["linear", "tip:2"])
+def test_sweep_matches_eval_over_several_chunks(data_dir, tmp_path,
+                                                activation):
+    # 305 query rows (the data set's classes, text and support rows), which
+    # the scorer takes in two chunks of 152 and 153
+    assert run("synth", "--out", str(tmp_path), "--classes", "5", "--dim",
+               "16", "--shots", "4", "--queries", "61", "--sigma", "0.3",
+               "--seed", "11") == 0
+    ckpt, report = tmp_path / "m.atck", tmp_path / "r.jsonl"
+    pair = ("--ckpt", str(ckpt), "--text", str(data_dir / "text.ate"),
+            "--support", str(data_dir / "support.ate"))
+    assert run("train", *pair, "--shots", "4", "--epochs", "3", "--lr",
+               "1e-2", "--activation", activation) == 0
+    query = ("--query", str(tmp_path / "query.ate"), "--report", str(report))
+    values = ["0", "0.5", "2"]
+    for param in ("alpha", "beta"):
+        assert run("sweep", *pair, *query, "--param", param,
+                   "--values", ",".join(values)) == 0
+        for value in values:
+            assert run("eval", *pair, *query, f"--{param}", value) == 0
+    recs = read_records(report)
+    keys = ("alpha", "beta", "accuracy", "correct", "total")
+    sweeps = [{k: r[k] for k in keys} for r in recs if r["command"] == "sweep"]
+    evals = [{k: r[k] for k in keys} for r in recs if r["command"] == "eval"]
+    assert sweeps == evals and {r["total"] for r in evals} == {305}
+    assert len({r["correct"] for r in evals}) > 1
+
+
 def test_bad_activation_number_exit_2(data_dir, tmp_path, capsys):
     assert run("train", "--text", str(data_dir / "text.ate"),
                "--support", str(data_dir / "support.ate"),

@@ -446,24 +446,97 @@ def test_spent_gradient_step_holds_two_rows_arrays_less():
     assert peak < (4.4 - 2) * rows
 
 
-def test_forward_only_scores_hold_under_25_bytes_per_row_per_class():
-    # was 45 bytes: the textual branch's (rows, c) temporaries now span one
-    # 256-row chunk, beside the (rows, c) f1 and f2 themselves
-    c, d, B = 1000, 512, 2000
+def test_predict_batch_over_20000_rows_peaks_under_64_mib():
+    # scoring every row at once held f1, f2 and fuse's two scaled copies,
+    # about 32 bytes per row per class (610 MiB here); the scorer holds one
+    # chunk's (rows, c) scores, whatever the number of rows
+    c, d, B = 1000, 64, 20000
     sets = synth_dataset(SynthConfig(num_classes=c, dim=d, shots=2,
-                                     queries_per_class=2, seed=1))
+                                     queries_per_class=20, seed=1))
     net = init_condition_net(d, 8, 64, Rng(1))
     np.copyto(net.W_out, 0.01 * Rng(2).normal(net.W_out.shape))
     m = AtcModel(build_textual_cache(sets["text"]),
                  build_visual_cache(sets["support"], c), net)
-    F = sets["query"].features[:B]
+    F = sets["query"].features
+    assert F.shape == (B, d)
     tracemalloc.start()
     try:
-        branches(m, F)
+        preds = predict_batch(m, F)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 25 * B * c
+    assert preds.shape == (B,) and preds.min() >= 0
+    assert peak < 64 * 2 ** 20
+
+
+_FUSIONS = [(1.0, 1.0), (0.5, 2.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("B", [1, 255, 256, 257, 513, 700])
+@pytest.mark.parametrize("activation", ["linear", "tip"])
+def test_chunked_predictions_are_the_one_pass_ones(monkeypatch, B,
+                                                   activation):
+    # chunks of at most 256 rows, none a lone row of several: 257 rows are
+    # 128 + 129, 513 are three of 171, 700 are 233 + 233 + 234. The cache's
+    # 40 rows are walked in blocks of two classes
+    monkeypatch.setattr(model_mod, "_BLOCK_VALUES", 4 * 32)
+    m, _ = _make_model(n=20, dim=32, k=2, activation=activation, gamma=2.0,
+                       randomize=True)
+    F = l2_normalize_rows(Rng(13).normal((B, 32)))[0]
+    f1, f2, _ = branches(m, F)
+    walks, fused = [], []
+    effective_rows, fuse_once = model_mod._effective_rows, model_mod.fuse
+
+    def spied_rows(cache, lo, *rest):
+        walks.append((cache is m.visual, lo))
+        return effective_rows(cache, lo, *rest)
+
+    def spied_fuse(*args):
+        fused.append(args)
+        return fuse_once(*args)
+
+    monkeypatch.setattr(model_mod, "_effective_rows", spied_rows)
+    monkeypatch.setattr(model_mod, "fuse", spied_fuse)
+    got = model_mod.predictions(m, F, _FUSIONS)
+    chunks = -(-B // 256)
+    sizes = [args[0].shape[0] for args in fused[::len(_FUSIONS)]]
+    assert len(fused) == chunks * len(_FUSIONS) and sum(sizes) == B
+    assert max(sizes) <= 256 and max(sizes) - min(sizes) <= 1
+    # the model's cache rows are formed once: linear's first walk sums the
+    # classes for every chunk; under tip, the chunks of a call of several
+    # walk the effective rows, formed in one pass
+    assert walks.count((True, 0)) == 1
+    tip_walks = chunks if activation == "tip" and chunks > 1 else 0
+    assert walks.count((False, 0)) == tip_walks
+    assert got.shape == (len(_FUSIONS), B)
+    assert [args[2:4] for args in fused[:len(_FUSIONS)]] == _FUSIONS
+    g1, g2 = (np.concatenate([args[i] for args in fused[::len(_FUSIONS)]])
+              for i in (0, 1))
+    assert g2.tobytes() == f2.tobytes()
+    if activation == "linear":
+        assert g1.tobytes() == f1.tobytes()
+    else:   # each chunk is its own matrix product with the cache rows
+        np.testing.assert_allclose(g1, f1, rtol=1e-12, atol=0)
+    for p, (alpha, beta) in enumerate(_FUSIONS):
+        want = np.argmax(fuse_once(f1, f2, alpha, beta, m.logit_scale), 1)
+        assert np.array_equal(got[p], want)
+
+
+def test_predictions_mark_a_row_with_a_non_finite_logit():
+    # an alpha whose fused logits overflow in the rows with the largest
+    # visual scores only; predict_batch passes the mark on without raising
+    m, sets = _make_model(randomize=True)
+    F = sets["query"].features
+    f1, f2, _ = branches(m, F)
+    alpha = np.finfo(float).max / m.logit_scale / np.median(np.abs(f1))
+    logits = fuse(f1, f2, alpha, m.beta, m.logit_scale)
+    finite = np.isfinite(logits).all(axis=1)
+    assert finite.any() and not finite.all()
+    want = np.where(finite, np.argmax(logits, axis=1), -1)
+    assert np.array_equal(model_mod.predictions(m, F, [(alpha, m.beta)])[0],
+                          want)
+    m.alpha = alpha
+    assert np.array_equal(predict_batch(m, F), want)
 
 
 @pytest.mark.parametrize("activation", ["linear", "tip"])
