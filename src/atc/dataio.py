@@ -73,6 +73,8 @@ def write_embeddings(es: EmbeddingSet, path) -> None:
     labels = np.ascontiguousarray(es.labels, dtype="<u4")
     features = np.ascontiguousarray(es.features, dtype="<f4")
     encoded = [name.encode("utf-8") for name in es.class_names]
+    if any(len(nb) > 0xFFFF for nb in encoded):    # a u16 length field
+        raise ValidationError("a class name is over 65535 UTF-8 bytes")
     names = b"".join(struct.pack("<H", len(nb)) + nb for nb in encoded)
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<IBIQI", VERSION, ROLE_CODES[es.role],

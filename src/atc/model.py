@@ -108,12 +108,13 @@ def _visual_scores(model: AtcModel, F: np.ndarray, self_indices, keep: bool,
                    out=None, sums=None):
     """f1 (B, c) from one walk over the effective cache rows, a block of whole
     classes at a time, and the rows, norms and tip affinities for _backward:
-    None unless kept, and then (or to mask a self term) one block (in out).
+    None unless kept, and then (as a self mask needs) one block (in out).
     Linear also returns the class sums the walk adds; given sums skip it."""
+    if F.ndim != 2 or F.shape[1] != model.dim:
+        raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
     if sums is not None:
         return F @ sums.T, (None, None, None), sums
     cache, B, n = model.visual, F.shape[0], model.visual.starts.size
-    keep = keep or self_indices is not None
     step = cache.rows if keep else max(1, _BLOCK_VALUES // max(cache.dim, 1))
     # a block: the whole classes starting in one window of `step` rows
     firsts = np.flatnonzero(np.diff(cache.starts // step, prepend=-1))
@@ -204,35 +205,31 @@ def _text_shift_grad(F, T, S, df2, f2, saved):
     return dS
 
 
-def branches(model: AtcModel, F: np.ndarray, self_indices=None, *,
-             record: bool = False, rows_out=None, sums=None):
-    """Both branch scores for queries F (B, dim), before fusion.
-
-    Returns (f1, f2, ctx): the visual and textual scores, each (B, c), and
-    the intermediates the backward pass needs. The condition net's tape, its
-    shift S and the visual rows are kept only with record=True; _backward
-    raises ContractError for a ctx made without it. With self_indices, query
-    i's affinity to support row self_indices[i] is masked out. rows_out
-    (with record=True), a spent (rows, dim) float64 array, receives the kept
-    visual rows when they are a fresh array. sums, a linear ctx["sums"],
-    scores F against those class sums without a walk (no self_indices).
-    """
-    if F.ndim != 2 or F.shape[1] != model.dim:
-        raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
-    f1, (rows, vnorm, a_act), sums = _visual_scores(
-        model, F, self_indices, record, rows_out, sums)
-    # textual branch (a frozen net's s = 0)
+def _text_branch(model: AtcModel, F: np.ndarray, record: bool):
+    """f2 (B, c) and what _text_shift_grad needs, then the shift S (a frozen
+    net's is 0) and the condition net's tape (None unless recorded)."""
     S, tape = (condition_forward(model.net, F, record=record)
                if model.adaptive_text else (np.zeros_like(F), None))
-    f2, tsaved = _text_scores(F, model.textual.class_texts, S,
-                              model.textual.renormalize)
-    if not record:
-        S = tsaved = None
+    return (*_text_scores(F, model.textual.class_texts, S,
+                          model.textual.renormalize), S, tape)
 
-    ctx = dict(F=F, record=record, rows=rows, vnorm=vnorm, a_act=a_act,
-               self_indices=self_indices, S=S, tape=tape,
-               f2=f2, tsaved=tsaved, sums=sums)
-    return f1, f2, ctx
+
+def branches(model: AtcModel, F: np.ndarray, self_indices=None, *,
+             rows_out=None):
+    """Both branch scores for queries F (B, dim), before fusion, recorded
+    for one _backward; forward-only scoring goes through predictions.
+
+    Returns (f1, f2, ctx): the visual and textual scores, each (B, c), and
+    the backward pass's intermediates (the net's tape, its shift S, the
+    visual rows). With self_indices, query i's affinity to support row
+    self_indices[i] is masked out. rows_out, a spent (rows, dim) float64
+    array, receives the kept visual rows when they are a fresh array."""
+    f1, (rows, vnorm, a_act), _ = _visual_scores(model, F, self_indices,
+                                                 True, rows_out)
+    f2, tsaved, S, tape = _text_branch(model, F, True)
+    return f1, f2, dict(F=F, spent=False, rows=rows, vnorm=vnorm, S=S,
+                        a_act=a_act, self_indices=self_indices, tape=tape,
+                        f2=f2, tsaved=tsaved)
 
 
 def fuse(f1: np.ndarray, f2: np.ndarray, alpha: float, beta: float,
@@ -276,9 +273,9 @@ def _visual_grad(model: AtcModel, ctx, df1: np.ndarray) -> np.ndarray:
 
 
 def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarray]:
-    if not ctx["record"]:
-        raise ContractError("no backward state (not recorded, or spent)")
-    ctx["record"] = False   # the kept visual rows become a gradient
+    if ctx["spent"]:
+        raise ContractError("backward state already spent")
+    ctx["spent"] = True     # the kept visual rows become a gradient
     F = ctx["F"]
     grads: dict[str, np.ndarray] = {}
     df1 = model.logit_scale * model.alpha * d_logits
@@ -317,8 +314,7 @@ def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
     (see branches) may be the last step's spent visual.biases gradient."""
     F = np.asarray(queries, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    f1, f2, ctx = branches(model, F, self_indices, record=True,
-                           rows_out=rows_out)
+    f1, f2, ctx = branches(model, F, self_indices, rows_out=rows_out)
     logits = fuse(f1, f2, model.alpha, model.beta, model.logit_scale)
     loss, probs = _loss_from_logits(logits, targets)
     # the gradient with respect to the logits: softmax minus the one-hot
@@ -342,9 +338,10 @@ def predictions(model: AtcModel, queries: np.ndarray, fusions) -> np.ndarray:
         rows = _effective_rows(model.visual, 0, model.visual.rows)[0]
         model = replace(model, visual=VisualCache(rows, model.visual.labels,
                                                   "fixed", False))
-    ctx = {"sums": None}    # linear: the first chunk's walk sums the classes
+    sums = None     # linear: the first chunk's walk sums the classes
     for lo, hi in zip(edges[:-1], edges[1:]):
-        f1, f2, ctx = branches(model, F[lo:hi], sums=ctx["sums"])
+        f1, _, sums = _visual_scores(model, F[lo:hi], None, False, sums=sums)
+        f2 = _text_branch(model, F[lo:hi], False)[0]
         for (alpha, beta), out in zip(fusions, preds):
             logits = fuse(f1, f2, alpha, beta, model.logit_scale)
             out[lo:hi] = np.where(np.isfinite(logits).all(axis=1),

@@ -1063,9 +1063,9 @@ def test_eval_renormalizes_visual_rows_once(data_dir, trained, tmp_path,
     calls = []
     original = atc.model._visual_scores
 
-    def counted(m, F, *args):
+    def counted(m, F, *args, **kwargs):
         calls.append(F.shape[0])
-        return original(m, F, *args)
+        return original(m, F, *args, **kwargs)
 
     monkeypatch.setattr(atc.model, "_visual_scores", counted)
     report = tmp_path / "all.jsonl"
@@ -1420,7 +1420,7 @@ def test_rebuild_peak_holds_no_second_copy_of_the_support_rows(tmp_path):
     try:
         m, _ = atc.cli._rebuild_from_checkpoint(
             ckpt, tmp_path / "text.ate", tmp_path / "support.ate")
-        model_mod.branches(m, m.visual.support[:4])
+        model_mod._visual_scores(m, m.visual.support[:4], None, False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

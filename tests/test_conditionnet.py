@@ -1,17 +1,13 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from atc import model as model_mod
-from atc.caches import VISUAL_MODES, build_textual_cache, build_visual_cache
 from atc.conditionnet import (condition_backward, condition_forward,
                               init_condition_net)
-from atc.dataio import SynthConfig, synth_dataset
 from atc.errors import ConfigError, ContractError
 from atc.numerics import Rng
-from oracles import grad_check, shift_model
+from oracles import grad_check
 
 
 def _net(dim=16, T=4, h=6, seed=0, nonzero_head=False):
@@ -164,27 +160,6 @@ def test_backward_without_tape_rejected():
     assert s.tobytes() == condition_forward(net, x, record=True)[0].tobytes()
     with pytest.raises(ContractError):
         condition_backward(net, tape, np.zeros((2, 16)))
-    # a forward-only model pass cannot be backpropagated either
-    m = shift_model(np.eye(3), [0.5, -0.5, 0.0])
-    _, _, ctx = model_mod.branches(m, np.eye(3))
-    with pytest.raises(ContractError):
-        model_mod._backward(m, ctx, np.zeros((3, 3)))
-    # in any configuration, with or without a frozen net or masked self terms
-    sets = synth_dataset(SynthConfig(num_classes=3, dim=8, shots=2, seed=4))
-    F = sets["support"].features
-    for adaptive, activation, mode, self_indices in itertools.product(
-            (True, False), ("linear", "tip"), VISUAL_MODES,
-            (None, np.arange(6))):
-        visual = build_visual_cache(sets["support"], 3, mode)
-        if mode == "biases":
-            visual.biases = 0.5 * Rng(5).normal(visual.biases.shape)
-        m = model_mod.AtcModel(build_textual_cache(sets["text"]), visual,
-                               _net(dim=8, nonzero_head=True),
-                               logit_scale=5.0, activation=activation,
-                               adaptive_text=adaptive)
-        _, _, ctx = model_mod.branches(m, F, self_indices)
-        with pytest.raises(ContractError):
-            model_mod._backward(m, ctx, np.zeros((6, 3)))
 
 
 def test_batch_forward_matches_per_query():

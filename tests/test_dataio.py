@@ -213,6 +213,20 @@ def test_label_out_of_range_rejected(tmp_path):
         write_embeddings(es, tmp_path / "a.ate")
 
 
+def test_class_name_over_the_length_field_rejected_before_writing(tmp_path):
+    # a name's length is a u16 field: 65,535 UTF-8 bytes fit, one more not
+    path = tmp_path / "a.ate"
+    es = _small_set()
+    es.class_names = ["a", "é" * 32767 + "b"]
+    write_embeddings(es, path)
+    assert read_embeddings(path).class_names == es.class_names
+    path.unlink()
+    es.class_names = ["a", "é" * 32768]
+    with pytest.raises(ValidationError, match="65535 UTF-8 bytes"):
+        write_embeddings(es, path)
+    assert not path.exists()
+
+
 def test_text_role_label_order_enforced():
     es = _small_set(role="text")
     es.labels = np.array([1, 0])

@@ -10,8 +10,9 @@ from atc.caches import (TextualCache, VisualCache, build_textual_cache,
 from atc.conditionnet import condition_forward, init_condition_net
 from atc.dataio import EmbeddingSet, SynthConfig, sample_episode, synth_dataset
 from atc.errors import ContractError, EvaluationError, ShapeError
-from atc.model import (AtcModel, _loss_from_logits, branches, fuse,
-                       loss_and_grads, predict_batch, zero_shot_logits)
+from atc.model import (AtcModel, _loss_from_logits, _text_branch,
+                       _visual_scores, branches, fuse, loss_and_grads,
+                       predict_batch, zero_shot_logits)
 from atc.numerics import Rng, l2_normalize_rows
 from oracles import (batch_loss, check_gradients, dense_text_scores,
                      dense_text_shift_grad, dense_visual_grads,
@@ -106,7 +107,7 @@ def test_unshifted_textual_branch_is_exact(renorm, adaptive):
     if renorm:
         want = want / np.sqrt(np.einsum("cd,cd->c", T, T))
     f2 = _f2(m, F)
-    assert not np.any(branches(m, F, record=True)[2]["S"])
+    assert not np.any(branches(m, F)[2]["S"])
     assert np.array_equal(f2, want)
 
 
@@ -178,10 +179,11 @@ def test_predict_noiseless_is_perfect():
 def test_predict_deterministic_and_exposes_intermediates():
     m, sets = _make_model(randomize=True)
     F = sets["query"].features[:1]
-    f1a, f2a, bare = branches(m, F)
-    f1b, f2b, ctx = branches(m, F, record=True)
+    f1a = _visual_scores(m, F, None, False)[0]
+    f2a, _, _, tape = _text_branch(m, F, False)
+    f1b, f2b, ctx = branches(m, F)
     assert np.array_equal(f1a, f1b) and np.array_equal(f2a, f2b)
-    assert bare["S"] is None      # a forward-only pass keeps no shift
+    assert tape is None           # a forward-only pass keeps no tape
     logits = fuse(f1a, f2a, m.alpha, m.beta, m.logit_scale)
     _, probs = _loss_from_logits(logits, np.zeros(1, dtype=np.int64))
     assert abs(probs.sum() - 1.0) < 1e-12
@@ -226,7 +228,7 @@ def test_step_logits_are_the_scored_ones(adaptive, leave_self_out):
     F, labels = sets["support"].features, sets["support"].labels
     s = np.arange(len(F)) if leave_self_out else None
     logits = loss_and_grads(m, F, labels, s)[2]
-    want = fuse(*branches(m, F, s, record=True)[:2], m.alpha, m.beta,
+    want = fuse(*branches(m, F, s)[:2], m.alpha, m.beta,
                 m.logit_scale)
     assert logits.tobytes() == want.tobytes()
 
@@ -303,7 +305,7 @@ def test_closed_form_textual_branch_matches_dense_oracle(seed, renorm, tip,
     np.copyto(m.net.W_out, size * rng.normal(m.net.W_out.shape))
     np.copyto(m.net.b_out, size * rng.normal(m.net.b_out.shape))
     F, labels = sets["query"].features, sets["query"].labels
-    f1, f2, ctx = branches(m, F, record=True)
+    f1, f2, ctx = branches(m, F)
     want, saved = dense_text_scores(F, m.textual.class_texts, ctx["S"],
                                     renorm)
     assert np.max(np.abs(f2 - want)) < 1e-12
@@ -319,7 +321,7 @@ def test_cancelled_text_row_passes_through(excess):
     s = -(1.0 + excess) * texts[2]
     m = shift_model(texts, s)
     F, labels = sets["query"].features, sets["query"].labels
-    f1, f2, ctx = branches(m, F, record=True)
+    f1, f2, ctx = branches(m, F)
     want, saved = dense_text_scores(F, texts, ctx["S"])
     if excess == 0.0:
         assert np.all(f2[:, 2] == 0.0)
@@ -364,10 +366,19 @@ def test_branches_without_tape_are_bitwise_the_recorded_ones(
     m.adaptive_text = adaptive
     F = m.visual.support
     self_indices = np.arange(F.shape[0]) if leave_self_out else None
-    f1, f2, ctx = branches(m, F, self_indices, record=True)
-    g1, g2, bare = branches(m, F, self_indices)
-    assert bare["tape"] is None and bare["S"] is None
+    f1, f2, ctx = branches(m, F, self_indices)
+    g1 = _visual_scores(m, F, None, False)[0]
+    g2, _, _, tape = _text_branch(m, F, False)
+    assert tape is None
     assert (ctx["tape"] is not None) == adaptive
+    if leave_self_out:
+        # forward-only scoring masks nothing; the recorded mask moves each
+        # query's own-class visual score and no other
+        unmasked = branches(m, F)[0]
+        own = np.zeros(f1.shape, dtype=bool)
+        own[np.arange(F.shape[0]), m.visual.labels[self_indices]] = True
+        assert np.array_equal(f1 != unmasked, own)
+        f1 = unmasked
     assert f1.tobytes() == g1.tobytes() and f2.tobytes() == g2.tobytes()
     if adaptive:
         assert np.any(ctx["S"]) and ctx["S"].tobytes() == condition_forward(
@@ -540,6 +551,21 @@ def test_predictions_mark_a_row_with_a_non_finite_logit():
 
 
 @pytest.mark.parametrize("activation", ["linear", "tip"])
+def test_forward_only_scoring_checks_its_queries(activation):
+    # 300 rows are two chunks, so tip forms its rows before the first check
+    m, _ = _make_model(activation=activation, randomize=True)
+    for bad in (np.ones(8), np.ones((3, 5)), np.ones((300, 5))):
+        with pytest.raises(ShapeError, match="incompatible with dim 8"):
+            predict_batch(m, bad)
+        with pytest.raises(ShapeError, match="incompatible with dim 8"):
+            model_mod.predictions(m, bad, _FUSIONS)
+    none = predict_batch(m, np.zeros((0, 8)))
+    assert none.dtype == np.int64 and none.shape == (0,)
+    assert model_mod.predictions(m, np.zeros((0, 8)), _FUSIONS).shape == (3, 0)
+    assert model_mod.predictions(m, np.ones((300, 8)), []).shape == (0, 300)
+
+
+@pytest.mark.parametrize("activation", ["linear", "tip"])
 def test_in_place_visual_gradient_is_the_gathered_one_bitwise(monkeypatch,
                                                              activation):
     # 4-row blocks over 18 rows; query i masks row s[i]: row 1 three times
@@ -551,7 +577,7 @@ def test_in_place_visual_gradient_is_the_gathered_one_bitwise(monkeypatch,
     s = np.array([1, 2, 1, 3, 9, 10, 17, 1, 0, 5, 6,
                   6, 12, 13, 14, 15, 16, 11, 4, 7, 8])
     d_logits = Rng(12).normal((F.shape[0], 4))
-    f1, _, ctx = branches(m, F, s, record=True)
+    f1, _, ctx = branches(m, F, s)
     unit, (safe, zero) = ctx["rows"].copy(), ctx["vnorm"]
     assert zero[6] and zero.sum() == 1
     # the gathered gradient the backward pass used to form
@@ -573,8 +599,9 @@ def test_in_place_visual_gradient_is_the_gathered_one_bitwise(monkeypatch,
 def test_chunked_text_scores_are_the_one_pass_ones_bitwise(B):
     m, sets = _make_model(n=20, dim=32, k=2, randomize=True)
     F = Rng(13).normal((B, 32))
-    f1, f2, _ = branches(m, F)
-    g1, g2, ctx = branches(m, F, record=True)    # one pass over every row
+    f1 = _visual_scores(m, F, None, False)[0]
+    f2 = _text_branch(m, F, False)[0]
+    g1, g2, ctx = branches(m, F)    # the recorded pass
     assert np.any(ctx["S"])
     assert f1.tobytes() == g1.tobytes() and f2.tobytes() == g2.tobytes()
 
@@ -585,7 +612,7 @@ def test_a_second_backward_on_one_ctx_is_rejected(mode, activation):
     # the first pass writes the visual gradient over the kept rows
     m, sets = _make_model(mode=mode, activation=activation, randomize=True)
     F = sets["query"].features
-    _, _, ctx = branches(m, F, record=True)
+    _, _, ctx = branches(m, F)
     d_logits = Rng(14).normal((F.shape[0], 3))
     model_mod._backward(m, ctx, d_logits)
     with pytest.raises(ContractError, match="spent"):
@@ -629,7 +656,7 @@ def _visual_case(mode, activation, leave_self_out, shuffled, one_row_class):
 
 
 def _visual_grads(m, F, self_indices, d_logits):
-    f1, _, ctx = branches(m, F, self_indices, record=True)
+    f1, _, ctx = branches(m, F, self_indices)
     grads = model_mod._backward(m, ctx, d_logits)
     return f1, {k: v for k, v in grads.items() if k.startswith("visual.")}
 
@@ -746,11 +773,11 @@ def test_blocked_class_sums_are_the_recorded_ones_bitwise(
     counts, blocks = _BLOCK_SHAPES[shape]
     m, F = _blocked_case(counts, mode, renorm, shuffled=shuffled)
     spans = _spy_blocks(monkeypatch, 4 * m.dim)
-    f1, _, bare = branches(m, F)
-    assert bare["rows"] is None and bare["vnorm"] is None
+    f1, (rows, vnorm, _), _ = _visual_scores(m, F, None, False)
+    assert rows is None and vnorm is None
     assert spans == blocks
     spans.clear()
-    g1, _, ctx = branches(m, F, record=True)
+    g1, _, ctx = branches(m, F)
     assert spans == [(0, m.visual.rows)]
     assert ctx["rows"].shape == (m.visual.rows, m.dim)
     assert (ctx["vnorm"] is not None) == (renorm and mode != "linear")
@@ -768,9 +795,9 @@ def test_blocked_tip_scores_are_the_recorded_ones_to_rounding(
     counts, blocks = _BLOCK_SHAPES[shape]
     m, F = _blocked_case(counts, mode, True, activation="tip")
     spans = _spy_blocks(monkeypatch, 4 * m.dim)
-    f1, _, bare = branches(m, F)
-    assert spans == blocks and bare["a_act"] is None
-    g1, _, ctx = branches(m, F, record=True)
+    f1, (_, _, a_act), _ = _visual_scores(m, F, None, False)
+    assert spans == blocks and a_act is None
+    g1, _, ctx = branches(m, F)
     assert ctx["a_act"].shape == (F.shape[0], m.visual.rows)
     np.testing.assert_allclose(f1, g1, rtol=1e-12, atol=0)
 
@@ -782,20 +809,20 @@ def test_blocked_tip_scores_at_d512_match_to_rounding():
     counts = 1 + (30 * rng.uniform(0, 1, 60)).astype(int)
     m, _ = _blocked_case(counts, "biases", True, dim=512, activation="tip")
     F = l2_normalize_rows(rng.normal((64, 512)))[0]
-    np.testing.assert_allclose(branches(m, F)[0],
-                               branches(m, F, record=True)[0],
+    np.testing.assert_allclose(_visual_scores(m, F, None, False)[0],
+                               branches(m, F)[0],
                                rtol=1e-12, atol=0)
 
 
 def _forward_only_peak(activation):
-    """tracemalloc peak of one forward-only branches call over 4,000 x 512
+    """tracemalloc peak of one forward-only visual walk over 4,000 x 512
     cache rows (16.4 MB) in 250 classes, and the size of those rows."""
     c, k, d = 250, 16, 512
     m, F = _blocked_case([k] * c, "biases", True, dim=d,
                          activation=activation)
     tracemalloc.start()
     try:
-        branches(m, F[:5])
+        _visual_scores(m, F[:5], None, False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -822,7 +849,7 @@ def test_blocked_visual_rows_reject_a_non_finite_row_norm(monkeypatch):
         m.visual.biases[15] = 1e300        # in the third of four blocks
         spans.clear()
         with pytest.raises(EvaluationError, match="visual cache row norm"):
-            branches(m, F)
+            _visual_scores(m, F, None, False)
         assert spans == _BLOCK_SHAPES["long"][1][:3]
 
 
@@ -868,11 +895,13 @@ def test_indexed_cache_scores_its_gathered_episode_bitwise(
     assert gathered.visual.rows == indexed.visual.rows == 6 * shots
     assert gathered.visual.labels.tobytes() == indexed.visual.labels.tobytes()
     F = np.vstack([F, np.eye(16)])     # linear f1 rows are the class sums
-    for record in (False, True):
-        got = [branches(m, F, record=record) for m in (gathered, indexed)]
-        for a, b in zip(got[0][:2], got[1][:2]):
-            assert a.tobytes() == b.tobytes()
-        for key in ("rows", "vnorm", "a_act"):   # vnorm: (safe, zero)
-            a, b = (ctx[key] for _, _, ctx in got)
-            assert (a is None) == (b is None)
-            assert a is None or np.array(a).tobytes() == np.array(b).tobytes()
+    walks = [_visual_scores(m, F, None, False) for m in (gathered, indexed)]
+    assert walks[0][0].tobytes() == walks[1][0].tobytes()
+    assert walks[0][1] == walks[1][1] == (None, None, None)
+    got = [branches(m, F) for m in (gathered, indexed)]
+    for a, b in zip(got[0][:2], got[1][:2]):
+        assert a.tobytes() == b.tobytes()
+    for key in ("rows", "vnorm", "a_act"):   # vnorm: (safe, zero)
+        a, b = (ctx[key] for _, _, ctx in got)
+        assert (a is None) == (b is None)
+        assert a is None or np.array(a).tobytes() == np.array(b).tobytes()
