@@ -11,7 +11,7 @@ import numpy as np
 
 from .caches import TextualCache, VisualCache
 from .conditionnet import ConditionNetParams, condition_backward, condition_forward
-from .errors import ContractError, EvaluationError, ShapeError, ValidationError
+from .errors import EvaluationError, ShapeError, ValidationError
 from .numerics import _BLOCK_VALUES, ZERO_NORM, l2_normalize_rows
 
 
@@ -106,12 +106,10 @@ def _effective_rows(cache: VisualCache, lo: int, hi: int, out=None):
 
 def _visual_scores(model: AtcModel, F: np.ndarray, self_indices, keep: bool,
                    out=None, sums=None):
-    """f1 (B, c) from one walk over the effective cache rows, a block of whole
-    classes at a time, and the rows, norms and tip affinities for _backward:
-    None unless kept, and then (as a self mask needs) one block (in out).
+    """f1 (B, c) for checked queries F from one walk over the effective cache
+    rows, a block of whole classes at a time, and the rows, norms and tip
+    affinities for _visual_grad: None unless kept, and then one block (in out).
     Linear also returns the class sums the walk adds; given sums skip it."""
-    if F.ndim != 2 or F.shape[1] != model.dim:
-        raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
     if sums is not None:
         return F @ sums.T, (None, None, None), sums
     cache, B, n = model.visual, F.shape[0], model.visual.starts.size
@@ -214,24 +212,6 @@ def _text_branch(model: AtcModel, F: np.ndarray, record: bool):
                           model.textual.renormalize), S, tape)
 
 
-def branches(model: AtcModel, F: np.ndarray, self_indices=None, *,
-             rows_out=None):
-    """Both branch scores for queries F (B, dim), before fusion, recorded
-    for one _backward; forward-only scoring goes through predictions.
-
-    Returns (f1, f2, ctx): the visual and textual scores, each (B, c), and
-    the backward pass's intermediates (the net's tape, its shift S, the
-    visual rows). With self_indices, query i's affinity to support row
-    self_indices[i] is masked out. rows_out, a spent (rows, dim) float64
-    array, receives the kept visual rows when they are a fresh array."""
-    f1, (rows, vnorm, a_act), _ = _visual_scores(model, F, self_indices,
-                                                 True, rows_out)
-    f2, tsaved, S, tape = _text_branch(model, F, True)
-    return f1, f2, dict(F=F, spent=False, rows=rows, vnorm=vnorm, S=S,
-                        a_act=a_act, self_indices=self_indices, tape=tape,
-                        f2=f2, tsaved=tsaved)
-
-
 def fuse(f1: np.ndarray, f2: np.ndarray, alpha: float, beta: float,
          logit_scale: float) -> np.ndarray:
     """Fused logits logit_scale * (alpha f1 + beta f2); inf/nan on overflow."""
@@ -241,11 +221,12 @@ def fuse(f1: np.ndarray, f2: np.ndarray, alpha: float, beta: float,
         return logit_scale * (alpha * f1 + beta * f2)
 
 
-def _visual_grad(model: AtcModel, ctx, df1: np.ndarray) -> np.ndarray:
+def _visual_grad(model: AtcModel, F, s, kept, df1) -> np.ndarray:
     """Gradient of sum(df1 * f1) with respect to the visual cache's trainable
-    rows, a block of rows at a time; in biases mode it is written over the
-    kept effective rows, a fresh array of the forward's."""
-    cache, F, s = model.visual, ctx["F"], ctx["self_indices"]
+    rows, from what the walk over queries F (self mask s) kept, a block of
+    rows at a time; in biases mode it is written over the kept effective
+    rows, a fresh array of the forward's."""
+    (rows, vnorm, a_act), cache = kept, model.visual
     labels, linear = cache.labels, model.activation == "linear"
     if linear:  # a row's gradient is its class's, less its masked self terms
         G = df1.T @ F
@@ -253,8 +234,8 @@ def _visual_grad(model: AtcModel, ctx, df1: np.ndarray) -> np.ndarray:
         da_act = df1[:, labels]
         if s is not None:
             da_act[np.arange(F.shape[0]), s] = 0.0
-        G = (da_act * model.tip_gamma * ctx["a_act"]).T @ F
-    out = (ctx["rows"] if cache.mode == "biases" else
+        G = (da_act * model.tip_gamma * a_act).T @ F
+    out = (rows if cache.mode == "biases" else
            np.empty((cache.rows, cache.dim)) if linear else G)
     step = max(1, _BLOCK_VALUES // max(cache.dim, 1))
     for lo in range(0, cache.rows, step):
@@ -264,33 +245,12 @@ def _visual_grad(model: AtcModel, ctx, df1: np.ndarray) -> np.ndarray:
             i = np.flatnonzero((s >= lo) & (s < hi))
             np.subtract.at(d_rows, s[i] - lo,
                            df1[i, labels[s[i]]][:, None] * F[i])
-        if ctx["vnorm"] is None:
+        if vnorm is None:
             out[lo:hi] = d_rows
         else:
             _normalize_rows_bwd(d_rows, out[lo:hi],
-                                *(v[lo:hi] for v in ctx["vnorm"]))
+                                *(v[lo:hi] for v in vnorm))
     return out
-
-
-def _backward(model: AtcModel, ctx, d_logits: np.ndarray) -> dict[str, np.ndarray]:
-    if ctx["spent"]:
-        raise ContractError("backward state already spent")
-    ctx["spent"] = True     # the kept visual rows become a gradient
-    F = ctx["F"]
-    grads: dict[str, np.ndarray] = {}
-    df1 = model.logit_scale * model.alpha * d_logits
-    df2 = model.logit_scale * model.beta * d_logits
-
-    mode = model.visual.mode
-    if mode != "fixed":
-        grads[f"visual.{mode}"] = _visual_grad(model, ctx, df1)
-
-    if model.adaptive_text:
-        dS = _text_shift_grad(F, model.textual.class_texts, ctx["S"], df2,
-                              ctx["f2"], ctx["tsaved"])
-        for k, v in condition_backward(model.net, ctx["tape"], dS).items():
-            grads[f"net.{k}"] = v
-    return grads
 
 
 def _loss_from_logits(logits: np.ndarray, targets: np.ndarray):
@@ -309,19 +269,35 @@ def _loss_from_logits(logits: np.ndarray, targets: np.ndarray):
 
 def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
                    self_indices=None, rows_out=None):
-    """Mean cross-entropy, exact gradients for every trainable group
-    (averaged over the batch), and the logits both were taken at. rows_out
-    (see branches) may be the last step's spent visual.biases gradient."""
+    """The recorded pass: mean cross-entropy, exact gradients for every
+    trainable group (averaged over the batch) and the fused logits both were
+    taken at. Query i's affinity to support row self_indices[i] is masked
+    out; rows_out, a spent (rows, dim) float64 array (the last step's
+    visual.biases gradient), receives the kept visual rows if they are fresh."""
     F = np.asarray(queries, dtype=np.float64)
+    if F.ndim != 2 or F.shape[1] != model.dim:
+        raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
     targets = np.asarray(targets, dtype=np.int64)
-    f1, f2, ctx = branches(model, F, self_indices, rows_out=rows_out)
+    f1, kept, _ = _visual_scores(model, F, self_indices, True, rows_out)
+    f2, tsaved, S, tape = _text_branch(model, F, True)
     logits = fuse(f1, f2, model.alpha, model.beta, model.logit_scale)
-    loss, probs = _loss_from_logits(logits, targets)
+    loss, d_logits = _loss_from_logits(logits, targets)
     # the gradient with respect to the logits: softmax minus the one-hot
     # targets, over the batch size
-    probs[np.arange(F.shape[0]), targets] -= 1.0
-    probs /= F.shape[0]
-    return loss, _backward(model, ctx, probs), logits
+    d_logits[np.arange(F.shape[0]), targets] -= 1.0
+    d_logits /= F.shape[0]
+    grads, mode = {}, model.visual.mode
+    if mode != "fixed":     # in biases mode, written over the kept rows
+        grads[f"visual.{mode}"] = _visual_grad(
+            model, F, self_indices, kept,
+            model.logit_scale * model.alpha * d_logits)
+    if model.adaptive_text:
+        dS = _text_shift_grad(F, model.textual.class_texts, S,
+                              model.logit_scale * model.beta * d_logits, f2,
+                              tsaved)
+        for k, v in condition_backward(model.net, tape, dS).items():
+            grads[f"net.{k}"] = v
+    return loss, grads, logits
 
 
 def predictions(model: AtcModel, queries: np.ndarray, fusions) -> np.ndarray:
@@ -330,6 +306,8 @@ def predictions(model: AtcModel, queries: np.ndarray, fusions) -> np.ndarray:
     Equal chunks of at most 256 rows, none a lone row of several (NumPy
     rounds those apart), are scored and reduced one at a time."""
     F = np.asarray(queries, dtype=np.float64)
+    if F.ndim != 2 or F.shape[1] != model.dim:
+        raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
     n = max(1, -(-F.shape[0] // 256))
     edges = F.shape[0] * np.arange(n + 1) // n
     preds = np.empty((len(fusions), F.shape[0]), dtype=np.int64)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .caches import VISUAL_MODES
 from .dataio import _Cursor
-from .errors import CodecError, EvaluationError, ValidationError
+from .errors import CodecError, EvaluationError, ShapeError, ValidationError
 from .model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
                     tensors, trainables)
 from .numerics import _BLOCK_VALUES, Rng
@@ -179,6 +179,8 @@ def train(model: AtcModel, queries: np.ndarray, labels,
     n = queries.shape[0]
     if n == 0:
         raise ValidationError("empty training episode")
+    if labels.shape != (n,):
+        raise ShapeError(f"labels shape {labels.shape} does not match {n} queries")
     batch = cfg.batch_size or min(256, n)
     reuse = batch >= n and not cfg.leave_self_out
 

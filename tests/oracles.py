@@ -27,8 +27,9 @@ import numpy as np
 from atc.caches import TextualCache, VisualCache
 from atc.conditionnet import init_condition_net
 from atc.errors import EvaluationError, InsufficientDataError, ShapeError
-from atc.model import (AtcModel, _loss_from_logits, branches, fuse,
-                       loss_and_grads, set_tensors, trainables)
+from atc.model import (AtcModel, _loss_from_logits, _text_branch,
+                       _visual_scores, fuse, loss_and_grads, set_tensors,
+                       trainables)
 from atc.numerics import Rng
 
 _EPS = 1e-12
@@ -346,7 +347,9 @@ def grad_check(fn, params: dict[str, np.ndarray], analytic: dict[str, np.ndarray
 def batch_loss(model: AtcModel, queries, targets) -> float:
     """Mean cross-entropy of the fused logits over a query batch, forward
     only."""
-    f1, f2, _ = branches(model, np.asarray(queries, dtype=np.float64))
+    F = np.asarray(queries, dtype=np.float64)
+    f1 = _visual_scores(model, F, None, True)[0]
+    f2 = _text_branch(model, F, True)[0]
     logits = fuse(f1, f2, model.alpha, model.beta, model.logit_scale)
     return _loss_from_logits(logits, np.asarray(targets, dtype=np.int64))[0]
 

@@ -6,8 +6,8 @@ from atc import dataio, trainer
 from atc.caches import build_textual_cache, build_visual_cache
 from atc.cli import main
 from atc.conditionnet import init_condition_net
-from atc.model import (AtcModel, branches, loss_and_grads, predict_batch,
-                       zero_shot_logits)
+from atc.model import (AtcModel, _text_branch, _visual_scores, loss_and_grads,
+                       predict_batch, zero_shot_logits)
 from atc.numerics import Rng
 from oracles import (check_gradients, shift_model, shifted_text_scores,
                      visual_scores)
@@ -106,7 +106,7 @@ def test_a3_branch_oracle():
                      init_condition_net(dim, 1, 2, Rng(trial)))
         f = rng.normal(dim)
         f /= np.linalg.norm(f)
-        f1 = branches(m, f[None, :])[0][0]
+        f1 = _visual_scores(m, f[None, :], None, True)[0][0]
         expected = visual_scores(f, cache.support + cache.biases,
                                  sets["support"].labels, n)
         worst = max(worst, float(np.max(np.abs(f1 - expected))))
@@ -121,8 +121,8 @@ def test_a4_degeneracy_law():
     textual = build_textual_cache(sets["text"], renormalize=False)
     F = sets["query"].features
     s = Rng(6).normal(16)
-    shifted = branches(shift_model(textual.class_texts, s, renormalize=False),
-                       F)[1]
+    shifted = _text_branch(shift_model(textual.class_texts, s,
+                                       renormalize=False), F, True)[0]
     deltas = shifted - F @ textual.class_texts.T
     spread = float(np.max(np.max(deltas, axis=1) - np.min(deltas, axis=1)))
 
@@ -138,9 +138,9 @@ def test_a4_degeneracy_law():
     # renorm ON: a constructed bias flips the argmax
     q = np.array([[0.6, 0.8]])
     s_flip = np.array([-0.4, 0.8])
-    base_arg = int(np.argmax(branches(shift_model(np.eye(2), np.zeros(2)),
-                                      q)[1]))
-    new_f2 = branches(shift_model(np.eye(2), s_flip), q)[1][0]
+    base_arg = int(np.argmax(_text_branch(shift_model(np.eye(2), np.zeros(2)),
+                                          q, True)[0]))
+    new_f2 = _text_branch(shift_model(np.eye(2), s_flip), q, True)[0][0]
     new_arg = int(np.argmax(new_f2))
     flipped = (base_arg == 1 and new_arg == 0 and np.max(np.abs(
         new_f2 - shifted_text_scores(q[0], np.eye(2), s_flip))) < 1e-12)

@@ -5,7 +5,8 @@ from atc.caches import VisualCache, build_textual_cache, build_visual_cache
 from atc.conditionnet import condition_forward, init_condition_net
 from atc.dataio import EmbeddingSet, SynthConfig, synth_dataset
 from atc.errors import ShapeError, ValidationError
-from atc.model import AtcModel, branches, zero_shot_logits
+from atc.model import (AtcModel, _text_branch, _visual_scores, loss_and_grads,
+                       zero_shot_logits)
 from atc.numerics import Rng, l2_normalize_rows
 from oracles import shift_model, shifted_text_scores, visual_scores
 
@@ -34,7 +35,7 @@ def test_build_textual_cache_keeps_a_view_of_the_rows():
 
 
 def _f2(m, F):
-    return branches(m, np.atleast_2d(F))[1]
+    return _text_branch(m, np.atleast_2d(F), True)[0]
 
 
 def test_adapt_zero_bias_is_identity():
@@ -50,7 +51,7 @@ def test_adapt_shape_error():
     m = shift_model(build_textual_cache(_sets()["text"]).class_texts,
                     np.zeros(8))
     with pytest.raises(ShapeError):
-        branches(m, np.zeros((1, 5)))
+        loss_and_grads(m, np.zeros((1, 5)), [0])
     with pytest.raises(ShapeError):
         condition_forward(m.net, np.zeros(8))
 
@@ -138,7 +139,7 @@ def test_visual_cache_rejects_no_rows():
 def _visual_f1(cache, F):
     texts = build_textual_cache(_sets()["text"])
     net = init_condition_net(cache.dim, 2, 3, Rng(0))
-    return branches(AtcModel(texts, cache, net), F)[0]
+    return _visual_scores(AtcModel(texts, cache, net), F, None, True)[0]
 
 
 def test_effective_cache_zero_biases_bitwise():

@@ -1108,14 +1108,15 @@ def test_eval_non_finite_logit_in_second_file_exit_4_after_first_record(
     # the first file's rows are orthogonal to every class's summed cache
     # row, so their visual scores are ~0; the second file's are the support
     # rows, which score high against their own cache
-    sums = model_mod.branches(m, np.eye(16))[0].T
+    sums = model_mod._visual_scores(m, np.eye(16), None, True)[0].T
     rows = read_embeddings(support)
     queries = [tmp_path / "far.ate", tmp_path / "near.ate"]
     far = np.linalg.svd(sums)[2][sums.shape[0]:]
     for q, F, labels in ((queries[0], far, np.arange(far.shape[0]) % 5),
                          (queries[1], rows.features, rows.labels)):
         write_embeddings(EmbeddingSet(F, labels, rows.class_names, "query"), q)
-    top = [np.abs(model_mod.branches(m, read_embeddings(q).features)[0]).max()
+    top = [np.abs(model_mod._visual_scores(m, read_embeddings(q).features,
+                                           None, True)[0]).max()
            for q in queries]
     assert top[1] > 2 * top[0]
     # an alpha whose fused logits overflow in the second file only
@@ -1351,7 +1352,7 @@ def test_eval_and_sweep_score_the_gathered_episode(data_dir, tmp_path, flags):
     # gathered copy of the episode scores
     import oracles
     from atc.dataio import read_embeddings
-    from atc.model import branches, fuse
+    from atc.model import _text_branch, _visual_scores, fuse
     from atc.trainer import load_checkpoint
     support = _shuffled_support(data_dir, tmp_path / "shuffled.ate")
     ckpt, report = tmp_path / "m.atck", tmp_path / "r.jsonl"
@@ -1374,7 +1375,8 @@ def test_eval_and_sweep_score_the_gathered_episode(data_dir, tmp_path, flags):
                                read_embeddings(data_dir / "text.ate"),
                                support)
     q = read_embeddings(query)
-    f1, f2, _ = branches(m, q.features)
+    f1 = _visual_scores(m, q.features, None, True)[0]
+    f2 = _text_branch(m, q.features, True)[0]
     want = [{"command": "eval", "ckpt": str(ckpt), "query": query,
              "alpha": 0.5, "beta": m.beta,
              **_counts(fuse(f1, f2, 0.5, m.beta, m.logit_scale), q.labels)}

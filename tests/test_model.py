@@ -9,9 +9,9 @@ from atc.caches import (TextualCache, VisualCache, build_textual_cache,
                         build_visual_cache)
 from atc.conditionnet import condition_forward, init_condition_net
 from atc.dataio import EmbeddingSet, SynthConfig, sample_episode, synth_dataset
-from atc.errors import ContractError, EvaluationError, ShapeError
+from atc.errors import EvaluationError, ShapeError
 from atc.model import (AtcModel, _loss_from_logits, _text_branch,
-                       _visual_scores, branches, fuse, loss_and_grads,
+                       _visual_grad, _visual_scores, fuse, loss_and_grads,
                        predict_batch, zero_shot_logits)
 from atc.numerics import Rng, l2_normalize_rows
 from oracles import (batch_loss, check_gradients, dense_text_scores,
@@ -51,11 +51,11 @@ def _eye_model(activation="linear", gamma=1.0):
 
 
 def _f1(m, F):
-    return branches(m, np.atleast_2d(F))[0]
+    return _visual_scores(m, np.atleast_2d(F), None, True)[0]
 
 
 def _f2(m, F):
-    return branches(m, np.atleast_2d(F))[1]
+    return _text_branch(m, np.atleast_2d(F), True)[0]
 
 
 def test_branch_visual_identity_case():
@@ -107,7 +107,7 @@ def test_unshifted_textual_branch_is_exact(renorm, adaptive):
     if renorm:
         want = want / np.sqrt(np.einsum("cd,cd->c", T, T))
     f2 = _f2(m, F)
-    assert not np.any(branches(m, F)[2]["S"])
+    assert not np.any(_text_branch(m, F, True)[2])
     assert np.array_equal(f2, want)
 
 
@@ -181,15 +181,16 @@ def test_predict_deterministic_and_exposes_intermediates():
     F = sets["query"].features[:1]
     f1a = _visual_scores(m, F, None, False)[0]
     f2a, _, _, tape = _text_branch(m, F, False)
-    f1b, f2b, ctx = branches(m, F)
+    f1b = _visual_scores(m, F, None, True)[0]
+    f2b, _, S, _ = _text_branch(m, F, True)
     assert np.array_equal(f1a, f1b) and np.array_equal(f2a, f2b)
     assert tape is None           # a forward-only pass keeps no tape
     logits = fuse(f1a, f2a, m.alpha, m.beta, m.logit_scale)
     _, probs = _loss_from_logits(logits, np.zeros(1, dtype=np.int64))
     assert abs(probs.sum() - 1.0) < 1e-12
     assert f1a.shape == f2a.shape == (1, 3)
-    assert ctx["S"].shape == (1, 8)
-    assert np.any(ctx["S"] != 0.0)
+    assert S.shape == (1, 8)
+    assert np.any(S != 0.0)
     assert predict_batch(m, F)[0] == np.argmax(logits[0])
 
 
@@ -228,8 +229,8 @@ def test_step_logits_are_the_scored_ones(adaptive, leave_self_out):
     F, labels = sets["support"].features, sets["support"].labels
     s = np.arange(len(F)) if leave_self_out else None
     logits = loss_and_grads(m, F, labels, s)[2]
-    want = fuse(*branches(m, F, s)[:2], m.alpha, m.beta,
-                m.logit_scale)
+    want = fuse(_visual_scores(m, F, s, True)[0], _text_branch(m, F, True)[0],
+                m.alpha, m.beta, m.logit_scale)
     assert logits.tobytes() == want.tobytes()
 
 
@@ -261,7 +262,8 @@ def test_leave_self_out_removes_self_affinity():
     sup = m.visual.support
     labels = m.visual.labels
     def logits(self_indices):
-        f1, f2, _ = branches(m, sup, self_indices)
+        f1 = _visual_scores(m, sup, self_indices, True)[0]
+        f2 = _text_branch(m, sup, True)[0]
         return fuse(f1, f2, m.alpha, m.beta, m.logit_scale)
 
     logits_in = logits(None)
@@ -305,9 +307,9 @@ def test_closed_form_textual_branch_matches_dense_oracle(seed, renorm, tip,
     np.copyto(m.net.W_out, size * rng.normal(m.net.W_out.shape))
     np.copyto(m.net.b_out, size * rng.normal(m.net.b_out.shape))
     F, labels = sets["query"].features, sets["query"].labels
-    f1, f2, ctx = branches(m, F)
-    want, saved = dense_text_scores(F, m.textual.class_texts, ctx["S"],
-                                    renorm)
+    f1 = _visual_scores(m, F, None, True)[0]
+    f2, _, S, _ = _text_branch(m, F, True)
+    want, saved = dense_text_scores(F, m.textual.class_texts, S, renorm)
     assert np.max(np.abs(f2 - want)) < 1e-12
     want_dS = dense_text_shift_grad(F, _oracle_df2(m, f1, want, labels),
                                     saved)
@@ -321,8 +323,9 @@ def test_cancelled_text_row_passes_through(excess):
     s = -(1.0 + excess) * texts[2]
     m = shift_model(texts, s)
     F, labels = sets["query"].features, sets["query"].labels
-    f1, f2, ctx = branches(m, F)
-    want, saved = dense_text_scores(F, texts, ctx["S"])
+    f1 = _visual_scores(m, F, None, True)[0]
+    f2, _, S, _ = _text_branch(m, F, True)
+    want, saved = dense_text_scores(F, texts, S)
     if excess == 0.0:
         assert np.all(f2[:, 2] == 0.0)
     assert np.max(np.abs(f2 - want)) < 1e-12
@@ -366,22 +369,23 @@ def test_branches_without_tape_are_bitwise_the_recorded_ones(
     m.adaptive_text = adaptive
     F = m.visual.support
     self_indices = np.arange(F.shape[0]) if leave_self_out else None
-    f1, f2, ctx = branches(m, F, self_indices)
+    f1 = _visual_scores(m, F, self_indices, True)[0]
+    f2, _, S, recorded = _text_branch(m, F, True)
     g1 = _visual_scores(m, F, None, False)[0]
     g2, _, _, tape = _text_branch(m, F, False)
     assert tape is None
-    assert (ctx["tape"] is not None) == adaptive
+    assert (recorded is not None) == adaptive
     if leave_self_out:
         # forward-only scoring masks nothing; the recorded mask moves each
         # query's own-class visual score and no other
-        unmasked = branches(m, F)[0]
+        unmasked = _visual_scores(m, F, None, True)[0]
         own = np.zeros(f1.shape, dtype=bool)
         own[np.arange(F.shape[0]), m.visual.labels[self_indices]] = True
         assert np.array_equal(f1 != unmasked, own)
         f1 = unmasked
     assert f1.tobytes() == g1.tobytes() and f2.tobytes() == g2.tobytes()
     if adaptive:
-        assert np.any(ctx["S"]) and ctx["S"].tobytes() == condition_forward(
+        assert np.any(S) and S.tobytes() == condition_forward(
             m.net, F)[0].tobytes()
 
 
@@ -494,7 +498,8 @@ def test_chunked_predictions_are_the_one_pass_ones(monkeypatch, B,
     m, _ = _make_model(n=20, dim=32, k=2, activation=activation, gamma=2.0,
                        randomize=True)
     F = l2_normalize_rows(Rng(13).normal((B, 32)))[0]
-    f1, f2, _ = branches(m, F)
+    f1 = _visual_scores(m, F, None, True)[0]
+    f2 = _text_branch(m, F, True)[0]
     walks, fused = [], []
     effective_rows, fuse_once = model_mod._effective_rows, model_mod.fuse
 
@@ -538,7 +543,8 @@ def test_predictions_mark_a_row_with_a_non_finite_logit():
     # visual scores only; predict_batch passes the mark on without raising
     m, sets = _make_model(randomize=True)
     F = sets["query"].features
-    f1, f2, _ = branches(m, F)
+    f1 = _visual_scores(m, F, None, True)[0]
+    f2 = _text_branch(m, F, True)[0]
     alpha = np.finfo(float).max / m.logit_scale / np.median(np.abs(f1))
     logits = fuse(f1, f2, alpha, m.beta, m.logit_scale)
     finite = np.isfinite(logits).all(axis=1)
@@ -566,6 +572,25 @@ def test_forward_only_scoring_checks_its_queries(activation):
 
 
 @pytest.mark.parametrize("activation", ["linear", "tip"])
+def test_queries_are_checked_whole_before_any_cache_row_is_formed(
+        monkeypatch, activation):
+    # 300 rows are two chunks: the message names all of them, and tip forms
+    # no effective rows for queries it cannot score
+    m, _ = _make_model(activation=activation, randomize=True)
+    walks = []
+    monkeypatch.setattr(model_mod, "_effective_rows",
+                        lambda *args: walks.append(args))
+    bad = np.ones((300, 5))
+    for score in (lambda: predict_batch(m, bad),
+                  lambda: model_mod.predictions(m, bad, _FUSIONS),
+                  lambda: loss_and_grads(m, bad, np.zeros(300, np.int64))):
+        with pytest.raises(ShapeError, match=r"queries shape \(300, 5\) "
+                                             "incompatible with dim 8"):
+            score()
+    assert walks == []
+
+
+@pytest.mark.parametrize("activation", ["linear", "tip"])
 def test_in_place_visual_gradient_is_the_gathered_one_bitwise(monkeypatch,
                                                              activation):
     # 4-row blocks over 18 rows; query i masks row s[i]: row 1 three times
@@ -577,8 +602,8 @@ def test_in_place_visual_gradient_is_the_gathered_one_bitwise(monkeypatch,
     s = np.array([1, 2, 1, 3, 9, 10, 17, 1, 0, 5, 6,
                   6, 12, 13, 14, 15, 16, 11, 4, 7, 8])
     d_logits = Rng(12).normal((F.shape[0], 4))
-    f1, _, ctx = branches(m, F, s)
-    unit, (safe, zero) = ctx["rows"].copy(), ctx["vnorm"]
+    f1, kept, _ = _visual_scores(m, F, s, True)
+    unit, (safe, zero) = kept[0].copy(), kept[1]
     assert zero[6] and zero.sum() == 1
     # the gathered gradient the backward pass used to form
     labels, df1 = m.visual.labels, m.logit_scale * m.alpha * d_logits
@@ -589,10 +614,10 @@ def test_in_place_visual_gradient_is_the_gathered_one_bitwise(monkeypatch,
     else:
         da_act = df1[:, labels]
         da_act[np.arange(F.shape[0]), s] = 0.0
-        d_rows = (da_act * m.tip_gamma * ctx["a_act"]).T @ F
+        d_rows = (da_act * m.tip_gamma * kept[2]).T @ F
     want = normalize_rows_bwd(d_rows, unit, safe, zero)
-    got = model_mod._backward(m, ctx, d_logits)["visual.biases"]
-    assert got is ctx["rows"] and got.tobytes() == want.tobytes()
+    got = _visual_grad(m, F, s, kept, df1)
+    assert got is kept[0] and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("B", [255, 256, 257, 1600])
@@ -601,22 +626,10 @@ def test_chunked_text_scores_are_the_one_pass_ones_bitwise(B):
     F = Rng(13).normal((B, 32))
     f1 = _visual_scores(m, F, None, False)[0]
     f2 = _text_branch(m, F, False)[0]
-    g1, g2, ctx = branches(m, F)    # the recorded pass
-    assert np.any(ctx["S"])
+    g1 = _visual_scores(m, F, None, True)[0]     # the recorded pass
+    g2, _, S, _ = _text_branch(m, F, True)
+    assert np.any(S)
     assert f1.tobytes() == g1.tobytes() and f2.tobytes() == g2.tobytes()
-
-
-@pytest.mark.parametrize("mode", ["fixed", "biases", "linear"])
-@pytest.mark.parametrize("activation", ["linear", "tip"])
-def test_a_second_backward_on_one_ctx_is_rejected(mode, activation):
-    # the first pass writes the visual gradient over the kept rows
-    m, sets = _make_model(mode=mode, activation=activation, randomize=True)
-    F = sets["query"].features
-    _, _, ctx = branches(m, F)
-    d_logits = Rng(14).normal((F.shape[0], 3))
-    model_mod._backward(m, ctx, d_logits)
-    with pytest.raises(ContractError, match="spent"):
-        model_mod._backward(m, ctx, d_logits)
 
 
 def _cache_rows(cache, idx):
@@ -656,9 +669,12 @@ def _visual_case(mode, activation, leave_self_out, shuffled, one_row_class):
 
 
 def _visual_grads(m, F, self_indices, d_logits):
-    f1, _, ctx = branches(m, F, self_indices)
-    grads = model_mod._backward(m, ctx, d_logits)
-    return f1, {k: v for k, v in grads.items() if k.startswith("visual.")}
+    f1, kept, _ = _visual_scores(m, F, self_indices, True)
+    mode = m.visual.mode
+    if mode == "fixed":
+        return f1, {}
+    return f1, {f"visual.{mode}": _visual_grad(
+        m, F, self_indices, kept, m.logit_scale * m.alpha * d_logits)}
 
 
 _VISUAL_CASES = [(mode, lso, shuffled, one_row)
@@ -777,10 +793,10 @@ def test_blocked_class_sums_are_the_recorded_ones_bitwise(
     assert rows is None and vnorm is None
     assert spans == blocks
     spans.clear()
-    g1, _, ctx = branches(m, F)
+    g1, (rows, vnorm, _), _ = _visual_scores(m, F, None, True)
     assert spans == [(0, m.visual.rows)]
-    assert ctx["rows"].shape == (m.visual.rows, m.dim)
-    assert (ctx["vnorm"] is not None) == (renorm and mode != "linear")
+    assert rows.shape == (m.visual.rows, m.dim)
+    assert (vnorm is not None) == (renorm and mode != "linear")
     # the identity queries' scores are the class sums, bit for bit
     assert f1.tobytes() == g1.tobytes()
 
@@ -797,8 +813,8 @@ def test_blocked_tip_scores_are_the_recorded_ones_to_rounding(
     spans = _spy_blocks(monkeypatch, 4 * m.dim)
     f1, (_, _, a_act), _ = _visual_scores(m, F, None, False)
     assert spans == blocks and a_act is None
-    g1, _, ctx = branches(m, F)
-    assert ctx["a_act"].shape == (F.shape[0], m.visual.rows)
+    g1, (_, _, a_act), _ = _visual_scores(m, F, None, True)
+    assert a_act.shape == (F.shape[0], m.visual.rows)
     np.testing.assert_allclose(f1, g1, rtol=1e-12, atol=0)
 
 
@@ -810,7 +826,7 @@ def test_blocked_tip_scores_at_d512_match_to_rounding():
     m, _ = _blocked_case(counts, "biases", True, dim=512, activation="tip")
     F = l2_normalize_rows(rng.normal((64, 512)))[0]
     np.testing.assert_allclose(_visual_scores(m, F, None, False)[0],
-                               branches(m, F)[0],
+                               _visual_scores(m, F, None, True)[0],
                                rtol=1e-12, atol=0)
 
 
@@ -898,10 +914,11 @@ def test_indexed_cache_scores_its_gathered_episode_bitwise(
     walks = [_visual_scores(m, F, None, False) for m in (gathered, indexed)]
     assert walks[0][0].tobytes() == walks[1][0].tobytes()
     assert walks[0][1] == walks[1][1] == (None, None, None)
-    got = [branches(m, F) for m in (gathered, indexed)]
-    for a, b in zip(got[0][:2], got[1][:2]):
+    got = [(*_visual_scores(m, F, None, True)[:2], _text_branch(m, F, True)[0])
+           for m in (gathered, indexed)]
+    for a, b in ((got[0][0], got[1][0]), (got[0][2], got[1][2])):
         assert a.tobytes() == b.tobytes()
-    for key in ("rows", "vnorm", "a_act"):   # vnorm: (safe, zero)
-        a, b = (ctx[key] for _, _, ctx in got)
+    # the kept rows, vnorm (safe, zero) and a_act
+    for a, b in zip(got[0][1], got[1][1]):
         assert (a is None) == (b is None)
         assert a is None or np.array(a).tobytes() == np.array(b).tobytes()

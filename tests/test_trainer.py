@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -11,7 +12,7 @@ import atc.trainer
 from atc.caches import build_textual_cache, build_visual_cache
 from atc.conditionnet import init_condition_net
 from atc.dataio import SynthConfig, synth_dataset
-from atc.errors import CodecError, ValidationError
+from atc.errors import CodecError, ShapeError, ValidationError
 from atc.model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
                        tensors, trainables)
 from atc.numerics import _BLOCK_VALUES, Rng
@@ -122,6 +123,22 @@ def test_empty_episode_rejected():
     m, _ = _model()
     with pytest.raises(ValidationError):
         train(m, np.zeros((0, 8)), np.zeros(0, dtype=int), TrainConfig())
+
+
+@pytest.mark.parametrize("shape", [(13,), (11,), (12, 1), ()])
+def test_labels_that_are_not_one_per_query_rejected_before_a_step(
+        monkeypatch, shape):
+    # 13 labels for 12 rows used to train every epoch, then fail at the
+    # last accuracy; 11 failed on an index
+    m, sets = _model()
+    steps = []
+    monkeypatch.setattr(atc.trainer, "loss_and_grads",
+                        lambda *args: steps.append(args))
+    labels = np.zeros(shape, dtype=np.int64)
+    with pytest.raises(ShapeError, match=re.escape(
+            f"labels shape {shape} does not match 12 queries")):
+        train(m, sets["support"].features, labels, TrainConfig(epochs=2))
+    assert steps == []
 
 
 def test_metrics_recorded_per_epoch():
