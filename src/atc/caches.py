@@ -83,6 +83,12 @@ def build_visual_cache(support_set: EmbeddingSet, num_classes: int,
     if mode not in VISUAL_MODES:
         raise ValidationError(f"unknown visual cache mode {mode!r}")
     support_set.validate()
+    n = support_set.labels.shape[0]
+    # a negative entry would pick a row counted from the end
+    if index is not None and (np.ndim(index) != 1 or np.size(index) and (
+            np.min(index) < 0 or np.max(index) >= n)):
+        raise ValidationError(f"cache index must be a 1-D array of support "
+                              f"rows in [0, {n})")
     labels = support_set.labels if index is None else support_set.labels[index]
     present = np.unique(labels)
     if not np.array_equal(present, np.arange(num_classes)):

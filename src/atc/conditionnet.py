@@ -69,13 +69,12 @@ def _sigmoid(x):
 
 @dataclass
 class NetTape:
-    """Per-step activations from one forward pass run with record=True;
-    consumed once by the matching backward pass."""
+    """Per-step activations from one forward pass run with record=True,
+    which the matching backward pass reads and does not change."""
     X: list = field(default_factory=list)        # chunks, (B, cs)
     gates: list = field(default_factory=list)    # dicts of (B, h)
     C: list = field(default_factory=list)        # cell states incl. c_0
     H: list = field(default_factory=list)        # hidden states incl. h_0
-    consumed: bool = False
 
 
 def condition_forward(params: ConditionNetParams, f_test: np.ndarray, *,
@@ -120,15 +119,12 @@ def condition_backward(params: ConditionNetParams, tape: NetTape,
                        d_s: np.ndarray):
     """Exact reverse-mode gradients of s w.r.t. every parameter, keyed like
     tensors(). The query features are frozen, so no gradient flows to them.
-    The tape is consumed; reuse raises ContractError, as does a missing
-    tape (a forward pass run with record=False).
+    The tape is only read, so a second call returns the same gradients; a
+    missing tape (a forward pass run with record=False) raises ContractError.
     """
     if tape is None:
         raise ContractError("no NetTape: the forward pass ran with "
                             "record=False")
-    if tape.consumed:
-        raise ContractError("NetTape already consumed by a backward pass")
-    tape.consumed = True
 
     dS = np.asarray(d_s, dtype=np.float64)
     B = dS.shape[0]

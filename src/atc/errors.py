@@ -22,8 +22,8 @@ class ConfigError(AtcError):
 
 
 class ContractError(AtcError):
-    """An API contract was violated (e.g. tape reuse, a backward pass over a
-    forward pass run without record=True)."""
+    """An API contract was violated (e.g. a backward pass over a forward pass
+    run without record=True)."""
 
 
 class EvaluationError(AtcError):

@@ -31,6 +31,8 @@ CKPT_MAGIC = b"ATCK"
 CKPT_VERSION = 1
 _DTYPE_F64 = 1
 _HUGE = math.sqrt(sys.float_info.max)  # larger entries square to inf
+# Adam's fixed decay rates and epsilon, saved with the training config
+ADAM = {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
 
 
 @dataclass
@@ -38,9 +40,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 0             # 0 => min(256, episode size)
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.0       # decoupled, visual biases only
     seed: int = 0
     shuffle: bool = True
@@ -75,7 +74,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     train's loss and trained-tensor checks report it."""
     state.step += 1
     t = state.step
-    b1, b2, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate
+    (b1, b2, eps), lr = ADAM.values(), cfg.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):
         for name, p in params.items():
             g, m, v = grads[name], state.m[name], state.v[name]
@@ -97,7 +96,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                 vb += np.multiply(np.multiply(gb, 1 - b2, out=s), gb, out=s)
                 np.divide(vb, 1 - b2 ** t, out=d)
                 np.sqrt(d, out=d)
-                d += cfg.adam_eps
+                d += eps
                 np.divide(mb, 1 - b1 ** t, out=s)
                 s *= lr
                 pb -= np.divide(s, d, out=s)
@@ -219,7 +218,7 @@ def train(model: AtcModel, queries: np.ndarray, labels,
         if (np.abs(value) > _HUGE).any():
             raise EvaluationError(f"trained tensor {name} exceeds {_HUGE:.3g}")
     return Checkpoint(checkpoint_tensors(model), model_hyper(model),
-                      asdict(cfg), metrics)
+                      {**asdict(cfg), **ADAM}, metrics)
 
 
 def apply_checkpoint(model: AtcModel, ckpt: Checkpoint) -> None:

@@ -31,6 +31,7 @@ from atc.model import (AtcModel, _loss_from_logits, _text_branch,
                        _visual_scores, fuse, loss_and_grads, set_tensors,
                        trainables)
 from atc.numerics import Rng
+from atc.trainer import ADAM
 
 _EPS = 1e-12
 
@@ -180,7 +181,7 @@ def adam_step(params, grads, state, cfg) -> None:
     tensors only."""
     state.step += 1
     t = state.step
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2, eps = ADAM["adam_beta1"], ADAM["adam_beta2"], ADAM["adam_eps"]
     for name, p in params.items():
         g, m, v = grads[name], state.m[name], state.v[name]
         m *= b1
@@ -189,7 +190,7 @@ def adam_step(params, grads, state, cfg) -> None:
         v += (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         if cfg.weight_decay and name.startswith("visual."):
             p -= cfg.learning_rate * cfg.weight_decay * p
 

@@ -126,6 +126,18 @@ def test_visual_cache_rejects_unsorted_labels():
         build_visual_cache(support, 3, index=np.array([0, 1, 6, 7]))
 
 
+def test_build_visual_cache_rejects_an_index_outside_the_support():
+    support = _sets(n=3, k=2)["support"]                  # 6 rows
+    # negative entries would otherwise wrap to the rows counted from the end
+    for index in (np.arange(-6, 0), np.arange(1, 7), [0, 1, 2, 3, 4, 6],
+                  np.arange(6).reshape(3, 2)):
+        with pytest.raises(ValidationError,
+                           match=r"support rows in \[0, 6\)"):
+            build_visual_cache(support, 3, index=index)
+    cache = build_visual_cache(support, 3, index=np.arange(6))
+    assert cache.rows == 6
+
+
 def test_visual_cache_rejects_class_without_rows():
     with pytest.raises(ValidationError, match="class-major"):
         VisualCache(np.eye(4), np.array([0, 0, 2, 2]), mode="fixed")

@@ -1456,3 +1456,104 @@ def test_train_holds_the_episode_not_the_support_file_rows(data_dir,
                "--ckpt", str(tmp_path / "m.atck"), "--shots", "3",
                "--epochs", "1") == 0
     assert trained == [True]
+
+
+def _overwritten(src, dst, at, raw):
+    """A copy of src at dst with the bytes from offset `at` replaced by raw."""
+    blob = bytearray(src.read_bytes())
+    blob[at:at + len(raw)] = raw
+    dst.write_bytes(bytes(blob))
+    return str(dst)
+
+
+def _zeroshot(data_dir, text=None, query=None):
+    return ["zeroshot", "--text", str(text or data_dir / "text.ate"),
+            "--query", str(query or data_dir / "query.ate")]
+
+
+def _eval(data_dir, ckpt):
+    return ["eval", "--ckpt", str(ckpt), "--text", str(data_dir / "text.ate"),
+            "--support", str(data_dir / "support.ate"),
+            "--query", str(data_dir / "query.ate")]
+
+
+def _train(data_dir, ckpt, *flags):
+    return ["train", "--text", str(data_dir / "text.ate"),
+            "--support", str(data_dir / "support.ate"), "--ckpt", str(ckpt),
+            "--shots", "4", *flags]
+
+
+def _d8_checkpoint_on_d16_files(data_dir, ckpt, tmp):
+    d8 = tmp / "d8"
+    assert run("synth", "--out", str(d8), "--dim", "8", "--classes", "5",
+               "--shots", "2", "--queries", "2") == 0
+    assert run(*_train(d8, tmp / "d8.atck", "--shots", "2",
+                       "--epochs", "1")) == 0
+    return _eval(data_dir, tmp / "d8.atck"), "checkpoint dim 8 != embedding dim 16"
+
+
+def _text_set_with_an_extra_row(data_dir, ckpt, tmp):
+    from oracles import encode_embeddings
+    # write_embeddings refuses this set, so its bytes are written directly
+    names = [f"class{c}" for c in range(5)]
+    bad = tmp / "text.ate"
+    bad.write_bytes(encode_embeddings(0, 16, [0, 1, 2, 3, 4, 0],
+                                      np.eye(6, 16), names))
+    return _zeroshot(data_dir, text=bad), "text set must have one row per class"
+
+
+def _dtype_byte_9(data_dir, ckpt, tmp):
+    # the first tensor's dtype byte follows the 12-byte header and its name
+    at = 14 + int.from_bytes(ckpt.read_bytes()[12:14], "little")
+    bad = _overwritten(ckpt, tmp / "bad.atck", at, b"\x09")
+    return _eval(data_dir, bad), f"unknown dtype byte 9 (at byte offset {at})"
+
+
+def _config_line_without_equals(data_dir, ckpt, tmp):
+    cfg = _write_config(tmp, "epochs 3\n")
+    return (_train(data_dir, tmp / "m.atck", "--config", cfg),
+            f"{cfg}:1: expected key = value")
+
+
+# (id, exit code, builder): each builder returns the argv and the message
+# the command must print on stderr
+_REJECTIONS = [
+    ("synth-dim-1", 3, lambda d, c, t: (
+        ["synth", "--out", str(t / "s"), "--dim", "1"], "dim must be >= 2")),
+    ("synth-classes-1", 3, lambda d, c, t: (
+        ["synth", "--out", str(t / "s"), "--classes", "1"],
+        "num_classes must be >= 2")),
+    ("synth-shots-0", 3, lambda d, c, t: (
+        ["synth", "--out", str(t / "s"), "--shots", "0"],
+        "shots and queries_per_class must be >= 1")),
+    ("train-epochs-0", 3, lambda d, c, t: (
+        _train(d, t / "m.atck", "--epochs", "0"), "epochs must be >= 1")),
+    ("train-batch-size-negative", 3, lambda d, c, t: (
+        _train(d, t / "m.atck", "--batch-size", "-1"), "batch_size must be >= 0")),
+    ("eval-checkpoint-dim", 3, _d8_checkpoint_on_d16_files),
+    ("ate-version-2", 3, lambda d, c, t: (
+        _zeroshot(d, query=_overwritten(d / "query.ate", t / "q.ate", 4,
+                                        (2).to_bytes(4, "little"))),
+        "unsupported version 2 (at byte offset 4)")),
+    ("ate-role-7", 3, lambda d, c, t: (
+        _zeroshot(d, query=_overwritten(d / "query.ate", t / "q.ate", 8,
+                                        b"\x07")),
+        "unknown role code 7 (at byte offset 8)")),
+    ("ate-text-extra-row", 3, _text_set_with_an_extra_row),
+    ("atck-version-2", 3, lambda d, c, t: (
+        _eval(d, _overwritten(c, t / "bad.atck", 4, (2).to_bytes(4, "little"))),
+        "unsupported checkpoint version 2 (at byte offset 4)")),
+    ("atck-dtype-9", 3, _dtype_byte_9),
+    ("config-without-equals", 2, _config_line_without_equals),
+]
+
+
+@pytest.mark.parametrize("code,build", [r[1:] for r in _REJECTIONS],
+                         ids=[r[0] for r in _REJECTIONS])
+def test_documented_rejection_exit_code_and_message(data_dir, trained,
+                                                    tmp_path, code, build,
+                                                    capsys):
+    argv, message = build(data_dir, trained[0], tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == code
+    assert message in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -144,12 +145,21 @@ def test_zero_head_blocks_gate_grads_but_not_head_grad():
     assert np.any(grads["W_out"] != 0.0)
 
 
-def test_tape_reuse_rejected():
-    net = _net()
-    _, tape = condition_forward(net, Rng(1).normal((1, 16)), record=True)
-    condition_backward(net, tape, np.zeros((1, 16)))
-    with pytest.raises(ContractError):
-        condition_backward(net, tape, np.zeros((1, 16)))
+def test_a_second_backward_over_one_tape_is_the_first_bitwise():
+    net = _net(nonzero_head=True)
+    _, tape = condition_forward(net, Rng(1).normal((3, 16)), record=True)
+    before = copy.deepcopy(tape)
+    d_s = Rng(2).normal((3, 16))
+    first = condition_backward(net, tape, d_s)
+    second = condition_backward(net, tape, d_s)
+    assert first.keys() == second.keys() == net.tensors().keys()
+    for k in first:
+        assert first[k].tobytes() == second[k].tobytes(), k
+    for part in ("X", "C", "H"):
+        got, want = getattr(tape, part), getattr(before, part)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert [{g: a.tobytes() for g, a in d.items()} for d in tape.gates] == \
+        [{g: a.tobytes() for g, a in d.items()} for d in before.gates]
 
 
 def test_backward_without_tape_rejected():

@@ -275,6 +275,23 @@ def test_leave_self_out_removes_self_affinity():
     assert np.max(np.abs(diff - m.logit_scale * m.alpha * 1.0)) < 1e-9
 
 
+@pytest.mark.parametrize("activation", ["linear", "tip"])
+def test_self_indices_are_checked_before_the_pass(activation):
+    m, _ = _make_model(activation=activation, randomize=True)
+    sup, labels = m.visual.support, m.visual.labels       # 6 cache rows
+    # -1 would otherwise mask row 5, counted from the end
+    for bad in (np.full(6, -1), np.full(6, 6), np.array([0, 1, 2, 3, 4, 9])):
+        with pytest.raises(IndexError, match="out of range for 6 cache rows"):
+            loss_and_grads(m, sup, labels, bad)
+    for bad in (np.arange(3), np.arange(7), np.arange(6).reshape(6, 1),
+                np.array(0)):
+        with pytest.raises(ShapeError, match="self_indices shape"):
+            loss_and_grads(m, sup, labels, bad)
+    # in range, the indices mask as before
+    loss = loss_and_grads(m, sup, labels, np.full(6, 5))[0]
+    assert loss != loss_and_grads(m, sup, labels)[0]
+
+
 def _spy_shift_grad(m, F, labels):
     """The dS that loss_and_grads hands the condition network."""
     seen = []

@@ -149,6 +149,18 @@ def test_metrics_recorded_per_epoch():
     assert all({"epoch", "loss", "accuracy"} <= set(e) for e in ckpt.metrics)
 
 
+def test_saved_config_is_the_settings_plus_adams_fixed_ones():
+    m, sets = _model()
+    cfg = TrainConfig(epochs=2, batch_size=5, weight_decay=0.01, seed=5)
+    ckpt = train(m, sets["support"].features, sets["support"].labels, cfg)
+    # the keys and values checkpoints have always carried
+    assert ckpt.config == {
+        "epochs": 2, "batch_size": 5, "learning_rate": 1e-3,
+        "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8,
+        "weight_decay": 0.01, "seed": 5, "shuffle": True,
+        "leave_self_out": False}
+
+
 def _replayed_accuracy(m, q, y, cfg):
     """train's one-batch epochs (same permutations and Adam steps), each
     scored by predict_batch after its update."""
