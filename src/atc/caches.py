@@ -26,6 +26,16 @@ def _read_only(a) -> np.ndarray:
     return view
 
 
+def _support_rows(index, n: int) -> np.ndarray:
+    """A read-only view of index, which must be 1-D, of rows in [0, n)."""
+    # a negative entry would pick a row counted from the end
+    if np.ndim(index) != 1 or np.size(index) and (
+            np.min(index) < 0 or np.max(index) >= n):
+        raise ValidationError(f"cache index must be a 1-D array of support "
+                              f"rows in [0, {n})")
+    return _read_only(index)
+
+
 @dataclass
 class TextualCache:
     class_texts: np.ndarray         # (c, dim) unit-norm rows, class order
@@ -59,7 +69,7 @@ class VisualCache:
         # the frozen arrays, as views that refuse a write through the model
         self.support, self.labels = map(_read_only, (self.support, self.labels))
         if self.index is not None:
-            self.index = _read_only(self.index)
+            self.index = _support_rows(self.index, self.support.shape[0])
         # class-major labels 0,..,0,1,..,c-1: starts[c] is class c's first row
         self.starts = np.flatnonzero(np.diff(self.labels, prepend=-1))
         if not self.starts.size or not np.array_equal(
@@ -83,13 +93,8 @@ def build_visual_cache(support_set: EmbeddingSet, num_classes: int,
     if mode not in VISUAL_MODES:
         raise ValidationError(f"unknown visual cache mode {mode!r}")
     support_set.validate()
-    n = support_set.labels.shape[0]
-    # a negative entry would pick a row counted from the end
-    if index is not None and (np.ndim(index) != 1 or np.size(index) and (
-            np.min(index) < 0 or np.max(index) >= n)):
-        raise ValidationError(f"cache index must be a 1-D array of support "
-                              f"rows in [0, {n})")
-    labels = support_set.labels if index is None else support_set.labels[index]
+    labels = support_set.labels if index is None else support_set.labels[
+        _support_rows(index, support_set.labels.shape[0])]
     present = np.unique(labels)
     if not np.array_equal(present, np.arange(num_classes)):
         missing = sorted(set(range(num_classes)) - set(present.tolist()))

@@ -90,7 +90,7 @@ def _effective_rows(cache: VisualCache, lo: int, hi: int, out=None):
         return cache.linear[lo:hi], None
     if cache.index is None:
         rows, fresh = cache.support[lo:hi], out
-    else:   # a fresh gather, unbuffered ("wrap"; build_visual_cache checked it)
+    else:   # a fresh gather, unbuffered ("wrap"; VisualCache checked it)
         rows = fresh = np.take(cache.support, cache.index[lo:hi], axis=0,
                                out=out, mode="wrap")
     if cache.mode == "biases":  # a fresh sum is renormalized in place
@@ -278,11 +278,12 @@ def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
     if F.ndim != 2 or F.shape[1] != model.dim:
         raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
     targets = np.asarray(targets, dtype=np.int64)
+    for name, a in (("targets", targets), ("self_indices", self_indices)):
+        if a is not None and np.shape(a) != (F.shape[0],):
+            raise ShapeError(f"{name} shape {np.shape(a)} does not match "
+                             f"{F.shape[0]} queries")
     if self_indices is not None:
         self_indices, rows = np.asarray(self_indices), model.visual.rows
-        if self_indices.shape != (F.shape[0],):
-            raise ShapeError(f"self_indices shape {self_indices.shape} does "
-                             f"not match {F.shape[0]} queries")
         # a negative index would mask a row counted from the end
         if self_indices.size and (self_indices.min() < 0
                                   or self_indices.max() >= rows):

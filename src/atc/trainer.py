@@ -46,12 +46,12 @@ class TrainConfig:
     leave_self_out: bool = False
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.batch_size < 0:
-            raise ValidationError("batch_size must be >= 0")
         check_types(vars(self), {"learning_rate": float,
                                  "weight_decay": float}, "config")
+        for key, low in (("epochs", 1), ("batch_size", 0),
+                         ("learning_rate", 0), ("weight_decay", 0)):
+            if getattr(self, key) < low:
+                raise ValidationError(f"{key} must be >= {low}")
 
 
 @dataclass
@@ -169,8 +169,9 @@ def train(model: AtcModel, queries: np.ndarray, labels,
     Queries default to the support embeddings themselves at the call site;
     with leave_self_out each query's own support row is masked out of its
     visual affinities. The caches' frozen arrays are read-only views.
-    An epoch's accuracy is after its update: with one batch and no
-    leave_self_out it is read off the next epoch's training logits.
+    The last epoch's accuracy is predict_batch's after its update. With one
+    batch and no leave_self_out the others are read off the next epoch's
+    logits; else each epoch has a step_accuracy of its (masked) step logits.
     """
     cfg.validate()
     queries = np.asarray(queries, dtype=np.float64)
@@ -189,7 +190,7 @@ def train(model: AtcModel, queries: np.ndarray, labels,
     metrics, grads = [], {}
     for epoch in range(cfg.epochs):
         order = rng.permutation(n) if cfg.shuffle else np.arange(n)
-        total = 0.0
+        total, hits = 0.0, 0
         for start in range(0, n, batch):
             sel = order[start:start + batch]
             sub_self = sel if cfg.leave_self_out else None
@@ -200,15 +201,17 @@ def train(model: AtcModel, queries: np.ndarray, labels,
             if not math.isfinite(loss):
                 raise EvaluationError(f"training loss is {loss} in epoch "
                                       f"{epoch}")
-            if reuse and epoch:  # scored at the last epoch's parameters
-                metrics[-1]["accuracy"] = float(np.mean(
-                    np.argmax(logits, axis=1) == labels[sel]))
+            hits += int((np.argmax(logits, axis=1) == labels[sel]).sum())
             del logits  # not held through the next batch's forward
             if cfg.learning_rate != 0.0:
                 adam_step(params, grads, state, cfg)
             total += loss * sel.size
+        if reuse and epoch:  # one step, at the last epoch's parameters
+            metrics[-1]["accuracy"] = hits / n
         metrics.append({"epoch": epoch, "loss": total / n})
-        if not reuse or epoch == cfg.epochs - 1:
+        if not reuse:
+            metrics[-1]["step_accuracy"] = hits / n
+        if epoch == cfg.epochs - 1:
             preds = predict_batch(model, queries)
             metrics[-1]["accuracy"] = float(np.mean(preds == labels))
     # load_checkpoint refuses a non-finite value, so none is saved

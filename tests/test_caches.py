@@ -138,6 +138,18 @@ def test_build_visual_cache_rejects_an_index_outside_the_support():
     assert cache.rows == 6
 
 
+def test_visual_cache_rejects_an_index_outside_its_support():
+    support = _sets(n=3, k=2)["support"]                  # 6 rows
+    rows, labels = support.features, support.labels
+    # a directly built cache would otherwise gather through a wrapping take
+    for index in (np.arange(-6, 0), np.arange(10, 16), np.zeros((6, 1), int)):
+        with pytest.raises(ValidationError,
+                           match=r"support rows in \[0, 6\)"):
+            VisualCache(rows, labels, mode="fixed", index=index)
+    cache = VisualCache(rows, labels, mode="fixed", index=np.arange(6))
+    assert not cache.index.flags.writeable
+
+
 def test_visual_cache_rejects_class_without_rows():
     with pytest.raises(ValidationError, match="class-major"):
         VisualCache(np.eye(4), np.array([0, 0, 2, 2]), mode="fixed")

@@ -1530,6 +1530,13 @@ _REJECTIONS = [
         _train(d, t / "m.atck", "--epochs", "0"), "epochs must be >= 1")),
     ("train-batch-size-negative", 3, lambda d, c, t: (
         _train(d, t / "m.atck", "--batch-size", "-1"), "batch_size must be >= 0")),
+    # with "=": argparse reads a lone "-1e-3" as a flag (exit 2)
+    ("train-lr-negative", 3, lambda d, c, t: (
+        _train(d, t / "m.atck", "--lr=-1e-3"),
+        "error: learning_rate must be >= 0\n")),
+    ("train-weight-decay-negative", 3, lambda d, c, t: (
+        _train(d, t / "m.atck", "--weight-decay=-1"),
+        "error: weight_decay must be >= 0\n")),
     ("eval-checkpoint-dim", 3, _d8_checkpoint_on_d16_files),
     ("ate-version-2", 3, lambda d, c, t: (
         _zeroshot(d, query=_overwritten(d / "query.ate", t / "q.ate", 4,

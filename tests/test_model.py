@@ -292,6 +292,19 @@ def test_self_indices_are_checked_before_the_pass(activation):
     assert loss != loss_and_grads(m, sup, labels)[0]
 
 
+@pytest.mark.parametrize("activation", ["linear", "tip"])
+def test_targets_are_checked_before_the_pass(activation):
+    m, _ = _make_model(activation=activation, randomize=True)
+    sup, labels = m.visual.support, m.visual.labels       # 6 queries
+    # (6, 1) would otherwise broadcast into a finite, wrong loss
+    for bad in (labels[:, None], labels[:3], np.append(labels, 0),
+                np.array(0)):
+        with pytest.raises(ShapeError, match=r"targets shape \(.*\) does not "
+                                             r"match 6 queries"):
+            loss_and_grads(m, sup, bad)
+    assert np.isfinite(loss_and_grads(m, sup, list(labels))[0])
+
+
 def _spy_shift_grad(m, F, labels):
     """The dS that loss_and_grads hands the condition network."""
     seen = []

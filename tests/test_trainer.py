@@ -201,11 +201,9 @@ def test_one_batch_accuracy_is_predict_batch_after_the_update(n, shuffle,
         assert got_params[k].tobytes() == want_params[k].tobytes(), k
 
 
-@pytest.mark.parametrize("config,calls", [
-    ({}, 1),
-    ({"leave_self_out": True}, 5),
-    ({"batch_size": 7}, 5)])
-def test_one_batch_train_calls_predict_batch_once(monkeypatch, config, calls):
+@pytest.mark.parametrize("config", [{}, {"leave_self_out": True},
+                                    {"batch_size": 7}])
+def test_train_calls_predict_batch_once(monkeypatch, config):
     seen = []
     original = atc.trainer.predict_batch
 
@@ -217,9 +215,47 @@ def test_one_batch_train_calls_predict_batch_once(monkeypatch, config, calls):
     m, sets = _model()   # 12 support rows
     ckpt = train(m, sets["support"].features, sets["support"].labels,
                  TrainConfig(epochs=5, learning_rate=1e-2, **config))
-    assert len(seen) == calls
+    # only after the last update; the other epochs score their step logits
+    assert len(seen) == 1
     assert [e["epoch"] for e in ckpt.metrics] == list(range(5))
-    assert all(set(e) == {"epoch", "loss", "accuracy"} for e in ckpt.metrics)
+    if config:
+        step = {"epoch", "loss", "step_accuracy"}
+        assert [set(e) for e in ckpt.metrics] == [step] * 4 + [
+            step | {"accuracy"}]
+    else:
+        assert all(set(e) == {"epoch", "loss", "accuracy"}
+                   for e in ckpt.metrics)
+
+
+@pytest.mark.parametrize("batch_size", [0, 7])
+def test_step_accuracy_is_the_masked_step_logits_before_each_update(
+        batch_size):
+    cfg = TrainConfig(epochs=4, batch_size=batch_size, learning_rate=1e-2,
+                      seed=3, leave_self_out=True)
+    m, sets = _model(seed=3, n=5, k=4)
+    q, y = sets["support"].features, sets["support"].labels   # 20 rows
+    metrics = train(m, q, y, cfg).metrics
+    # a replay of train's steps on a fresh model: each step's masked logits
+    # are scored before its update, beside predict_batch's unmasked argmax
+    m, _ = _model(seed=3, n=5, k=4)
+    params = trainables(m)
+    state, rng = init_adam(params), Rng(cfg.seed)
+    masked, unmasked = [], []
+    for _ in range(cfg.epochs):
+        order, hits, seen = rng.permutation(len(y)), 0, 0
+        for lo in range(0, len(y), batch_size or len(y)):
+            sel = order[lo:lo + (batch_size or len(y))]
+            seen += int(np.sum(predict_batch(m, q[sel]) == y[sel]))
+            _, grads, logits = loss_and_grads(m, q[sel], y[sel], sel)
+            hits += int(np.sum(np.argmax(logits, axis=1) == y[sel]))
+            adam_step(params, grads, state, cfg)
+        masked.append(hits / len(y))
+        unmasked.append(seen / len(y))
+    assert [e["step_accuracy"] for e in metrics] == masked
+    assert metrics[-1]["accuracy"] == float(np.mean(predict_batch(m, q) == y))
+    # each query sees its own cache row unmasked, so it scores higher
+    assert masked != unmasked
+    assert all(a <= b for a, b in zip(masked, unmasked))
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
