@@ -63,10 +63,6 @@ def init_condition_net(dim: int, chunk_count: int, hidden_size: int,
                               np.zeros(dim))
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 @dataclass
 class NetTape:
     """Per-step activations from one forward pass run with record=True,
@@ -75,6 +71,7 @@ class NetTape:
     gates: list = field(default_factory=list)    # dicts of (B, h)
     C: list = field(default_factory=list)        # cell states incl. c_0
     H: list = field(default_factory=list)        # hidden states incl. h_0
+    tanh_C: list = field(default_factory=list)   # tanh of C[1:], per step
 
 
 def condition_forward(params: ConditionNetParams, f_test: np.ndarray, *,
@@ -93,24 +90,34 @@ def condition_forward(params: ConditionNetParams, f_test: np.ndarray, *,
 
     hs = np.zeros((B, h))
     cs_state = np.zeros((B, h))
+    scratch = np.empty((B, h))
     tape = NetTape(C=[cs_state], H=[hs]) if record else None
     # below ~-709 a gate's exp(-x) overflows and its sigmoid is exactly 0
     with np.errstate(over="ignore"):
         for t in range(params.chunk_count):
             x = F[:, t * cs:(t + 1) * cs]
-            pre = {g: x @ p[f"W_{g}"].T + hs @ p[f"U_{g}"].T + p[f"b_{g}"]
-                   for g in GATES}
-            i = _sigmoid(pre["i"])
-            f = _sigmoid(pre["f"])
-            o = _sigmoid(pre["o"])
-            g = np.tanh(pre["g"])
-            cs_state = f * cs_state + i * g
-            hs = o * np.tanh(cs_state)
+            a = np.empty((len(GATES), B, h))   # pre-activations, then gates
+            for k, name in enumerate(GATES):
+                np.matmul(x, p[f"W_{name}"].T, out=a[k])
+                if t:   # h_0 = 0 adds nothing
+                    a[k] += np.matmul(hs, p[f"U_{name}"].T, out=scratch)
+                a[k] += p[f"b_{name}"]
+            i, f, o, g = a
+            sig = a[:3]     # i, f, o: 1 / (1 + exp(-x)), in place
+            np.exp(np.negative(sig, out=sig), out=sig)
+            sig += 1.0
+            np.divide(1.0, sig, out=sig)
+            np.tanh(g, out=g)
+            cs_state = f * cs_state
+            cs_state += np.multiply(i, g, out=scratch)
+            tanh_c = np.tanh(cs_state)
+            hs = o * tanh_c
             if tape is not None:
                 tape.X.append(x)
-                tape.gates.append({"i": i, "f": f, "o": o, "g": g})
+                tape.gates.append(dict(zip(GATES, a)))
                 tape.C.append(cs_state)
                 tape.H.append(hs)
+                tape.tanh_C.append(tanh_c)
     s = hs @ params.W_out.T + params.b_out
     return s, tape
 
@@ -127,37 +134,33 @@ def condition_backward(params: ConditionNetParams, tape: NetTape,
                             "record=False")
 
     dS = np.asarray(d_s, dtype=np.float64)
-    B = dS.shape[0]
     T = params.chunk_count
-    h = params.hidden_size
 
     grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
     grads["W_out"] = dS.T @ tape.H[T]
     grads["b_out"] = dS.sum(axis=0)
-    dh = dS @ params.W_out
-    dc = np.zeros((B, h))
+    dh = dS @ params.W_out                  # (B, h)
+    dc = np.zeros_like(dh)
+    dz = np.empty((len(GATES), *dh.shape))  # d(pre-activation), GATES order
+    scratch = np.empty_like(dh)
     for t in range(T - 1, -1, -1):
         g = tape.gates[t]
-        c_t = tape.C[t + 1]
-        c_prev = tape.C[t]
-        h_prev = tape.H[t]
-        tanh_c = np.tanh(c_t)
-        do = dh * tanh_c
-        dc = dc + dh * g["o"] * (1.0 - tanh_c ** 2)
-        di = dc * g["g"]
-        dg = dc * g["i"]
-        df = dc * c_prev
-        dc = dc * g["f"]
-        dz = {
-            "i": di * g["i"] * (1.0 - g["i"]),
-            "f": df * g["f"] * (1.0 - g["f"]),
-            "o": do * g["o"] * (1.0 - g["o"]),
-            "g": dg * (1.0 - g["g"] ** 2),
-        }
-        dh = np.zeros((B, h))
-        for name in GATES:
-            grads[f"W_{name}"] += dz[name].T @ tape.X[t]
-            grads[f"U_{name}"] += dz[name].T @ h_prev
-            grads[f"b_{name}"] += dz[name].sum(axis=0)
-            dh += dz[name] @ params.gates[f"U_{name}"]
+        tanh_c = tape.tanh_C[t]
+        np.multiply(dh, tanh_c, out=dz[2])                  # d o
+        dc += dh * g["o"] * (1.0 - tanh_c ** 2)
+        np.multiply(dc, g["g"], out=dz[0])                  # d i
+        np.multiply(dc, g["i"], out=dz[3])                  # d g
+        np.multiply(dc, tape.C[t], out=dz[1])               # d f
+        dc *= g["f"]
+        for k, name in enumerate("ifo"):
+            dz[k] *= g[name]
+            dz[k] *= 1.0 - g[name]
+        dz[3] *= 1.0 - g["g"] ** 2
+        dh.fill(0.0)    # d h_{t-1}, summed from 0 in GATES order
+        for k, name in enumerate(GATES):
+            grads[f"W_{name}"] += dz[k].T @ tape.X[t]
+            grads[f"b_{name}"] += dz[k].sum(axis=0)
+            if t:   # h_0 = 0: no U gradient from it, and no dh_0 is needed
+                grads[f"U_{name}"] += dz[k].T @ tape.H[t]
+                dh += np.matmul(dz[k], params.gates[f"U_{name}"], out=scratch)
     return grads

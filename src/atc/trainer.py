@@ -119,6 +119,8 @@ HYPER = {"alpha": float, "beta": float, "logit_scale": float,
          "adaptive_text": bool, "renorm_text": bool, "renorm_visual": bool,
          "visual_mode": VISUAL_MODES, "dim": int, "chunk_count": int,
          "hidden_size": int}
+# a scale or gamma at or below 0 flattens or inverts every ranking
+_POSITIVE = ("logit_scale", "tip_gamma")
 _KINDS = {float: "a number", int: "an integer", bool: "true or false"}
 
 
@@ -126,7 +128,7 @@ def check_types(section: dict, types: dict, name: str) -> None:
     """Every key of `types` must be in `section` (an error calls it the
     checkpoint's `name` section) and hold a value of its type: bool, int,
     float (a real number in float range; neither of the last two may be a
-    bool), or one of a tuple's strings."""
+    bool), or one of a tuple's strings. A _POSITIVE key must also be > 0."""
     missing = [k for k in types if k not in section]
     if missing:
         raise ValidationError(f"checkpoint {name} lacks "
@@ -143,6 +145,8 @@ def check_types(section: dict, types: dict, name: str) -> None:
                                   f"got {value!r}")
         elif kind is float and not abs(value) <= sys.float_info.max:
             raise ValidationError(f"{key} must be finite, got {value}")
+        elif key in _POSITIVE and value <= 0:
+            raise ValidationError(f"{key} must be > 0, got {value}")
 
 
 def model_hyper(model: AtcModel) -> dict:

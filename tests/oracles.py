@@ -5,12 +5,14 @@ NumPy's own norm, the scorers work one query at a time with plain loops,
 the dense textual branch forms every shifted text row where the model uses
 a closed form, and the dense visual branch forms every (B, rows) affinity
 where the linear activation scores against per-class row sums. The Adam
-step is the textbook formula, one temporary per operation. The episode
-sampler scans the labels once per class, and `gathered_model` rebuilds a
-checkpoint's model around a copy of that episode's rows. `shift_model`
-builds a model whose condition network emits the same bias `s` for every
-query, so a chosen shift goes through the real path. The encoders write the two documented
-file layouts one field at a time with `struct.pack`.
+step is the textbook formula, one temporary per operation, and so is the
+condition net's LSTM: one gate at a time, with every step's recurrent
+term. The episode sampler scans the labels once per class, and
+`gathered_model` rebuilds a checkpoint's model around a copy of that
+episode's rows. `shift_model` builds a model whose condition network emits
+the same bias `s` for every query, so a chosen shift goes through the real
+path. The encoders write the two documented file layouts one field at a
+time with `struct.pack`.
 
 The gradient audit is the exception: `grad_check` differentiates any scalar
 function by central finite differences, and `check_gradients` points it at
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from atc.caches import TextualCache, VisualCache
-from atc.conditionnet import init_condition_net
+from atc.conditionnet import GATES, init_condition_net
 from atc.errors import EvaluationError, InsufficientDataError, ShapeError
 from atc.model import (AtcModel, _loss_from_logits, _text_branch,
                        _visual_scores, fuse, loss_and_grads, set_tensors,
@@ -193,6 +195,61 @@ def adam_step(params, grads, state, cfg) -> None:
         p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         if cfg.weight_decay and name.startswith("visual."):
             p -= cfg.learning_rate * cfg.weight_decay * p
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def lstm_forward(net, F):
+    """The condition net's recurrence one gate at a time, each op into a
+    fresh array: (s, steps), with steps[t] holding step t's input chunk,
+    its gates and its (h, c) before and after."""
+    B, h, cs = F.shape[0], net.hidden_size, net.chunk_size
+    hs, c = np.zeros((B, h)), np.zeros((B, h))
+    steps = []
+    with np.errstate(over="ignore"):
+        for t in range(net.chunk_count):
+            x = F[:, t * cs:(t + 1) * cs]
+            pre = {g: x @ net.gates[f"W_{g}"].T + hs @ net.gates[f"U_{g}"].T
+                   + net.gates[f"b_{g}"] for g in GATES}
+            gates = {g: np.tanh(pre[g]) if g == "g" else _sigmoid(pre[g])
+                     for g in GATES}
+            c_new = gates["f"] * c + gates["i"] * gates["g"]
+            h_new = gates["o"] * np.tanh(c_new)
+            steps.append({"x": x, "gates": gates, "c_prev": c, "h_prev": hs,
+                          "c": c_new, "h": h_new})
+            hs, c = h_new, c_new
+    return hs @ net.W_out.T + net.b_out, steps
+
+
+def lstm_backward(net, steps, dS):
+    """Reverse-mode gradients through lstm_forward's steps, keyed like
+    net.tensors(), every gate's term taken at every step."""
+    B, h = dS.shape[0], net.hidden_size
+    grads = {k: np.zeros_like(v) for k, v in net.tensors().items()}
+    grads["W_out"] = dS.T @ steps[-1]["h"]
+    grads["b_out"] = dS.sum(axis=0)
+    dh = dS @ net.W_out
+    dc = np.zeros((B, h))
+    for step in reversed(steps):
+        g = step["gates"]
+        tanh_c = np.tanh(step["c"])
+        do = dh * tanh_c
+        dc = dc + dh * g["o"] * (1.0 - tanh_c ** 2)
+        di, dg, df = dc * g["g"], dc * g["i"], dc * step["c_prev"]
+        dc = dc * g["f"]
+        dz = {"i": di * g["i"] * (1.0 - g["i"]),
+              "f": df * g["f"] * (1.0 - g["f"]),
+              "o": do * g["o"] * (1.0 - g["o"]),
+              "g": dg * (1.0 - g["g"] ** 2)}
+        dh = np.zeros((B, h))
+        for name in GATES:
+            grads[f"W_{name}"] += dz[name].T @ step["x"]
+            grads[f"U_{name}"] += dz[name].T @ step["h_prev"]
+            grads[f"b_{name}"] += dz[name].sum(axis=0)
+            dh += dz[name] @ net.gates[f"U_{name}"]
+    return grads
 
 
 def sample_episode(labels, shots_per_class: int, seed: int) -> np.ndarray:

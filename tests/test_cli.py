@@ -1509,6 +1509,19 @@ def _dtype_byte_9(data_dir, ckpt, tmp):
     return _eval(data_dir, bad), f"unknown dtype byte 9 (at byte offset {at})"
 
 
+def _trailer_hyper(key, value):
+    def build(data_dir, ckpt, tmp):
+        from atc.trainer import load_checkpoint
+        from oracles import encode_checkpoint
+        old = load_checkpoint(ckpt)
+        old.hyper[key] = value
+        bad = tmp / "bad.atck"
+        bad.write_bytes(encode_checkpoint(old.tensors, {
+            "hyper": old.hyper, "config": old.config, "metrics": old.metrics}))
+        return _eval(data_dir, bad), f"error: {key} must be > 0, got {value}\n"
+    return build
+
+
 def _config_line_without_equals(data_dir, ckpt, tmp):
     cfg = _write_config(tmp, "epochs 3\n")
     return (_train(data_dir, tmp / "m.atck", "--config", cfg),
@@ -1537,6 +1550,22 @@ _REJECTIONS = [
     ("train-weight-decay-negative", 3, lambda d, c, t: (
         _train(d, t / "m.atck", "--weight-decay=-1"),
         "error: weight_decay must be >= 0\n")),
+    ("train-scale-negative", 3, lambda d, c, t: (
+        _train(d, t / "m.atck", "--scale", "-1"),
+        "error: logit_scale must be > 0, got -1.0\n")),
+    ("train-scale-0", 3, lambda d, c, t: (
+        _train(d, t / "m.atck", "--scale", "0"),
+        "error: logit_scale must be > 0, got 0.0\n")),
+    ("train-tip-gamma-negative", 3, lambda d, c, t: (
+        _train(d, t / "m.atck", "--activation", "tip:-5"),
+        "error: tip_gamma must be > 0, got -5.0\n")),
+    ("train-tip-gamma-0", 3, lambda d, c, t: (
+        _train(d, t / "m.atck", "--activation", "tip:0"),
+        "error: tip_gamma must be > 0, got 0.0\n")),
+    ("atck-logit-scale-0", 3, _trailer_hyper("logit_scale", 0)),
+    ("atck-logit-scale-negative", 3, _trailer_hyper("logit_scale", -1.0)),
+    ("atck-tip-gamma-negative", 3, _trailer_hyper("tip_gamma", -5.0)),
+    ("atck-tip-gamma-0", 3, _trailer_hyper("tip_gamma", 0.0)),
     ("eval-checkpoint-dim", 3, _d8_checkpoint_on_d16_files),
     ("ate-version-2", 3, lambda d, c, t: (
         _zeroshot(d, query=_overwritten(d / "query.ate", t / "q.ate", 4,

@@ -8,7 +8,7 @@ from atc.conditionnet import (condition_backward, condition_forward,
                               init_condition_net)
 from atc.errors import ConfigError, ContractError
 from atc.numerics import Rng
-from oracles import grad_check
+from oracles import grad_check, lstm_backward, lstm_forward
 
 
 def _net(dim=16, T=4, h=6, seed=0, nonzero_head=False):
@@ -106,9 +106,11 @@ def test_single_chunk_degenerates_to_one_cell():
     assert s.shape == (2, 6)
 
 
-def test_backward_matches_finite_differences():
+# T=1 has no recurrent term at all
+@pytest.mark.parametrize("T", [1, 2, 4])
+def test_backward_matches_finite_differences(T):
     for seed in range(3):
-        net = _net(dim=8, T=2, h=4, seed=seed, nonzero_head=True)
+        net = _net(dim=8, T=T, h=4, seed=seed, nonzero_head=True)
         x = Rng(100 + seed).normal((2, 8))
         w = Rng(200 + seed).normal((2, 8))   # fixed projection to a scalar
 
@@ -126,6 +128,27 @@ def test_backward_matches_finite_differences():
 
         report = grad_check(fn, params, analytic, eps=1e-4, tol=1e-4)
         assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("B,dim,T,h", [
+    (160, 64, 8, 64), (250, 64, 8, 64), (256, 512, 8, 64), (64, 512, 8, 64),
+    (1, 64, 8, 64), (3, 16, 1, 6), (5, 24, 3, 40), (4, 32, 4, 8)])
+def test_forward_and_backward_are_the_per_gate_reference_bitwise(B, dim, T,
+                                                                 h):
+    net = _net(dim, T, h, seed=B, nonzero_head=True)
+    rng = Rng(B + 1000)
+    for v in net.gates.values():    # move the gates off their init
+        v += 0.5 * rng.normal(v.shape)
+    F, d_s = rng.normal((B, dim)), rng.normal((B, dim))
+    want_s, steps = lstm_forward(net, F)
+    s, tape = condition_forward(net, F, record=True)
+    assert s.tobytes() == want_s.tobytes()
+    assert condition_forward(net, F)[0].tobytes() == want_s.tobytes()
+    want = lstm_backward(net, steps, d_s)
+    grads = condition_backward(net, tape, d_s)
+    assert grads.keys() == want.keys()
+    for k in want:
+        assert grads[k].tobytes() == want[k].tobytes(), k
 
 
 def test_zero_upstream_gives_zero_grads():
@@ -155,7 +178,7 @@ def test_a_second_backward_over_one_tape_is_the_first_bitwise():
     assert first.keys() == second.keys() == net.tensors().keys()
     for k in first:
         assert first[k].tobytes() == second[k].tobytes(), k
-    for part in ("X", "C", "H"):
+    for part in ("X", "C", "H", "tanh_C"):
         got, want = getattr(tape, part), getattr(before, part)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert [{g: a.tobytes() for g, a in d.items()} for d in tape.gates] == \
