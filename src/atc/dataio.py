@@ -174,24 +174,11 @@ def read_embeddings(path) -> EmbeddingSet:
         labels = cur.array((rows,), "<u4", np.int64, "labels")
         feats_at = cur.pos
         features = cur.array((rows, dim), "<f4", np.float64, "features")
-        base, at, names = cur.pos, 0, []    # one read, <= 65537 B per name
-        block = cur.take(min(cur.size - base, 0x10001 * num_classes),
-                         "class names")
+        names = []
         for _ in range(num_classes):
-            if at + 2 > len(block):
-                raise CodecError("truncated file while reading class name "
-                                 "length", base + at)
-            (nlen,), at = struct.unpack_from("<H", block, at), at + 2
-            if at + nlen > len(block):
-                raise CodecError("truncated file while reading class name",
-                                 base + at)
-            try:
-                names.append(block[at:at + nlen].decode("utf-8"))
-            except UnicodeDecodeError:
-                raise CodecError("class name is not UTF-8", base + at) from None
-            at += nlen
-        if base + at != cur.size:
-            raise CodecError("trailing bytes after class names", base + at)
+            (nlen,) = cur.unpack("<H", "class name length")
+            names.append(cur.text(nlen, "class name"))
+        cur.check_end("class names")
 
     es = EmbeddingSet(features, labels, names, ROLE_NAMES[role_code])
     es.validate()

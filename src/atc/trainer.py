@@ -173,9 +173,9 @@ def train(model: AtcModel, queries: np.ndarray, labels,
     Queries default to the support embeddings themselves at the call site;
     with leave_self_out each query's own support row is masked out of its
     visual affinities. The caches' frozen arrays are read-only views.
-    The last epoch's accuracy is predict_batch's after its update. With one
-    batch and no leave_self_out the others are read off the next epoch's
-    logits; else each epoch has a step_accuracy of its (masked) step logits.
+    Each epoch's step_accuracy is the argmax hit rate of its (masked) step
+    logits, each batch scored before its update; the last epoch's accuracy
+    is predict_batch's after its update.
     """
     cfg.validate()
     queries = np.asarray(queries, dtype=np.float64)
@@ -186,7 +186,6 @@ def train(model: AtcModel, queries: np.ndarray, labels,
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match {n} queries")
     batch = cfg.batch_size or min(256, n)
-    reuse = batch >= n and not cfg.leave_self_out
 
     params = trainables(model)
     state = init_adam(params)
@@ -210,11 +209,8 @@ def train(model: AtcModel, queries: np.ndarray, labels,
             if cfg.learning_rate != 0.0:
                 adam_step(params, grads, state, cfg)
             total += loss * sel.size
-        if reuse and epoch:  # one step, at the last epoch's parameters
-            metrics[-1]["accuracy"] = hits / n
-        metrics.append({"epoch": epoch, "loss": total / n})
-        if not reuse:
-            metrics[-1]["step_accuracy"] = hits / n
+        metrics.append({"epoch": epoch, "loss": total / n,
+                        "step_accuracy": hits / n})
         if epoch == cfg.epochs - 1:
             preds = predict_batch(model, queries)
             metrics[-1]["accuracy"] = float(np.mean(preds == labels))

@@ -1593,3 +1593,43 @@ def test_documented_rejection_exit_code_and_message(data_dir, trained,
     capsys.readouterr()
     assert run(*argv) == code
     assert message in capsys.readouterr().err
+
+
+def _mutated(blob, rng, header):
+    """blob with one seeded fault: a bit flip, a truncation, a one-byte
+    insertion, or an overwritten byte among its first `header` bytes."""
+    kind, raw = int(rng.integers(4)), bytearray(blob)
+    if kind == 0:
+        raw[int(rng.integers(len(raw)))] ^= 1 << int(rng.integers(8))
+    elif kind == 1:
+        del raw[int(rng.integers(len(raw))):]
+    elif kind == 2:
+        raw.insert(int(rng.integers(len(raw) + 1)), int(rng.integers(256)))
+    else:
+        raw[int(rng.integers(header))] = int(rng.integers(256))
+    return bytes(raw)
+
+
+def test_eval_of_mutated_inputs_never_exits_1(tmp_path):
+    # every fault in eval's four inputs ends in a documented exit code
+    src = tmp_path / "src"
+    assert run("synth", "--out", str(src), "--classes", "4", "--dim", "16",
+               "--shots", "4", "--queries", "5", "--seed", "3") == 0
+    assert run(*_train(src, src / "m.atck", "--shots", "4", "--epochs",
+                       "2")) == 0
+    # the .ate header is 25 bytes; the .atck header runs into its first
+    # tensor's name and dims
+    inputs = {"--text": ("text.ate", 25), "--support": ("support.ate", 25),
+              "--query": ("query.ate", 25), "--ckpt": ("m.atck", 40)}
+    rng = np.random.default_rng(33)
+    for case in range(400):
+        flag = list(inputs)[case % 4]
+        argv = ["eval"]
+        for other, (name, header) in inputs.items():
+            path = src / name
+            if other == flag:
+                path = tmp_path / name
+                path.write_bytes(_mutated((src / name).read_bytes(), rng,
+                                          header))
+            argv += [other, str(path)]
+        assert run(*argv) in (0, 3, 4), (case, flag)

@@ -365,3 +365,47 @@ def test_read_from_a_pipe(tmp_path):
     finally:
         os.close(read_fd)
     assert np.array_equal(back.features, read_embeddings(path).features)
+
+
+def _read_via(path, via):
+    """read_embeddings of `path`'s bytes as a file, or through a pipe."""
+    if via == "file":
+        return read_embeddings(path)
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(write_fd, "wb") as w:
+        w.write(path.read_bytes())     # well under a pipe's buffer
+    try:
+        return read_embeddings(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+
+
+@pytest.mark.parametrize("via", ["file", "pipe"])
+def test_class_name_block_faults_at_their_offsets(tmp_path, via):
+    es = _small_set(rows=3, dim=4, c=3)
+    es.class_names = ["a", "bé", "cat"]
+    path = tmp_path / "a.ate"
+    write_embeddings(es, path)
+    data = path.read_bytes()
+    # 25 header bytes, 3 u32 labels, 3 rows of 4 float32, then per name a
+    # u16 length and its UTF-8 bytes
+    start = 25 + 4 * 3 + 4 * 4 * 3
+    cases, at = [], start
+    for name in es.class_names:
+        nb = name.encode("utf-8")
+        cases += [(data[:cut], "truncated file while reading class name "
+                   "length", at) for cut in range(at, at + 2)]
+        cases += [(data[:cut], "truncated file while reading class name",
+                   at + 2) for cut in range(at + 2, at + 2 + len(nb))]
+        at += 2 + len(nb)
+    assert at == len(data)
+    bad = bytearray(data)
+    bad[start + 5:start + 8] = b"\xff\xfe\xfd"    # "bé" is not UTF-8
+    cases += [(bytes(bad), "class name is not UTF-8", start + 5),
+              (data + b"\x00", "trailing bytes after class names", len(data))]
+    for raw, message, offset in cases:
+        path.write_bytes(raw)
+        with pytest.raises(CodecError) as exc:
+            _read_via(path, via)
+        assert (str(exc.value), exc.value.offset) == (
+            f"{message} (at byte offset {offset})", offset), len(raw)

@@ -145,8 +145,9 @@ def test_metrics_recorded_per_epoch():
     m, sets = _model()
     cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=5)
     ckpt = train(m, sets["support"].features, sets["support"].labels, cfg)
-    assert len(ckpt.metrics) == 4
-    assert all({"epoch", "loss", "accuracy"} <= set(e) for e in ckpt.metrics)
+    # one key set for every run; only the last epoch calls predict_batch
+    step = {"epoch", "loss", "step_accuracy"}
+    assert [set(e) for e in ckpt.metrics] == [step] * 3 + [step | {"accuracy"}]
 
 
 def test_saved_config_is_the_settings_plus_adams_fixed_ones():
@@ -159,6 +160,13 @@ def test_saved_config_is_the_settings_plus_adams_fixed_ones():
         "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8,
         "weight_decay": 0.01, "seed": 5, "shuffle": True,
         "leave_self_out": False}
+
+
+def _trained_accuracy(m, q, y, cfg):
+    """Epoch e's accuracy after its update as train records it: epoch e+1's
+    step_accuracy, and the last epoch's accuracy."""
+    metrics = train(m, q, y, cfg).metrics
+    return [e["step_accuracy"] for e in metrics[1:]] + [metrics[-1]["accuracy"]]
 
 
 def _replayed_accuracy(m, q, y, cfg):
@@ -180,11 +188,10 @@ def _replayed_accuracy(m, q, y, cfg):
 @pytest.mark.parametrize("epochs", [1, 6])
 def test_one_batch_accuracy_is_predict_batch_after_the_update(n, shuffle,
                                                               epochs):
-    # all but the last epoch's accuracy comes from the next epoch's training
-    # logits, over permuted rows
+    # one batch without leave-self-out: the next epoch's step logits, over
+    # permuted rows, score each epoch's final parameters
     runs = []
-    for scorer in (lambda *a: [e["accuracy"] for e in train(*a).metrics],
-                   _replayed_accuracy):
+    for scorer in (_trained_accuracy, _replayed_accuracy):
         # at d=64 and the CLI's scale, permuting the rows moves the logits
         # of about a third of these epochs, by up to 1.4e-14
         m, sets = _model(seed=4, n=10, dim=64, queries=16)
@@ -215,47 +222,55 @@ def test_train_calls_predict_batch_once(monkeypatch, config):
     m, sets = _model()   # 12 support rows
     ckpt = train(m, sets["support"].features, sets["support"].labels,
                  TrainConfig(epochs=5, learning_rate=1e-2, **config))
-    # only after the last update; the other epochs score their step logits
+    # only after the last update; every epoch scores its step logits
     assert len(seen) == 1
     assert [e["epoch"] for e in ckpt.metrics] == list(range(5))
-    if config:
-        step = {"epoch", "loss", "step_accuracy"}
-        assert [set(e) for e in ckpt.metrics] == [step] * 4 + [
-            step | {"accuracy"}]
-    else:
-        assert all(set(e) == {"epoch", "loss", "accuracy"}
-                   for e in ckpt.metrics)
+    step = {"epoch", "loss", "step_accuracy"}
+    assert [set(e) for e in ckpt.metrics] == [step] * 4 + [step | {"accuracy"}]
 
 
-@pytest.mark.parametrize("batch_size", [0, 7])
+@pytest.mark.parametrize("batch_size,leave_self_out,shuffle", [
+    (0, True, True), (7, True, True), (0, False, True), (0, False, False)],
+    ids=["0", "7", "one-batch", "one-batch-in-order"])
 def test_step_accuracy_is_the_masked_step_logits_before_each_update(
-        batch_size):
+        batch_size, leave_self_out, shuffle):
     cfg = TrainConfig(epochs=4, batch_size=batch_size, learning_rate=1e-2,
-                      seed=3, leave_self_out=True)
-    m, sets = _model(seed=3, n=5, k=4)
-    q, y = sets["support"].features, sets["support"].labels   # 20 rows
+                      seed=3, shuffle=shuffle, leave_self_out=leave_self_out)
+    m, sets = _model(seed=3, n=5, k=4, queries=4)
+    # 20 rows: the cache's own rows under leave-self-out, else rows outside
+    # it (the cache's own rows all score 1.0 unmasked)
+    rows = sets["support" if leave_self_out else "query"]
+    q, y = rows.features, rows.labels
     metrics = train(m, q, y, cfg).metrics
-    # a replay of train's steps on a fresh model: each step's masked logits
+    # a replay of train's steps on a fresh model: each step's (masked) logits
     # are scored before its update, beside predict_batch's unmasked argmax
-    m, _ = _model(seed=3, n=5, k=4)
+    # before each step and after each epoch
+    m, _ = _model(seed=3, n=5, k=4, queries=4)
     params = trainables(m)
     state, rng = init_adam(params), Rng(cfg.seed)
-    masked, unmasked = [], []
+    masked, unmasked, after = [], [], []
     for _ in range(cfg.epochs):
-        order, hits, seen = rng.permutation(len(y)), 0, 0
+        order = rng.permutation(len(y)) if shuffle else np.arange(len(y))
+        hits, seen = 0, 0
         for lo in range(0, len(y), batch_size or len(y)):
             sel = order[lo:lo + (batch_size or len(y))]
             seen += int(np.sum(predict_batch(m, q[sel]) == y[sel]))
-            _, grads, logits = loss_and_grads(m, q[sel], y[sel], sel)
+            _, grads, logits = loss_and_grads(
+                m, q[sel], y[sel], sel if leave_self_out else None)
             hits += int(np.sum(np.argmax(logits, axis=1) == y[sel]))
             adam_step(params, grads, state, cfg)
         masked.append(hits / len(y))
         unmasked.append(seen / len(y))
+        after.append(float(np.mean(predict_batch(m, q) == y)))
     assert [e["step_accuracy"] for e in metrics] == masked
-    assert metrics[-1]["accuracy"] == float(np.mean(predict_batch(m, q) == y))
-    # each query sees its own cache row unmasked, so it scores higher
-    assert masked != unmasked
-    assert all(a <= b for a, b in zip(masked, unmasked))
+    assert metrics[-1]["accuracy"] == after[-1]
+    if leave_self_out:
+        # each query sees its own cache row unmasked, so it scores higher
+        assert masked != unmasked
+        assert all(a <= b for a, b in zip(masked, unmasked))
+    else:
+        # one batch: each step runs at the previous epoch's final parameters
+        assert masked[1:] == after[:-1]
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
