@@ -21,7 +21,8 @@ import numpy as np
 from . import dataio, model as model_mod, trainer
 from .caches import VISUAL_MODES, build_textual_cache, build_visual_cache
 from .conditionnet import init_condition_net
-from .errors import AtcError, EvaluationError, UsageError, ValidationError
+from .errors import (AtcError, EvaluationError, UsageError, ValidationError,
+                     check_types)
 from .model import AtcModel
 from .numerics import Rng
 
@@ -120,15 +121,11 @@ def _read_input(path, role: str, text=None) -> dataio.EmbeddingSet:
     return es
 
 
-# the checkpoint config keys that rebuild the support episode
-_EPISODE = {"episode_seed": int, "episode_shots": int, "episode_views": int}
-
-
 def _build_model(hyper: dict, text, support, seed, index=None) -> AtcModel:
     """The head that `hyper` (keyed and typed like trainer.HYPER) describes,
     around the text set and the support episode: the support set's rows, or
     its rows `index` without a copy."""
-    trainer.check_types(hyper, trainer.HYPER, "hyper")
+    check_types(hyper, trainer.HYPER, "hyper")
     if text.dim != hyper["dim"]:
         raise ValidationError(
             f"checkpoint dim {hyper['dim']} != embedding dim {text.dim}")
@@ -208,10 +205,7 @@ def _rebuild_from_checkpoint(ckpt: trainer.Checkpoint, text_path, support_path,
                              alpha=None, beta=None):
     """The checkpoint's model around the embedding files, and the text set."""
     config = {"episode_views": 1, **ckpt.config}
-    trainer.check_types(config, _EPISODE, "config")
-    if config["episode_views"] != 1:
-        raise ValidationError(
-            f"episode_views must be 1, got {config['episode_views']}")
+    check_types(config, trainer.EPISODE, "config")
     text = _read_input(text_path, "text")
     support = _read_input(support_path, "support", text)
     seed = config["episode_seed"]
@@ -276,8 +270,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not all(abs(v) <= sys.float_info.max for v in args.values):
-        raise UsageError("sweep values must be finite")
+    if not all(0 <= v <= sys.float_info.max for v in args.values):
+        raise UsageError("sweep values must be finite and >= 0")
     ckpt = trainer.load_checkpoint(args.ckpt)
     m, text = _rebuild_from_checkpoint(ckpt, args.text, args.support)
     query = _read_input(args.query, "query", text)

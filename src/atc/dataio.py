@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CodecError, ConfigError, EvaluationError,
-                     InsufficientDataError, ValidationError)
+                     InsufficientDataError, ValidationError, check_types)
 from .numerics import _BLOCK_VALUES, Rng, l2_normalize_rows, seed_child
 
 MAGIC = b"ATCE"
@@ -202,6 +202,12 @@ def check_fits_memory(nbytes: int, what: str) -> None:
                           f"{memory} bytes of physical memory")
 
 
+# each SynthConfig field's type and range (see errors.check_types)
+SYNTH = {"num_classes": (int, ">= 2"), "dim": (int, ">= 2"),
+         "shots": (int, ">= 1"), "queries_per_class": (int, ">= 1"),
+         "sigma": (float, ">= 0"), "text_noise": (float, ">= 0"), "seed": int}
+
+
 @dataclass
 class SynthConfig:
     """Synthetic stand-in for encoder outputs: class prototypes on the unit
@@ -213,19 +219,6 @@ class SynthConfig:
     sigma: float = 0.35
     text_noise: float = 0.15
     seed: int = 7
-
-    def validate(self) -> None:
-        if self.dim < 2:
-            raise ConfigError("dim must be >= 2")
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
-        if self.shots < 1 or self.queries_per_class < 1:
-            raise ConfigError("shots and queries_per_class must be >= 1")
-        if not all(0 <= x < math.inf for x in (self.sigma, self.text_noise)):
-            raise ConfigError("noise scales must be finite and nonnegative")
-        # the float64 prototype, text, support and query rows
-        check_fits_memory(8 * self.num_classes * self.dim * (
-            2 + self.shots + self.queries_per_class), "a synthetic dataset")
 
 
 def _noisy_rows(protos: np.ndarray, per_class: int, scale: float, rng: Rng):
@@ -243,7 +236,10 @@ def _noisy_rows(protos: np.ndarray, per_class: int, scale: float, rng: Rng):
 
 def synth_dataset(cfg: SynthConfig) -> dict[str, EmbeddingSet]:
     """Deterministic synthetic text/support/query embedding sets."""
-    cfg.validate()
+    check_types(vars(cfg), SYNTH, "config")
+    # the float64 prototype, text, support and query rows
+    check_fits_memory(8 * cfg.num_classes * cfg.dim * (
+        2 + cfg.shots + cfg.queries_per_class), "a synthetic dataset")
     rng = Rng(cfg.seed)
     protos = rng.child(0).normal((cfg.num_classes, cfg.dim))
     protos = l2_normalize_rows(protos)[0]

@@ -22,7 +22,8 @@ import numpy as np
 
 from .caches import VISUAL_MODES
 from .dataio import _Cursor
-from .errors import CodecError, EvaluationError, ShapeError, ValidationError
+from .errors import (CodecError, EvaluationError, ShapeError,
+                     ValidationError, check_types)
 from .model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
                     tensors, trainables)
 from .numerics import _BLOCK_VALUES, Rng
@@ -34,6 +35,11 @@ _HUGE = math.sqrt(sys.float_info.max)  # larger entries square to inf
 # Adam's fixed decay rates and epsilon, saved with the training config
 ADAM = {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
 
+# each TrainConfig field's type and range (see errors.check_types)
+TRAIN = {"epochs": (int, ">= 1"), "batch_size": (int, ">= 0"),
+         "learning_rate": (float, ">= 0"), "weight_decay": (float, ">= 0"),
+         "seed": int, "shuffle": bool, "leave_self_out": bool}
+
 
 @dataclass
 class TrainConfig:
@@ -44,14 +50,6 @@ class TrainConfig:
     seed: int = 0
     shuffle: bool = True
     leave_self_out: bool = False
-
-    def validate(self) -> None:
-        check_types(vars(self), {"learning_rate": float,
-                                 "weight_decay": float}, "config")
-        for key, low in (("epochs", 1), ("batch_size", 0),
-                         ("learning_rate", 0), ("weight_decay", 0)):
-            if getattr(self, key) < low:
-                raise ValidationError(f"{key} must be >= {low}")
 
 
 @dataclass
@@ -112,41 +110,16 @@ class Checkpoint:
     metrics: list[dict] = field(default_factory=list)
 
 
-# every model_hyper key, in its order, and the type of each value (a tuple
-# lists the allowed strings)
-HYPER = {"alpha": float, "beta": float, "logit_scale": float,
-         "activation": ("linear", "tip"), "tip_gamma": float,
-         "adaptive_text": bool, "renorm_text": bool, "renorm_visual": bool,
-         "visual_mode": VISUAL_MODES, "dim": int, "chunk_count": int,
-         "hidden_size": int}
-# a scale or gamma at or below 0 flattens or inverts every ranking
-_POSITIVE = ("logit_scale", "tip_gamma")
-_KINDS = {float: "a number", int: "an integer", bool: "true or false"}
-
-
-def check_types(section: dict, types: dict, name: str) -> None:
-    """Every key of `types` must be in `section` (an error calls it the
-    checkpoint's `name` section) and hold a value of its type: bool, int,
-    float (a real number in float range; neither of the last two may be a
-    bool), or one of a tuple's strings. A _POSITIVE key must also be > 0."""
-    missing = [k for k in types if k not in section]
-    if missing:
-        raise ValidationError(f"checkpoint {name} lacks "
-                              f"{', '.join(map(repr, missing))}")
-    for key, kind in types.items():
-        value = section[key]
-        if isinstance(kind, tuple):
-            if value not in kind:
-                raise ValidationError(f"{key} must be one of "
-                                      f"{', '.join(kind)}, got {value!r}")
-        elif (isinstance(value, bool) != (kind is bool) or not isinstance(
-                value, (int, float) if kind is float else kind)):
-            raise ValidationError(f"{key} must be {_KINDS[kind]}, "
-                                  f"got {value!r}")
-        elif kind is float and not abs(value) <= sys.float_info.max:
-            raise ValidationError(f"{key} must be finite, got {value}")
-        elif key in _POSITIVE and value <= 0:
-            raise ValidationError(f"{key} must be > 0, got {value}")
+# every model_hyper key, in its order, with its type and range: a negative
+# weight flips its branch, a scale or gamma <= 0 flattens or inverts ranking
+HYPER = {"alpha": (float, ">= 0"), "beta": (float, ">= 0"),
+         "logit_scale": (float, "> 0"), "activation": ("linear", "tip"),
+         "tip_gamma": (float, "> 0"), "adaptive_text": bool,
+         "renorm_text": bool, "renorm_visual": bool, "visual_mode": VISUAL_MODES,
+         "dim": int, "chunk_count": int, "hidden_size": int}
+# the config keys the CLI adds to rebuild the support episode
+EPISODE = {"episode_seed": int, "episode_shots": int,
+           "episode_views": (int, "== 1")}
 
 
 def model_hyper(model: AtcModel) -> dict:
@@ -177,7 +150,7 @@ def train(model: AtcModel, queries: np.ndarray, labels,
     logits, each batch scored before its update; the last epoch's accuracy
     is predict_batch's after its update.
     """
-    cfg.validate()
+    check_types(vars(cfg), TRAIN, "config")
     queries = np.asarray(queries, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = queries.shape[0]

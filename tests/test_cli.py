@@ -719,8 +719,24 @@ def test_eval_rejects_episode_views_other_than_1_exit_3(data_dir, trained,
                "--text", str(data_dir / "text.ate"),
                "--support", str(data_dir / "support.ate"),
                "--query", str(data_dir / "query.ate")) == 3
-    assert (f"error: episode_views must be 1, got {views}"
+    assert (f"error: episode_views must be == 1, got {views}"
             in capsys.readouterr().err)
+
+
+def test_negative_seed_round_trips_through_the_checkpoint(data_dir,
+                                                         tmp_path):
+    # seeds are reduced mod 2**64, so -1 is a seed like any other: the
+    # trailer keeps it, and eval rebuilds the episode train drew from it
+    from atc.trainer import load_checkpoint
+    ckpt, report = tmp_path / "m.atck", tmp_path / "runs.jsonl"
+    assert run(*_train(data_dir, ckpt, "--seed=-1", "--epochs", "2",
+                       "--query", str(data_dir / "query.ate"),
+                       "--report", str(report))) == 0
+    assert load_checkpoint(ckpt).config["episode_seed"] == -1
+    assert run(*_eval(data_dir, ckpt), "--report", str(report)) == 0
+    trained, evaluated = read_records(report)
+    assert evaluated["correct"] == trained["eval"]["correct"]
+    assert evaluated["total"] == trained["eval"]["total"]
 
 
 @pytest.mark.parametrize("query_files", [1, 2])
@@ -1202,12 +1218,27 @@ def test_sweep_non_finite_value_exit_2(data_dir, trained, value, capsys):
     assert captured.out == ""
 
 
+def test_sweep_negative_value_exit_2(data_dir, trained, capsys):
+    # 0 scores one branch alone; below 0 the branch's ranking flips
+    ckpt, _ = trained
+    assert run("sweep", "--ckpt", str(ckpt),
+               "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"),
+               "--query", str(data_dir / "query.ate"),
+               "--param", "beta", "--values=-1,1") == 2
+    captured = capsys.readouterr()
+    assert "usage error: sweep values must be finite and >= 0" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flags", [["--sigma", "nan"],
                                    ["--text-noise", "inf"]])
 def test_synth_non_finite_noise_exit_3(tmp_path, flags, capsys):
     assert run("synth", "--out", str(tmp_path / "d"), "--classes", "3",
                "--dim", "8", *flags) == 3
-    assert "noise scales must be finite" in capsys.readouterr().err
+    key = flags[0][2:].replace("-", "_")
+    assert (f"error: {key} must be finite, got {flags[1]}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "d").exists()
 
 
@@ -1509,7 +1540,7 @@ def _dtype_byte_9(data_dir, ckpt, tmp):
     return _eval(data_dir, bad), f"unknown dtype byte 9 (at byte offset {at})"
 
 
-def _trailer_hyper(key, value):
+def _trailer_hyper(key, value, rule="> 0"):
     def build(data_dir, ckpt, tmp):
         from atc.trainer import load_checkpoint
         from oracles import encode_checkpoint
@@ -1518,7 +1549,7 @@ def _trailer_hyper(key, value):
         bad = tmp / "bad.atck"
         bad.write_bytes(encode_checkpoint(old.tensors, {
             "hyper": old.hyper, "config": old.config, "metrics": old.metrics}))
-        return _eval(data_dir, bad), f"error: {key} must be > 0, got {value}\n"
+        return _eval(data_dir, bad), f"error: {key} must be {rule}, got {value}\n"
     return build
 
 
@@ -1538,7 +1569,7 @@ _REJECTIONS = [
         "num_classes must be >= 2")),
     ("synth-shots-0", 3, lambda d, c, t: (
         ["synth", "--out", str(t / "s"), "--shots", "0"],
-        "shots and queries_per_class must be >= 1")),
+        "shots must be >= 1, got 0")),
     ("train-epochs-0", 3, lambda d, c, t: (
         _train(d, t / "m.atck", "--epochs", "0"), "epochs must be >= 1")),
     ("train-batch-size-negative", 3, lambda d, c, t: (
@@ -1546,10 +1577,10 @@ _REJECTIONS = [
     # with "=": argparse reads a lone "-1e-3" as a flag (exit 2)
     ("train-lr-negative", 3, lambda d, c, t: (
         _train(d, t / "m.atck", "--lr=-1e-3"),
-        "error: learning_rate must be >= 0\n")),
+        "error: learning_rate must be >= 0, got -0.001\n")),
     ("train-weight-decay-negative", 3, lambda d, c, t: (
         _train(d, t / "m.atck", "--weight-decay=-1"),
-        "error: weight_decay must be >= 0\n")),
+        "error: weight_decay must be >= 0, got -1.0\n")),
     ("train-scale-negative", 3, lambda d, c, t: (
         _train(d, t / "m.atck", "--scale", "-1"),
         "error: logit_scale must be > 0, got -1.0\n")),
@@ -1566,6 +1597,18 @@ _REJECTIONS = [
     ("atck-logit-scale-negative", 3, _trailer_hyper("logit_scale", -1.0)),
     ("atck-tip-gamma-negative", 3, _trailer_hyper("tip_gamma", -5.0)),
     ("atck-tip-gamma-0", 3, _trailer_hyper("tip_gamma", 0.0)),
+    # a negative branch weight flips that branch's ranking
+    ("train-alpha-negative", 3, lambda d, c, t: (
+        _train(d, t / "m.atck", "--alpha=-1"),
+        "error: alpha must be >= 0, got -1.0\n")),
+    ("ablate-beta-negative", 3, lambda d, c, t: (
+        ["ablate", "--text", str(d / "text.ate"),
+         "--support", str(d / "support.ate"), "--mode", "fixed-text",
+         "--shots", "4", "--beta=-1"],
+        "error: beta must be >= 0, got -1.0\n")),
+    ("eval-alpha-negative", 3, lambda d, c, t: (
+        [*_eval(d, c), "--alpha=-1"], "error: alpha must be >= 0, got -1.0\n")),
+    ("atck-alpha-negative", 3, _trailer_hyper("alpha", -1.0, ">= 0")),
     ("eval-checkpoint-dim", 3, _d8_checkpoint_on_d16_files),
     ("ate-version-2", 3, lambda d, c, t: (
         _zeroshot(d, query=_overwritten(d / "query.ate", t / "q.ate", 4,

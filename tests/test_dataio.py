@@ -234,6 +234,12 @@ def test_text_role_label_order_enforced():
         es.validate()
 
 
+def test_synth_table_covers_every_synth_config_field():
+    from dataclasses import fields
+    from atc.dataio import SYNTH
+    assert list(SYNTH) == [f.name for f in fields(SynthConfig)]
+
+
 def test_synth_counts():
     sets = synth_dataset(SynthConfig(num_classes=10, dim=32, shots=16,
                                      queries_per_class=5, seed=3))

@@ -447,6 +447,25 @@ def test_train_config_rejects_non_finite_rates():
             train(m, sets["support"].features, sets["support"].labels, cfg)
 
 
+def test_train_table_covers_every_train_config_field():
+    from dataclasses import fields
+    assert list(atc.trainer.TRAIN) == [f.name for f in fields(TrainConfig)]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("shuffle", "no"), ("leave_self_out", 1), ("seed", 1.5),
+    ("epochs", 2.5), ("batch_size", 2.0), ("learning_rate", "1e-3")])
+def test_train_config_of_wrong_type_is_refused_before_the_first_step(
+        key, value):
+    m, sets = _model()
+    before = {k: v.copy() for k, v in trainables(m).items()}
+    with pytest.raises(ValidationError, match=f"^{key} must be "):
+        train(m, sets["support"].features, sets["support"].labels,
+              TrainConfig(**{key: value}))
+    for k, v in trainables(m).items():
+        assert np.array_equal(v, before[k]), k
+
+
 def test_save_matches_layout_oracle(tmp_path):
     tensors = {"b.vec": np.array([1.5, -0.0, 3e-300]),
                "a.mat": Rng(4).normal((2, 3)),
