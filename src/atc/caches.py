@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import EmbeddingSet
-from .errors import ValidationError
+from .errors import ValidationError, check_index
 
 VISUAL_MODES = ("fixed", "linear", "biases")
 
@@ -24,16 +24,6 @@ def _read_only(a) -> np.ndarray:
     view = np.asarray(a).view()
     view.flags.writeable = False
     return view
-
-
-def _support_rows(index, n: int) -> np.ndarray:
-    """A read-only view of index, which must be 1-D, of rows in [0, n)."""
-    # a negative entry would pick a row counted from the end
-    if np.ndim(index) != 1 or np.size(index) and (
-            np.min(index) < 0 or np.max(index) >= n):
-        raise ValidationError(f"cache index must be a 1-D array of support "
-                              f"rows in [0, {n})")
-    return _read_only(index)
 
 
 @dataclass
@@ -66,10 +56,14 @@ class VisualCache:
     index: np.ndarray | None = None
 
     def __post_init__(self):
-        # the frozen arrays, as views that refuse a write through the model
-        self.support, self.labels = map(_read_only, (self.support, self.labels))
+        # the frozen arrays, as views that refuse a write through the model;
+        # one label per cache row (class-major ones are below the row count)
+        n = len(self.support)
         if self.index is not None:
-            self.index = _support_rows(self.index, self.support.shape[0])
+            self.index = _read_only(check_index(self.index, n, "cache index"))
+            n = len(self.index)
+        self.support, self.labels = map(_read_only, (
+            self.support, check_index(self.labels, n, "cache labels", n)))
         # class-major labels 0,..,0,1,..,c-1: starts[c] is class c's first row
         self.starts = np.flatnonzero(np.diff(self.labels, prepend=-1))
         if not self.starts.size or not np.array_equal(
@@ -94,7 +88,7 @@ def build_visual_cache(support_set: EmbeddingSet, num_classes: int,
         raise ValidationError(f"unknown visual cache mode {mode!r}")
     support_set.validate()
     labels = support_set.labels if index is None else support_set.labels[
-        _support_rows(index, support_set.labels.shape[0])]
+        check_index(index, support_set.labels.shape[0], "cache index")]
     present = np.unique(labels)
     if not np.array_equal(present, np.arange(num_classes)):
         missing = sorted(set(range(num_classes)) - set(present.tolist()))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import check_fits_memory
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, check_queries
 from .numerics import Rng
 
 GATES = ("i", "f", "o", "g")
@@ -79,10 +79,7 @@ def condition_forward(params: ConditionNetParams, f_test: np.ndarray, *,
     """Run the recurrence over queries (B, dim); returns (s, tape) with s
     (B, dim). Only record=True keeps the tape condition_backward needs;
     otherwise just the running (h, c) state is kept and the tape is None."""
-    F = np.asarray(f_test, dtype=np.float64)
-    if F.ndim != 2 or F.shape[1] != params.dim:
-        raise ShapeError(f"queries shape {F.shape} incompatible with dim "
-                         f"{params.dim}")
+    F = check_queries(f_test, params.dim)
     B = F.shape[0]
     h = params.hidden_size
     cs = params.chunk_size

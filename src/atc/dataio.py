@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CodecError, ConfigError, EvaluationError,
-                     InsufficientDataError, ValidationError, check_types)
+                     InsufficientDataError, ValidationError, check_index,
+                     check_types)
 from .numerics import _BLOCK_VALUES, Rng, l2_normalize_rows, seed_child
 
 MAGIC = b"ATCE"
@@ -55,15 +56,11 @@ class EmbeddingSet:
             raise ValidationError("features must be a 2-D matrix")
         if not self.features.shape[1]:
             raise ValidationError("features must have at least one column")
-        if self.labels.shape[0] != self.features.shape[0]:
-            raise ValidationError("labels length must equal feature rows")
-        c = self.num_classes
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= c):
-            raise ValidationError(f"label out of range for {c} classes")
+        check_index(self.labels, self.num_classes, "labels", len(self.features))
         if self.role == "text":
-            if self.features.shape[0] != c:
+            if self.features.shape[0] != self.num_classes:
                 raise ValidationError("text set must have one row per class")
-            if not np.array_equal(self.labels, np.arange(c)):
+            if not np.array_equal(self.labels, np.arange(self.num_classes)):
                 raise ValidationError("text set labels must be 0..c-1 in order")
 
 

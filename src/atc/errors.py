@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package, and the settings check."""
+"""Exception hierarchy shared across the package, and its input checks."""
 
 import operator
 import sys
+
+import numpy as np
 
 
 class AtcError(Exception):
@@ -75,3 +77,22 @@ def check_types(section: dict, types: dict, name: str) -> None:
             rule = ""
         if rule:
             raise ConfigError(f"{key} must be {rule}, got {value!r}")
+
+
+def check_index(a, n: int, name: str, rows: int | None = None) -> np.ndarray:
+    """`a` as an array: 1-D (else ShapeError), of `rows` entries if given,
+    of integers in [0, n) (else ValidationError; not bool, float or < 0)."""
+    a = np.asarray(a)
+    if a.shape != (want := (a.size if rows is None else rows,)):
+        raise ShapeError(f"{name} shape {a.shape} is not {want}")
+    if a.dtype.kind not in "iu" or a.size and not 0 <= a.min() <= a.max() < n:
+        raise ValidationError(f"{name} must be integers in [0, {n})")
+    return a
+
+
+def check_queries(queries, dim: int) -> np.ndarray:
+    """`queries` as a float64 matrix, which must have `dim` columns."""
+    F = np.asarray(queries, dtype=np.float64)
+    if F.ndim != 2 or F.shape[1] != dim:
+        raise ShapeError(f"queries shape {F.shape} incompatible with dim {dim}")
+    return F

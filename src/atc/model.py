@@ -11,7 +11,8 @@ import numpy as np
 
 from .caches import TextualCache, VisualCache
 from .conditionnet import ConditionNetParams, condition_backward, condition_forward
-from .errors import EvaluationError, ShapeError, ValidationError
+from .errors import (EvaluationError, ShapeError, ValidationError,
+                     check_index, check_queries)
 from .numerics import _BLOCK_VALUES, ZERO_NORM, l2_normalize_rows
 
 
@@ -254,10 +255,6 @@ def _visual_grad(model: AtcModel, F, s, kept, df1) -> np.ndarray:
 
 
 def _loss_from_logits(logits: np.ndarray, targets: np.ndarray):
-    c = logits.shape[1]
-    # a negative target would index from the end instead of failing
-    if targets.size and (targets.min() < 0 or targets.max() >= c):
-        raise IndexError(f"label out of range for {c} classes")
     # overflowed logits give a NaN loss, which train reports
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -274,28 +271,20 @@ def loss_and_grads(model: AtcModel, queries: np.ndarray, targets,
     taken at. Query i's affinity to support row self_indices[i] is masked
     out; rows_out, a spent (rows, dim) float64 array (the last step's
     visual.biases gradient), receives the kept visual rows if they are fresh."""
-    F = np.asarray(queries, dtype=np.float64)
-    if F.ndim != 2 or F.shape[1] != model.dim:
-        raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
-    targets = np.asarray(targets, dtype=np.int64)
-    for name, a in (("targets", targets), ("self_indices", self_indices)):
-        if a is not None and np.shape(a) != (F.shape[0],):
-            raise ShapeError(f"{name} shape {np.shape(a)} does not match "
-                             f"{F.shape[0]} queries")
+    F = check_queries(queries, model.dim)
+    B = F.shape[0]
+    targets = check_index(targets, len(model.textual.class_texts), "targets", B)
     if self_indices is not None:
-        self_indices, rows = np.asarray(self_indices), model.visual.rows
-        # a negative index would mask a row counted from the end
-        if self_indices.size and (self_indices.min() < 0
-                                  or self_indices.max() >= rows):
-            raise IndexError(f"self index out of range for {rows} cache rows")
+        self_indices = check_index(self_indices, model.visual.rows,
+                                   "self_indices", B)
     f1, kept, _ = _visual_scores(model, F, self_indices, True, rows_out)
     f2, tsaved, S, tape = _text_branch(model, F, True)
     logits = fuse(f1, f2, model.alpha, model.beta, model.logit_scale)
     loss, d_logits = _loss_from_logits(logits, targets)
     # the gradient with respect to the logits: softmax minus the one-hot
     # targets, over the batch size
-    d_logits[np.arange(F.shape[0]), targets] -= 1.0
-    d_logits /= F.shape[0]
+    d_logits[np.arange(B), targets] -= 1.0
+    d_logits /= B
     grads, mode = {}, model.visual.mode
     if mode != "fixed":     # in biases mode, written over the kept rows
         grads[f"visual.{mode}"] = _visual_grad(
@@ -315,9 +304,7 @@ def predictions(model: AtcModel, queries: np.ndarray, fusions) -> np.ndarray:
     (len(fusions), rows), or -1 where a row's fused logits are not finite.
     Equal chunks of at most 256 rows, none a lone row of several (NumPy
     rounds those apart), are scored and reduced one at a time."""
-    F = np.asarray(queries, dtype=np.float64)
-    if F.ndim != 2 or F.shape[1] != model.dim:
-        raise ShapeError(f"queries shape {F.shape} incompatible with dim {model.dim}")
+    F = check_queries(queries, model.dim)
     n = max(1, -(-F.shape[0] // 256))
     edges = F.shape[0] * np.arange(n + 1) // n
     preds = np.empty((len(fusions), F.shape[0]), dtype=np.int64)

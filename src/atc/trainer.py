@@ -22,8 +22,8 @@ import numpy as np
 
 from .caches import VISUAL_MODES
 from .dataio import _Cursor
-from .errors import (CodecError, EvaluationError, ShapeError,
-                     ValidationError, check_types)
+from .errors import (CodecError, EvaluationError, ValidationError,
+                     check_index, check_types)
 from .model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
                     tensors, trainables)
 from .numerics import _BLOCK_VALUES, Rng
@@ -150,14 +150,13 @@ def train(model: AtcModel, queries: np.ndarray, labels,
     logits, each batch scored before its update; the last epoch's accuracy
     is predict_batch's after its update.
     """
+    check_types(model_hyper(model), HYPER, "hyper")
     check_types(vars(cfg), TRAIN, "config")
     queries = np.asarray(queries, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     n = queries.shape[0]
     if n == 0:
         raise ValidationError("empty training episode")
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} does not match {n} queries")
+    labels = check_index(labels, len(model.textual.class_texts), "labels", n)
     batch = cfg.batch_size or min(256, n)
 
     params = trainables(model)

@@ -129,11 +129,12 @@ def test_visual_cache_rejects_unsorted_labels():
 def test_build_visual_cache_rejects_an_index_outside_the_support():
     support = _sets(n=3, k=2)["support"]                  # 6 rows
     # negative entries would otherwise wrap to the rows counted from the end
-    for index in (np.arange(-6, 0), np.arange(1, 7), [0, 1, 2, 3, 4, 6],
-                  np.arange(6).reshape(3, 2)):
+    for index in (np.arange(-6, 0), np.arange(1, 7), [0, 1, 2, 3, 4, 6]):
         with pytest.raises(ValidationError,
-                           match=r"support rows in \[0, 6\)"):
+                           match=r"cache index must be integers in \[0, 6\)"):
             build_visual_cache(support, 3, index=index)
+    with pytest.raises(ShapeError, match=r"cache index shape \(3, 2\) is not"):
+        build_visual_cache(support, 3, index=np.arange(6).reshape(3, 2))
     cache = build_visual_cache(support, 3, index=np.arange(6))
     assert cache.rows == 6
 
@@ -141,13 +142,34 @@ def test_build_visual_cache_rejects_an_index_outside_the_support():
 def test_visual_cache_rejects_an_index_outside_its_support():
     support = _sets(n=3, k=2)["support"]                  # 6 rows
     rows, labels = support.features, support.labels
-    # a directly built cache would otherwise gather through a wrapping take
-    for index in (np.arange(-6, 0), np.arange(10, 16), np.zeros((6, 1), int)):
+    # a directly built cache would otherwise gather through a wrapping take,
+    # a bool index as row 1 for every cache row
+    for index in (np.arange(-6, 0), np.arange(10, 16), np.ones(6, bool)):
         with pytest.raises(ValidationError,
-                           match=r"support rows in \[0, 6\)"):
+                           match=r"cache index must be integers in \[0, 6\)"):
             VisualCache(rows, labels, mode="fixed", index=index)
+    with pytest.raises(ShapeError, match=r"cache index shape \(6, 1\) is not"):
+        VisualCache(rows, labels, mode="fixed", index=np.zeros((6, 1), int))
+    # build_visual_cache would keep labels[mask] but gather rows 1, 0, 1
+    with pytest.raises(ValidationError, match="cache index must be integers"):
+        build_visual_cache(support, 3, index=np.arange(6) % 2 == 0)
     cache = VisualCache(rows, labels, mode="fixed", index=np.arange(6))
     assert not cache.index.flags.writeable
+
+
+def test_visual_cache_labels_are_integers_one_per_cache_row():
+    support = _sets(n=3, k=2)["support"]                  # 6 rows
+    rows, labels = support.features, support.labels
+    # 6 labels for 4 cache rows were taken: a fixed cache scored class 2 as 0
+    # from an empty slice, a biases one raised NumPy's ValueError
+    for kwargs in ({"support": rows[:4]}, {"index": np.arange(4)}):
+        with pytest.raises(ShapeError,
+                           match=r"cache labels shape \(6,\) is not \(4,\)"):
+            VisualCache(**{"support": rows, "labels": labels, **kwargs})
+    with pytest.raises(ValidationError,
+                       match=r"cache labels must be integers in \[0, 6\)"):
+        VisualCache(rows, labels + 0.0)
+    assert VisualCache(rows, labels).rows == 6
 
 
 def test_visual_cache_rejects_class_without_rows():

@@ -211,6 +211,13 @@ def test_label_out_of_range_rejected(tmp_path):
     es.labels = np.array([0, 1, 5])
     with pytest.raises(ValidationError):
         write_embeddings(es, tmp_path / "a.ate")
+    # float labels were written truncated, as 0, 1, 2
+    es = _small_set(c=3)
+    es.labels = np.array([0.6, 1.6, 2.6])
+    with pytest.raises(ValidationError, match=r"labels must be integers in "
+                                              r"\[0, 3\)"):
+        write_embeddings(es, tmp_path / "a.ate")
+    assert not (tmp_path / "a.ate").exists()
 
 
 def test_class_name_over_the_length_field_rejected_before_writing(tmp_path):

@@ -9,11 +9,12 @@ from atc.caches import (TextualCache, VisualCache, build_textual_cache,
                         build_visual_cache)
 from atc.conditionnet import condition_forward, init_condition_net
 from atc.dataio import EmbeddingSet, SynthConfig, sample_episode, synth_dataset
-from atc.errors import EvaluationError, ShapeError
+from atc.errors import EvaluationError, ShapeError, ValidationError
 from atc.model import (AtcModel, _loss_from_logits, _text_branch,
                        _visual_grad, _visual_scores, fuse, loss_and_grads,
                        predict_batch, zero_shot_logits)
 from atc.numerics import Rng, l2_normalize_rows
+from atc.trainer import TrainConfig, train
 from oracles import (batch_loss, check_gradients, dense_text_scores,
                      dense_text_shift_grad, dense_visual_grads,
                      dense_visual_scores, normalize_rows_bwd, shift_model,
@@ -216,7 +217,8 @@ def test_loss_and_grads_rejects_targets_out_of_range():
     m, sets = _make_model()
     q = sets["query"].features[:2]
     for bad in (-1, sets["text"].num_classes):
-        with pytest.raises(IndexError, match="label out of range for 3"):
+        with pytest.raises(ValidationError,
+                           match=r"targets must be integers in \[0, 3\)"):
             loss_and_grads(m, q, np.array([0, bad]))
 
 
@@ -279,9 +281,12 @@ def test_leave_self_out_removes_self_affinity():
 def test_self_indices_are_checked_before_the_pass(activation):
     m, _ = _make_model(activation=activation, randomize=True)
     sup, labels = m.visual.support, m.visual.labels       # 6 cache rows
-    # -1 would otherwise mask row 5, counted from the end
-    for bad in (np.full(6, -1), np.full(6, 6), np.array([0, 1, 2, 3, 4, 9])):
-        with pytest.raises(IndexError, match="out of range for 6 cache rows"):
+    # -1 would otherwise mask row 5, counted from the end; a bool mask ended
+    # in NumPy's IndexError
+    for bad in (np.full(6, -1), np.full(6, 6), np.array([0, 1, 2, 3, 4, 9]),
+                np.arange(6) % 2 == 0):
+        with pytest.raises(ValidationError,
+                           match=r"self_indices must be integers in \[0, 6\)"):
             loss_and_grads(m, sup, labels, bad)
     for bad in (np.arange(3), np.arange(7), np.arange(6).reshape(6, 1),
                 np.array(0)):
@@ -299,9 +304,15 @@ def test_targets_are_checked_before_the_pass(activation):
     # (6, 1) would otherwise broadcast into a finite, wrong loss
     for bad in (labels[:, None], labels[:3], np.append(labels, 0),
                 np.array(0)):
-        with pytest.raises(ShapeError, match=r"targets shape \(.*\) does not "
-                                             r"match 6 queries"):
+        with pytest.raises(ShapeError, match=r"targets shape \(.*\) is not "
+                                             r"\(6,\)"):
             loss_and_grads(m, sup, bad)
+    # a float target was truncated: labels + 0.7 gave the loss at labels;
+    # train took such labels too
+    with pytest.raises(ValidationError, match="targets must be integers"):
+        loss_and_grads(m, sup, labels + 0.7)
+    with pytest.raises(ValidationError, match="labels must be integers"):
+        train(m, sup, labels + 0.7, TrainConfig(epochs=1))
     assert np.isfinite(loss_and_grads(m, sup, list(labels))[0])
 
 

@@ -12,7 +12,7 @@ import atc.trainer
 from atc.caches import build_textual_cache, build_visual_cache
 from atc.conditionnet import init_condition_net
 from atc.dataio import SynthConfig, synth_dataset
-from atc.errors import CodecError, ShapeError, ValidationError
+from atc.errors import CodecError, ConfigError, ShapeError, ValidationError
 from atc.model import (AtcModel, loss_and_grads, predict_batch, set_tensors,
                        tensors, trainables)
 from atc.numerics import _BLOCK_VALUES, Rng
@@ -136,8 +136,24 @@ def test_labels_that_are_not_one_per_query_rejected_before_a_step(
                         lambda *args: steps.append(args))
     labels = np.zeros(shape, dtype=np.int64)
     with pytest.raises(ShapeError, match=re.escape(
-            f"labels shape {shape} does not match 12 queries")):
+            f"labels shape {shape} is not (12,)")):
         train(m, sets["support"].features, labels, TrainConfig(epochs=2))
+    assert steps == []
+
+
+@pytest.mark.parametrize("setting", [("alpha", -1.0), ("logit_scale", 0.0),
+                                     ("tip_gamma", 0.0), ("activation", "relu")])
+def test_model_settings_are_checked_before_a_step(monkeypatch, setting):
+    # such a model trained, and save_checkpoint wrote a file that
+    # load_checkpoint refuses
+    m, sets = _model()
+    setattr(m, *setting)
+    steps = []
+    monkeypatch.setattr(atc.trainer, "loss_and_grads",
+                        lambda *args: steps.append(args))
+    with pytest.raises(ConfigError, match=f"^{setting[0]} must be "):
+        train(m, sets["support"].features, sets["support"].labels,
+              TrainConfig(epochs=1))
     assert steps == []
 
 
