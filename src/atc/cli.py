@@ -1,4 +1,4 @@
-"""Command-line surface: synth | zeroshot | train | eval | sweep | ablate.
+"""Command-line surface: synth | zeroshot | train | eval | sweep.
 
 Reports are append-only line-delimited JSON. Exit codes: 0 success, 2 usage,
 3 validation/codec, 4 numeric failure, 5 I/O. A key=value config file can
@@ -139,68 +139,6 @@ def _build_model(hyper: dict, text, support, seed, index=None) -> AtcModel:
         f.name: hyper[f.name] for f in fields(AtcModel) if f.name in hyper})
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shots", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=0)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--scale", type=float, default=100.0)
-    p.add_argument("--renorm", choices=["on", "off"], default="on")
-    p.add_argument("--activation", type=_parse_activation, default="linear")
-    p.add_argument("--visual-mode", choices=VISUAL_MODES, default="biases")
-    p.add_argument("--shuffle", choices=["on", "off"], default="on")
-    p.add_argument("--leave-self-out", choices=["on", "off"], default="off")
-    p.add_argument("--chunk-count", type=int, default=8)
-    p.add_argument("--hidden-size", type=int, default=64)
-    p.set_defaults(adaptive_text=True)
-
-
-def _train_once(args, keys) -> int:
-    """Train (and save), then emit the run's record, with `keys(ckpt)` the
-    command's own keys and the query file's scores. That file is read and
-    checked before training."""
-    start = time.time()
-    text = _read_input(args.text, "text")
-    support = _read_input(args.support, "support", text)
-    query = _read_input(args.query, "query", text) if args.query else None
-    # training's queries are the episode's rows, gathered once; the file's
-    # rows are not held through training
-    idx = dataio.sample_episode(support.labels, args.shots, args.seed)
-    episode = dataio.EmbeddingSet(support.features[idx], support.labels[idx],
-                                  support.class_names, support.role)
-    del support
-    activation, gamma = args.activation
-    renorm = args.renorm == "on"
-    hyper = {"alpha": args.alpha, "beta": args.beta, "logit_scale": args.scale,
-             "activation": activation, "tip_gamma": gamma,
-             "adaptive_text": args.adaptive_text, "renorm_text": renorm,
-             "renorm_visual": renorm, "visual_mode": args.visual_mode,
-             "dim": text.dim, "chunk_count": args.chunk_count,
-             "hidden_size": args.hidden_size}
-    m = _build_model(hyper, text, episode, args.seed)
-    cfg = trainer.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.lr, weight_decay=args.weight_decay,
-        seed=args.seed, shuffle=args.shuffle == "on",
-        leave_self_out=args.leave_self_out == "on")
-    ckpt = trainer.train(m, episode.features, episode.labels, cfg)
-    ckpt.config.update(episode_shots=args.shots, episode_seed=args.seed,
-                       episode_views=1)
-    if args.ckpt:
-        trainer.save_checkpoint(ckpt, args.ckpt)
-    del text, episode   # held to the record, they leave the heap ~4 MB higher
-    record = {**keys(ckpt), "seed": args.seed, "epochs": ckpt.metrics,
-              "wall_clock": time.time() - start}
-    if query is not None:
-        record["eval"] = evaluate_queries(m, query.features, query.labels)
-    _emit(record, args.report)
-    return 0
-
-
 def _rebuild_from_checkpoint(ckpt: trainer.Checkpoint, text_path, support_path,
                              alpha=None, beta=None):
     """The checkpoint's model around the embedding files, and the text set."""
@@ -248,8 +186,47 @@ def cmd_zeroshot(args) -> int:
 
 
 def cmd_train(args) -> int:
-    return _train_once(args, lambda ckpt: {
-        "command": "train", "ckpt": args.ckpt, "config": ckpt.config})
+    """Train (and save, if --ckpt is given), then emit the run's record with
+    the query file's scores. That file is read and checked before
+    training."""
+    start = time.time()
+    text = _read_input(args.text, "text")
+    support = _read_input(args.support, "support", text)
+    query = _read_input(args.query, "query", text) if args.query else None
+    # training's queries are the episode's rows, gathered once; the file's
+    # rows are not held through training
+    idx = dataio.sample_episode(support.labels, args.shots, args.seed)
+    episode = dataio.EmbeddingSet(support.features[idx], support.labels[idx],
+                                  support.class_names, support.role)
+    del support
+    activation, gamma = args.activation
+    renorm = args.renorm == "on"
+    hyper = {"alpha": args.alpha, "beta": args.beta, "logit_scale": args.scale,
+             "activation": activation, "tip_gamma": gamma,
+             "adaptive_text": args.adaptive_text == "on",
+             "renorm_text": renorm, "renorm_visual": renorm,
+             "visual_mode": args.visual_mode, "dim": text.dim,
+             "chunk_count": args.chunk_count, "hidden_size": args.hidden_size}
+    m = _build_model(hyper, text, episode, args.seed)
+    cfg = trainer.TrainConfig(
+        epochs=args.epochs, batch_size=args.batch_size,
+        learning_rate=args.lr, weight_decay=args.weight_decay,
+        seed=args.seed, shuffle=args.shuffle == "on",
+        leave_self_out=args.leave_self_out == "on")
+    ckpt = trainer.train(m, episode.features, episode.labels, cfg)
+    ckpt.config.update(episode_shots=args.shots, episode_seed=args.seed,
+                       episode_views=1)
+    # `--ckpt ""` is an I/O error (exit 5), as for eval, not a skipped save
+    if args.ckpt is not None:
+        trainer.save_checkpoint(ckpt, args.ckpt)
+    del text, episode   # held to the record, they leave the heap ~4 MB higher
+    record = {"command": "train", "ckpt": args.ckpt, "config": ckpt.config,
+              "seed": args.seed, "epochs": ckpt.metrics,
+              "wall_clock": time.time() - start}
+    if query is not None:
+        record["eval"] = evaluate_queries(m, query.features, query.labels)
+    _emit(record, args.report)
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -288,22 +265,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# the setting each ablation mode overrides; later modes win
-_ABLATE_MODES = {"fixed-text": ("adaptive_text", False),
-                 "adaptive-text": ("adaptive_text", True),
-                 "fixed-visual": ("visual_mode", "fixed"),
-                 "linear-visual": ("visual_mode", "linear"),
-                 "bias-visual": ("visual_mode", "biases")}
-
-
-def cmd_ablate(args) -> int:
-    for mode in args.mode:
-        setattr(args, *_ABLATE_MODES[mode])
-    return _train_once(args, lambda ckpt: {
-        "command": "ablate", "modes": args.mode,
-        "adaptive_text": args.adaptive_text, "visual_mode": args.visual_mode})
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atc",
@@ -335,9 +296,26 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_zeroshot)
 
     p = sub.add_parser("train", help="train the two-branch head")
-    paths(p, "--text", "--support", "--ckpt")
+    paths(p, "--text", "--support")
+    p.add_argument("--ckpt")
     p.add_argument("--query")
-    _add_train_flags(p)
+    p.add_argument("--shots", type=int, default=16)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=int, default=0)
+    p.add_argument("--weight-decay", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--scale", type=float, default=100.0)
+    p.add_argument("--renorm", choices=["on", "off"], default="on")
+    p.add_argument("--adaptive-text", choices=["on", "off"], default="on")
+    p.add_argument("--activation", type=_parse_activation, default="linear")
+    p.add_argument("--visual-mode", choices=VISUAL_MODES, default="biases")
+    p.add_argument("--shuffle", choices=["on", "off"], default="on")
+    p.add_argument("--leave-self-out", choices=["on", "off"], default="off")
+    p.add_argument("--chunk-count", type=int, default=8)
+    p.add_argument("--hidden-size", type=int, default=64)
     common(p, cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -353,15 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", type=lambda s: [float(v) for v in s.split(",")],
                    required=True)
     common(p, cmd_sweep)
-
-    p = sub.add_parser("ablate", help="train and evaluate a cache variant")
-    paths(p, "--text", "--support")
-    p.add_argument("--query")
-    p.add_argument("--ckpt")
-    p.add_argument("--mode", action="append", choices=_ABLATE_MODES,
-                   required=True)
-    _add_train_flags(p)
-    common(p, cmd_ablate)
 
     return parser
 

@@ -255,10 +255,11 @@ def synth_dataset(cfg: SynthConfig) -> dict[str, EmbeddingSet]:
 
 def sample_episode(labels, shots_per_class: int, seed: int) -> np.ndarray:
     """Pick support row indices: shots per class, without replacement,
-    deterministic in the seed, ordered class-major then sample-index."""
+    deterministic in the seed, ordered class-major then sample-index. The
+    labels must be 1-D non-negative integers; each value is a class."""
     if shots_per_class < 1:
         raise ConfigError("shots_per_class must be >= 1")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(check_index(labels, 2 ** 63, "labels"), np.int64)
     # class c draws Rng(seed).child(c)'s stream from one re-keyed generator
     rng, seed = Rng(0), int(seed)
     # one stable sort groups each class's rows in ascending row order

@@ -177,11 +177,12 @@ def test_sweep_matches_eval_at_default(data_dir, trained, tmp_path):
 
 
 def test_ablate_full_reduction_equals_zeroshot(data_dir, tmp_path):
+    # the ablation with both caches fixed and the visual branch off
     report = tmp_path / "r.jsonl"
-    assert run("ablate", "--text", str(data_dir / "text.ate"),
+    assert run("train", "--text", str(data_dir / "text.ate"),
                "--support", str(data_dir / "support.ate"),
                "--query", str(data_dir / "query.ate"),
-               "--mode", "fixed-text", "--mode", "fixed-visual",
+               "--adaptive-text", "off", "--visual-mode", "fixed",
                "--alpha", "0", "--shots", "4", "--seed", "1",
                "--epochs", "2", "--report", str(report)) == 0
     rec = read_records(report)[0]
@@ -193,47 +194,58 @@ def test_ablate_full_reduction_equals_zeroshot(data_dir, tmp_path):
     assert rec["eval"]["accuracy"] == read_records(zs_report)[0]["accuracy"]
 
 
-# the keys of each training command's record, less the optional "eval"
-_RECORD_KEYS = {
-    "train": {"command", "ckpt", "config", "seed", "epochs", "wall_clock"},
-    "ablate": {"command", "modes", "adaptive_text", "visual_mode", "seed",
-               "epochs", "wall_clock"},
-}
-
-
-@pytest.mark.parametrize("command,ckpt", [("train", True), ("ablate", False),
-                                          ("ablate", True)])
+@pytest.mark.parametrize("ckpt", [False, True])
 @pytest.mark.parametrize("query", [False, True])
-def test_training_record_keys(data_dir, tmp_path, command, ckpt, query):
+def test_training_record_keys(data_dir, tmp_path, ckpt, query):
     report = tmp_path / "r.jsonl"
-    argv = [command, "--text", str(data_dir / "text.ate"),
+    argv = ["train", "--text", str(data_dir / "text.ate"),
             "--support", str(data_dir / "support.ate"), "--shots", "4",
             "--epochs", "1", "--report", str(report)]
-    if command == "ablate":
-        argv += ["--mode", "fixed-text", "--mode", "linear-visual"]
     if ckpt:
         argv += ["--ckpt", str(tmp_path / "m.atck")]
     if query:
         argv += ["--query", str(data_dir / "query.ate")]
     assert run(*argv) == 0
     (rec,) = read_records(report)
-    assert set(rec) == _RECORD_KEYS[command] | ({"eval"} if query else set())
-    assert rec["command"] == command
-    assert (tmp_path / "m.atck").exists() == ckpt
-    if command == "ablate":
-        assert (rec["modes"], rec["adaptive_text"], rec["visual_mode"]) == \
-            (["fixed-text", "linear-visual"], False, "linear")
-    else:
-        assert rec["ckpt"] == str(tmp_path / "m.atck")
-        assert rec["config"]["episode_shots"] == 4
+    assert set(rec) == ({"command", "ckpt", "config", "seed", "epochs",
+                         "wall_clock"} | ({"eval"} if query else set()))
+    assert rec["command"] == "train"
+    assert rec["config"]["episode_shots"] == 4
+    # without --ckpt nothing but the report is written
+    assert rec["ckpt"] == (str(tmp_path / "m.atck") if ckpt else None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        (["m.atck"] if ckpt else []) + ["r.jsonl"]
 
 
-def test_ablate_unknown_mode_exit_2(data_dir, capsys):
+def test_train_empty_ckpt_path_exit_5(data_dir, capsys):
+    assert run("train", "--text", str(data_dir / "text.ate"),
+               "--support", str(data_dir / "support.ate"), "--ckpt", "",
+               "--shots", "4", "--epochs", "1") == 5
+    out = capsys.readouterr()
+    assert out.err.startswith("io error: ") and out.out == ""
+
+
+def test_adaptive_text_flag_sets_the_setting(data_dir, tmp_path):
+    from atc.trainer import load_checkpoint
+    ckpts = {}
+    for name, flags in (("default", []), ("on", ["--adaptive-text", "on"]),
+                        ("off", ["--adaptive-text", "off"])):
+        ckpts[name] = tmp_path / f"{name}.atck"
+        assert run("train", "--text", str(data_dir / "text.ate"),
+                   "--support", str(data_dir / "support.ate"),
+                   "--ckpt", str(ckpts[name]), "--shots", "4",
+                   "--epochs", "2", *flags) == 0
+    assert ckpts["default"].read_bytes() == ckpts["on"].read_bytes()
+    assert [load_checkpoint(ckpts[name]).hyper["adaptive_text"]
+            for name in ("on", "off")] == [True, False]
+
+
+def test_ablate_command_removed_exit_2(data_dir, capsys):
+    # its modes are train flags: --adaptive-text and --visual-mode
     assert run("ablate", "--text", str(data_dir / "text.ate"),
                "--support", str(data_dir / "support.ate"),
-               "--mode", "bogus", "--shots", "4") == 2
-    assert "argument --mode: invalid choice: 'bogus'" in \
-        capsys.readouterr().err
+               "--mode", "fixed-text", "--shots", "4") == 2
+    assert "invalid choice: 'ablate'" in capsys.readouterr().err
 
 
 def test_gradcheck_command_removed_exit_2(capsys):
@@ -400,7 +412,8 @@ def test_zeroshot_empty_query_exit_3(data_dir, empty_query, capsys):
 
 
 @pytest.mark.parametrize("command", [["train"],
-                                     ["ablate", "--mode", "fixed-text"]])
+                                     ["train", "--adaptive-text", "off",
+                                      "--visual-mode", "fixed"]])
 def test_train_empty_query_exit_3_before_training(data_dir, empty_query,
                                                   tmp_path, command, capsys):
     ckpt = tmp_path / "m.atck"
@@ -449,7 +462,7 @@ def _write_config(tmp_path, text):
 
 _REQUIRED = {
     "synth": ["--out", "o"],
-    "train": ["--text", "t.ate", "--support", "s.ate", "--ckpt", "m.atck"],
+    "train": ["--text", "t.ate", "--support", "s.ate"],
     "eval": ["--ckpt", "m.atck", "--text", "t.ate", "--support", "s.ate",
              "--query", "q.ate"],
 }
@@ -467,10 +480,12 @@ _CONFIG_CASES = [
     ("train", "alpha", "0.5", 0.5), ("train", "beta", "2.5", 2.5),
     ("train", "scale", "30", 30.0), ("train", "renorm", "off", "off"),
     ("train", "activation", "tip:2", ("tip", 2.0)),
+    ("train", "adaptive-text", "off", "off"),
     ("train", "visual-mode", "linear", "linear"),
     ("train", "shuffle", "off", "off"),
     ("train", "leave-self-out", "on", "on"),
     ("train", "chunk-count", "4", 4), ("train", "hidden-size", "6", 6),
+    ("train", "ckpt", "m.atck", "m.atck"),
     ("train", "query", "q.ate", "q.ate"),
     ("train", "report", "r.jsonl", "r.jsonl"),
     ("eval", "alpha", "0.5", 0.5), ("eval", "beta", "2", 2.0),
@@ -513,10 +528,10 @@ def test_parse_leaves_the_parser_unchanged(tmp_path):
 
 def test_config_ignores_keys_that_name_no_optional_flag(tmp_path):
     from atc.cli import _parse, build_parser, cmd_train
-    cfg = _write_config(tmp_path, "ckpt = other.atck\nfunc = x\nbogus = 1\n")
+    cfg = _write_config(tmp_path, "text = other.ate\nfunc = x\nbogus = 1\n")
     args = _parse(build_parser(),
                   ["train", *_REQUIRED["train"], "--config", cfg])
-    assert args.ckpt == "m.atck" and args.func is cmd_train
+    assert args.text == "t.ate" and args.func is cmd_train
     assert not hasattr(args, "bogus")
 
 
@@ -586,14 +601,12 @@ def _class_set_commands(data_dir, ckpt, support, query, out, text=None):
                   "--param", "alpha", "--values", "0,1"],
         "zeroshot": ["zeroshot", "--text", text, "--query", str(query)],
         "train": ["train", *pair, *train, "--query", str(query)],
-        "ablate": ["ablate", *pair, *train, "--mode", "fixed-text",
-                   "--query", str(query)],
     }
 
 
 @pytest.mark.parametrize("other", ["six", "renamed"])
 @pytest.mark.parametrize("command",
-                         ["eval", "sweep", "zeroshot", "train", "ablate"])
+                         ["eval", "sweep", "zeroshot", "train"])
 def test_query_of_other_class_set_exit_3(data_dir, trained, six_class_dir,
                                          renamed_dir, tmp_path, other,
                                          command, capsys):
@@ -610,7 +623,7 @@ def test_query_of_other_class_set_exit_3(data_dir, trained, six_class_dir,
     assert not (tmp_path / "new.atck").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "sweep", "train", "ablate"])
+@pytest.mark.parametrize("command", ["eval", "sweep", "train"])
 def test_support_of_other_class_names_exit_3(data_dir, trained, renamed_dir,
                                              tmp_path, command, capsys):
     ckpt, _ = trained
@@ -623,11 +636,11 @@ def test_support_of_other_class_names_exit_3(data_dir, trained, renamed_dir,
 
 
 @pytest.mark.parametrize("command,slot,given", [
-    *[(c, "query", g) for c in ("eval", "sweep", "zeroshot", "train",
-                                "ablate") for g in ("support", "text")],
-    *[(c, "support", "query") for c in ("eval", "sweep", "train", "ablate")],
-    *[(c, "text", g) for c in ("eval", "sweep", "zeroshot", "train",
-                               "ablate") for g in ("support", "query")]])
+    *[(c, "query", g) for c in ("eval", "sweep", "zeroshot", "train")
+      for g in ("support", "text")],
+    *[(c, "support", "query") for c in ("eval", "sweep", "train")],
+    *[(c, "text", g) for c in ("eval", "sweep", "zeroshot", "train")
+      for g in ("support", "query")]])
 def test_file_with_another_role_tag_exit_3(data_dir, trained, tmp_path,
                                            command, slot, given, capsys):
     ckpt, _ = trained
@@ -801,10 +814,9 @@ def test_zeroshot_class_name_not_utf8_exit_3(data_dir, tmp_path, capsys):
 
 _CHOICE_REQUIRED = {
     "train": _REQUIRED["train"],
-    "ablate": ["--text", "t.ate", "--support", "s.ate", "--mode",
-               "fixed-text"],
 }
-_CHOICE_FLAGS = ["renorm", "visual-mode", "shuffle", "leave-self-out"]
+_CHOICE_FLAGS = ["renorm", "adaptive-text", "visual-mode", "shuffle",
+                 "leave-self-out"]
 
 
 @pytest.mark.parametrize("command", sorted(_CHOICE_REQUIRED))
@@ -921,7 +933,7 @@ def test_train_nonpositive_net_size_exit_3(data_dir, tmp_path, flags,
     assert "must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("command", ["train"])
 def test_net_larger_than_memory_exit_3(data_dir, tmp_path, command, capsys):
     # 10**11 needs ~3e23 bytes: refused before anything is allocated
     argv = _class_set_commands(data_dir, None, data_dir / "support.ate",
@@ -1010,8 +1022,8 @@ def test_every_on_off_flag_declares_its_choices():
                     and a.default in ("on", "off"):
                 assert a.choices == ["on", "off"], (name, a.dest)
                 seen.add((name, a.dest))
-    assert {("train", "renorm"), ("train", "shuffle"),
-            ("train", "leave_self_out")} <= seen
+    assert {("train", "renorm"), ("train", "adaptive_text"),
+            ("train", "shuffle"), ("train", "leave_self_out")} <= seen
 
 
 @pytest.mark.parametrize("name,value", [("net.W_out", np.nan),
@@ -1601,9 +1613,9 @@ _REJECTIONS = [
     ("train-alpha-negative", 3, lambda d, c, t: (
         _train(d, t / "m.atck", "--alpha=-1"),
         "error: alpha must be >= 0, got -1.0\n")),
-    ("ablate-beta-negative", 3, lambda d, c, t: (
-        ["ablate", "--text", str(d / "text.ate"),
-         "--support", str(d / "support.ate"), "--mode", "fixed-text",
+    ("train-beta-negative", 3, lambda d, c, t: (
+        ["train", "--text", str(d / "text.ate"),
+         "--support", str(d / "support.ate"), "--adaptive-text", "off",
          "--shots", "4", "--beta=-1"],
         "error: beta must be >= 0, got -1.0\n")),
     ("eval-alpha-negative", 3, lambda d, c, t: (

@@ -361,6 +361,13 @@ def test_sample_episode_of_no_labels_is_empty():
     assert idx.dtype == np.int64 and idx.size == 0
 
 
+def test_sample_episode_rejects_float_and_negative_labels():
+    # once truncated to classes 0, 0, 1, 1, and drawn with -1 as a class
+    for labels in ([0.6, 0.2, 1.7, 1.2], [-1, -1, 0, 0]):
+        with pytest.raises(ValidationError, match="labels must be integers"):
+            sample_episode(np.array(labels), 1, seed=1)
+
+
 def test_sample_episode_rejects_zero_shots():
     with pytest.raises(ConfigError, match="shots_per_class"):
         sample_episode(np.array([0, 0, 1, 1]), 0, seed=1)
